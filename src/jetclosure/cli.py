@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .closures import (
     LocalAlgebraPresentation,
@@ -48,7 +48,6 @@ class Session:
     field_spec: FieldSpec
     ring: RingContext
     ideals: dict
-    modules: dict = dc_field(default_factory=dict)  # no session syntax yet; library-only
 
     def ideal(self, name: str) -> Ideal:
         if name is None:

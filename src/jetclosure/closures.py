@@ -92,6 +92,28 @@ def _primary_replacement(P: LocalAlgebraPresentation, a: Ideal, level: int) -> I
     return Ideal(P.ring, a.generators + P.modulus.generators + tuple(extra))
 
 
+def _block_key(key: tuple):
+    """Order (block, exponents) keys by block, then degrevlex."""
+    return (key[0], DEGREVLEX.key(key[1]))
+
+
+def _kernel(columns: list, image, fld) -> list:
+    """A k-basis of the kernel of the linear map column -> ``image(column)``.
+
+    ``image`` sends a column to a dict {(block, exponents): coefficient};
+    rows are ordered by block, then degrevlex.  Each kernel vector comes
+    back as {column: coefficient} with its zero entries dropped, in the
+    canonical order of ``nullspace_basis`` for the given column order.
+    """
+    images = [image(col) for col in columns]
+    rows = sorted(set().union(*images), key=_block_key)
+    matrix = [[img.get(r, fld.zero()) for img in images] for r in rows]
+    return [
+        {col: x for x, col in zip(vec, columns) if not fld.is_zero(x)}
+        for vec in nullspace_basis(matrix, len(columns), fld)
+    ]
+
+
 @dataclass
 class ClosureReport:
     """The level-``level`` jet closure of ``ideal`` in the presentation."""
@@ -122,27 +144,15 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int) -> ClosureRep
     basis = fiber_ideal(aprime, level).groebner_basis(DEGREVLEX)
 
     columns = sorted(sm.monomials, key=DEGREVLEX.key, reverse=True)
-    images = []
-    row_keys = set()
-    for u in columns:
-        entry = {}
-        for i, d in enumerate(hs_derivations(ring.monomial(u), level)):
-            nf = basis.normal_form(d)
-            for w, c in nf.terms.items():
-                entry[(i, w)] = c
-                row_keys.add((i, w))
-        images.append(entry)
-    ordered_rows = sorted(row_keys, key=lambda iw: (iw[0], DEGREVLEX.key(iw[1])))
-    matrix = [[img.get(rk, fld.zero()) for img in images] for rk in ordered_rows]
-    kernel_vectors = nullspace_basis(matrix, len(columns), fld)
 
-    kernel_polys = []
-    for vec in kernel_vectors:
-        p = ring.zero()
-        for coeff, u in zip(vec, columns):
-            if not fld.is_zero(coeff):
-                p = p + ring.monomial(u, coeff)
-        kernel_polys.append(p)
+    def image(u):
+        return {
+            (i, w): c
+            for i, d in enumerate(hs_derivations(ring.monomial(u), level))
+            for w, c in basis.normal_form(d).terms.items()
+        }
+
+    kernel_polys = [Polynomial(ring, t) for t in _kernel(columns, image, fld)]
 
     closure = Ideal(ring, aprime.generators + tuple(kernel_polys))
     return ClosureReport(
@@ -158,15 +168,18 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int) -> ClosureRep
     )
 
 
-def cumulative_closure_chain(P: LocalAlgebraPresentation, a: Ideal, max_level: int) -> list:
-    """C_0, ..., C_max_level with C_l the intersection of closures up to l."""
-    chain = []
+def _closure_chain(P: LocalAlgebraPresentation, a: Ideal, max_level: int):
+    """Yield C_0, ..., C_max_level lazily, one jet closure per level."""
     current = None
     for level in range(max_level + 1):
         closure = jet_closure(P, a, level).closure
         current = closure if current is None else intersect_ideals(current, closure)
-        chain.append(current)
-    return chain
+        yield current
+
+
+def cumulative_closure_chain(P: LocalAlgebraPresentation, a: Ideal, max_level: int) -> list:
+    """C_0, ..., C_max_level with C_l the intersection of closures up to l."""
+    return list(_closure_chain(P, a, max_level))
 
 
 @dataclass
@@ -191,10 +204,7 @@ def certify_arc_closed(P: LocalAlgebraPresentation, a: Ideal, max_level: int) ->
     _check_proper(P, a)
     target = ideal_sum(a, P.modulus)
     chain = []
-    current = None
-    for level in range(max_level + 1):
-        closure = jet_closure(P, a, level).closure
-        current = closure if current is None else intersect_ideals(current, closure)
+    for level, current in enumerate(_closure_chain(P, a, max_level)):
         chain.append(current)
         if ideals_equal(current, target):
             return CertificateResult(True, level, max_level, chain)
@@ -238,26 +248,15 @@ def socle_and_gorenstein(P: LocalAlgebraPresentation) -> SocleReport:
     sm = _artinian_standard_basis(P.modulus)
     basis = P.modulus.groebner_basis(DEGREVLEX)
     columns = sorted(sm.monomials, key=DEGREVLEX.key, reverse=True)
-    images = []
-    row_keys = set()
-    for u in columns:
-        entry = {}
-        for j in range(ring.nvars):
-            nf = basis.normal_form(ring.variable(j) * ring.monomial(u))
-            for w, c in nf.terms.items():
-                entry[(j, w)] = c
-                row_keys.add((j, w))
-        images.append(entry)
-    ordered_rows = sorted(row_keys, key=lambda jw: (jw[0], DEGREVLEX.key(jw[1])))
-    matrix = [[img.get(rk, fld.zero()) for img in images] for rk in ordered_rows]
-    kernel = nullspace_basis(matrix, len(columns), fld)
-    polys = []
-    for vec in kernel:
-        p = ring.zero()
-        for coeff, u in zip(vec, columns):
-            if not fld.is_zero(coeff):
-                p = p + ring.monomial(u, coeff)
-        polys.append(p)
+
+    def image(u):
+        return {
+            (j, w): c
+            for j in range(ring.nvars)
+            for w, c in basis.normal_form(ring.variable(j) * ring.monomial(u)).terms.items()
+        }
+
+    polys = [Polynomial(ring, t) for t in _kernel(columns, image, fld)]
     polys.sort(key=lambda p: DEGREVLEX.key(p.leading_term(DEGREVLEX)[0]))
     return SocleReport(basis=polys, gorenstein=len(polys) == 1, colength=sm.colength)
 
@@ -480,31 +479,19 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
                 big_rels.append(vec)
     big_gb = SubmodulePresentation(jet_ctx, big_rank, big_rels).groebner_basis(DEGREVLEX)
 
-    columns = sorted(sm, key=lambda cu: (cu[0], DEGREVLEX.key(cu[1])), reverse=True)
-    images = []
-    row_keys = set()
-    for comp, u in columns:
+    columns = sorted(sm, key=_block_key, reverse=True)
+
+    def image(cu):
+        comp, u = cu
         jets = hs_derivations(ring.monomial(u), level)
         comps = list(zero_vec)
         for j in range(level + 1):
             comps[big_index(comp, j)] = jets[j]
-        nf = big_gb.normal_form(FreeModuleElement(jet_ctx, comps))
-        entry = {}
-        for key, c in nf._terms().items():
-            entry[key] = c
-            row_keys.add(key)
-        images.append(entry)
-    ordered_rows = sorted(row_keys, key=lambda cu: (cu[0], DEGREVLEX.key(cu[1])))
-    matrix = [[img.get(rk, fld.zero()) for img in images] for rk in ordered_rows]
-    kernel_vectors = nullspace_basis(matrix, len(columns), fld)
+        return big_gb.normal_form(FreeModuleElement(jet_ctx, comps))._terms()
 
-    kernel = []
-    for vec in kernel_vectors:
-        comps = [ring.zero()] * rank
-        for coeff, (comp, u) in zip(vec, columns):
-            if not fld.is_zero(coeff):
-                comps[comp] = comps[comp] + ring.monomial(u, coeff)
-        kernel.append(FreeModuleElement(ring, comps))
+    kernel = [
+        FreeModuleElement._from_terms(ring, rank, t) for t in _kernel(columns, image, fld)
+    ]
     return ModuleClosureReport(
         presentation=MP,
         level=level,

@@ -13,6 +13,7 @@ import threading
 from dataclasses import dataclass
 from functools import reduce as _fold
 from heapq import heappush, heappop
+from operator import ge
 
 from .errors import InfiniteDimensionalError, RingMismatchError
 from .poly import (
@@ -32,26 +33,27 @@ DEGREVLEX = MonomialOrder.degrevlex()
 # ---------------------------------------------------------------------
 
 
-def _basis_data(term_dicts: list, order: MonomialOrder) -> list:
+def _basis_data(term_dicts: list, key) -> list:
     """Precompute (leading exps, tail items) for monic reducers."""
     data = []
     for terms in term_dicts:
-        lt = max(terms, key=order.key)
+        lt = max(terms, key=key)
         tail = [(v, c) for v, c in terms.items() if v != lt]
         data.append((lt, tail))
     return data
 
 
-def _nf_terms(terms: dict, data: list, order: MonomialOrder, fld: FieldSpec) -> dict:
+def _nf_terms(terms: dict, data: list, key, fld: FieldSpec) -> dict:
     """Full normal form of a term dict against monic reducers."""
-    key = order.key
     work = dict(terms)
     result: dict = {}
     while work:
         u = max(work, key=key)
         c = work.pop(u)
         for lt, tail in data:
-            if all(a >= b for a, b in zip(u, lt)):
+            # x^lt divides x^u; a reducer at another module position fails
+            # within the first two entries of its tag
+            if all(map(ge, u, lt)):
                 quot = tuple(a - b for a, b in zip(u, lt))
                 for v, cv in tail:
                     w = tuple(q + e for q, e in zip(quot, v))
@@ -66,8 +68,8 @@ def _nf_terms(terms: dict, data: list, order: MonomialOrder, fld: FieldSpec) -> 
     return result
 
 
-def _monic_terms(terms: dict, order: MonomialOrder, fld: FieldSpec) -> dict:
-    lt = max(terms, key=order.key)
+def _monic_terms(terms: dict, key, fld: FieldSpec) -> dict:
+    lt = max(terms, key=key)
     lc = terms[lt]
     if lc == fld.one():
         return terms
@@ -75,41 +77,58 @@ def _monic_terms(terms: dict, order: MonomialOrder, fld: FieldSpec) -> dict:
     return {u: fld.mul(c, inv) for u, c in terms.items()}
 
 
-def _interreduce(term_dicts: list, order: MonomialOrder, fld: FieldSpec) -> list:
-    polys = [_monic_terms(t, order, fld) for t in term_dicts if t]
+def _interreduce(term_dicts: list, key, fld: FieldSpec) -> list:
+    polys = [_monic_terms(t, key, fld) for t in term_dicts if t]
     changed = True
     while changed:
         changed = False
         out: list = []
         for i, p in enumerate(polys):
             others = out + polys[i + 1 :]
-            r = _nf_terms(p, _basis_data(others, order), order, fld) if others else p
+            r = _nf_terms(p, _basis_data(others, key), key, fld) if others else p
             if r != p:
                 changed = True
             if r:
-                out.append(_monic_terms(r, order, fld))
+                out.append(_monic_terms(r, key, fld))
         polys = out
     return polys
 
 
-def _buchberger(term_dicts: list, order: MonomialOrder, fld: FieldSpec) -> list:
-    """Reduced Groebner basis of the ideal generated by ``term_dicts``.
+def _buchberger(term_dicts: list, key, fld: FieldSpec, tagged: bool = False) -> list:
+    """Reduced Groebner basis of the ideal or submodule generated by ``term_dicts``.
 
     Normal selection strategy (smallest lcm degree first, ties by
     generator index) with the coprime and chain criteria for pair
     pruning; the returned basis is monic, fully reduced, and sorted by
-    increasing leading term, hence canonical for (ideal, order).
+    increasing ``key`` of the leading term, hence canonical for
+    (ideal, order).
+
+    Submodules run through the same code with ``tagged`` set: a term at
+    position p carries the exponent prefix (p, -p), p >= 1, and ``key``
+    compares position over term.  Only pairs with a common leading
+    position are formed; nothing else needs to know about the tag:
+
+    * componentwise ``>=`` on (p, -p) versus (q, -q) holds only for
+      p == q, so divisibility (in reduction, in the chain criterion and
+      in minimalization) respects positions, and every quotient and
+      lcm of same-position terms keeps the tag (p, -p);
+    * the tag adds 0 to the degree, so the normal-selection heap order
+      is that of the untagged exponents;
+    * the coprime test never fires within one position: the tag of a
+      sum is (2p, -2p), while the tag of an lcm is (p, -p).
     """
-    G = _interreduce(term_dicts, order, fld)
+    G = _interreduce(term_dicts, key, fld)
     if not G:
         return []
-    lts = [max(g, key=order.key) for g in G]
-    data = _basis_data(G, order)
+    lts = [max(g, key=key) for g in G]
+    data = _basis_data(G, key)
     pending: set = set()
     heap: list = []
 
     def push_pairs(t: int) -> None:
         for i in range(t):
+            if tagged and lts[i][0] != lts[t][0]:
+                continue  # S-pairs require a common leading position
             lcm = monomial_lcm(lts[i], lts[t])
             if lcm == tuple(a + b for a, b in zip(lts[i], lts[t])):
                 continue  # coprime leading terms: S-poly always reduces to 0
@@ -151,17 +170,17 @@ def _buchberger(term_dicts: list, order: MonomialOrder, fld: FieldSpec) -> list:
                 s.pop(w, None)
             else:
                 s[w] = d
-        r = _nf_terms(s, data, order, fld)
+        r = _nf_terms(s, data, key, fld)
         if r:
-            r = _monic_terms(r, order, fld)
+            r = _monic_terms(r, key, fld)
             G.append(r)
-            lt = max(r, key=order.key)
+            lt = max(r, key=key)
             lts.append(lt)
             data.append((lt, [(v, c) for v, c in r.items() if v != lt]))
             push_pairs(len(G) - 1)
 
     # minimalize, then tail-reduce against the minimal set
-    order_idx = sorted(range(len(G)), key=lambda i: order.key(lts[i]))
+    order_idx = sorted(range(len(G)), key=lambda i: key(lts[i]))
     minimal: list = []
     for i in order_idx:
         if not any(monomial_divides(lts[k], lts[i]) for k in minimal):
@@ -170,9 +189,9 @@ def _buchberger(term_dicts: list, order: MonomialOrder, fld: FieldSpec) -> list:
     reduced = []
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
-        r = _nf_terms(g, _basis_data(others, order), order, fld) if others else g
-        reduced.append(_monic_terms(r, order, fld))
-    reduced.sort(key=lambda t: order.key(max(t, key=order.key)))
+        r = _nf_terms(g, _basis_data(others, key), key, fld) if others else g
+        reduced.append(_monic_terms(r, key, fld))
+    reduced.sort(key=lambda t: key(max(t, key=key)))
     return reduced
 
 
@@ -188,7 +207,7 @@ class GroebnerBasis:
         self.ring = ring
         self.order = order
         self.elements = list(elements)
-        self._data = _basis_data([g.terms for g in self.elements], order)
+        self._data = _basis_data([g.terms for g in self.elements], order.key)
 
     def leading_exponents(self) -> list:
         return [lt for lt, _ in self._data]
@@ -199,7 +218,7 @@ class GroebnerBasis:
         if not self._data:
             return f
         return Polynomial(
-            self.ring, _nf_terms(f.terms, self._data, self.order, self.ring.field_spec)
+            self.ring, _nf_terms(f.terms, self._data, self.order.key, self.ring.field_spec)
         )
 
     def contains(self, f: Polynomial) -> bool:
@@ -235,7 +254,7 @@ class Ideal:
             cached = self._cache.get(order)
             if cached is None:
                 basis = _buchberger(
-                    [g.terms for g in self.generators], order, self.ring.field_spec
+                    [g.terms for g in self.generators], order.key, self.ring.field_spec
                 )
                 cached = GroebnerBasis(
                     self.ring, order, [Polynomial(self.ring, t) for t in basis]
@@ -399,17 +418,13 @@ def standard_monomial_basis(I: Ideal, order: MonomialOrder = DEGREVLEX) -> Stand
     zero = (0,) * n
     if any(lt == zero for lt in lts):
         return StandardMonomialBasis([], 0)  # unit ideal
-    bounds = _pure_power_bounds(lts, n, I.ring.variables)
-    monomials = [
-        u
-        for u in itertools.product(*(range(b) for b in bounds))
-        if not any(monomial_divides(lt, u) for lt in lts)
-    ]
-    monomials.sort(key=DEGREVLEX.key)
+    monomials = sorted(_standard_monomials(lts, n, I.ring.variables), key=DEGREVLEX.key)
     return StandardMonomialBasis(monomials, len(monomials))
 
 
-def _pure_power_bounds(lts: list, nvars: int, names) -> list:
+def _standard_monomials(lts: list, nvars: int, names) -> list:
+    """Exponents that no leading exponent divides, scanned in the box of
+    the least pure powers; raises when a variable has no pure power."""
     bounds = [None] * nvars
     for lt in lts:
         support = [j for j, e in enumerate(lt) if e]
@@ -422,7 +437,11 @@ def _pure_power_bounds(lts: list, nvars: int, names) -> list:
             raise InfiniteDimensionalError(
                 f"no pure power of '{names[j]}' among the leading terms; the quotient is infinite-dimensional"
             )
-    return bounds
+    return [
+        u
+        for u in itertools.product(*(range(b) for b in bounds))
+        if not any(monomial_divides(lt, u) for lt in lts)
+    ]
 
 
 # ---------------------------------------------------------------------
@@ -491,151 +510,19 @@ class FreeModuleElement:
         return f"({', '.join(str(p) for p in self.components)})"
 
 
-def _mnf_terms(terms: dict, data: list, order: MonomialOrder, fld: FieldSpec) -> dict:
-    """Module normal form; terms are keyed by (component, exponents)."""
-
-    def key(cu):
-        return (-cu[0], order.key(cu[1]))
-
-    work = dict(terms)
-    result: dict = {}
-    while work:
-        cu = max(work, key=key)
-        c, u = cu
-        coeff = work.pop(cu)
-        for (lc_comp, lt), tail in data:
-            if lc_comp == c and all(a >= b for a, b in zip(u, lt)):
-                quot = tuple(a - b for a, b in zip(u, lt))
-                for (tc, v), cv in tail:
-                    w = (tc, tuple(q + e for q, e in zip(quot, v)))
-                    s = fld.sub(work.get(w, 0), fld.mul(coeff, cv))
-                    if fld.is_zero(s):
-                        work.pop(w, None)
-                    else:
-                        work[w] = s
-                break
-        else:
-            result[cu] = coeff
-    return result
+def _pot_key(order: MonomialOrder):
+    """Position over term on tagged module terms: a lower position is larger."""
+    return lambda t: (-t[0], order.key(t[2:]))
 
 
-def _module_basis_data(term_dicts: list, order: MonomialOrder) -> list:
-    def key(cu):
-        return (-cu[0], order.key(cu[1]))
-
-    data = []
-    for terms in term_dicts:
-        lt = max(terms, key=key)
-        tail = [(v, c) for v, c in terms.items() if v != lt]
-        data.append((lt, tail))
-    return data
+def _tag(v: FreeModuleElement) -> dict:
+    """Engine terms of v: a term x^u at position c becomes (c+1, -c-1) + u."""
+    return {(c + 1, -c - 1) + u: x for c, p in enumerate(v.components) for u, x in p.terms.items()}
 
 
-def _module_monic(terms: dict, order: MonomialOrder, fld: FieldSpec) -> dict:
-    def key(cu):
-        return (-cu[0], order.key(cu[1]))
-
-    lc = terms[max(terms, key=key)]
-    if lc == fld.one():
-        return terms
-    inv = fld.inv(lc)
-    return {cu: fld.mul(c, inv) for cu, c in terms.items()}
-
-
-def _module_buchberger(term_dicts: list, order: MonomialOrder, fld: FieldSpec) -> list:
-    """Buchberger for submodules of a free module, position over term."""
-
-    def key(cu):
-        return (-cu[0], order.key(cu[1]))
-
-    # interreduce
-    polys = [_module_monic(t, order, fld) for t in term_dicts if t]
-    changed = True
-    while changed:
-        changed = False
-        out: list = []
-        for i, p in enumerate(polys):
-            others = out + polys[i + 1 :]
-            r = _mnf_terms(p, _module_basis_data(others, order), order, fld) if others else p
-            if r != p:
-                changed = True
-            if r:
-                out.append(_module_monic(r, order, fld))
-        polys = out
-    G = polys
-    if not G:
-        return []
-    lts = [max(g, key=key) for g in G]
-    data = _module_basis_data(G, order)
-    pending: set = set()
-    heap: list = []
-
-    def push_pairs(t: int) -> None:
-        for i in range(t):
-            if lts[i][0] != lts[t][0]:
-                continue  # S-pairs require a common leading position
-            lcm = monomial_lcm(lts[i][1], lts[t][1])
-            pending.add((i, t))
-            heappush(heap, (sum(lcm), i, t))
-
-    for t in range(len(G)):
-        push_pairs(t)
-
-    while heap:
-        _, i, j = heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        comp = lts[i][0]
-        lcm = monomial_lcm(lts[i][1], lts[j][1])
-        chained = False
-        for t in range(len(G)):
-            if t in (i, j) or lts[t][0] != comp:
-                continue
-            if monomial_divides(lts[t][1], lcm):
-                a = (i, t) if i < t else (t, i)
-                b = (j, t) if j < t else (t, j)
-                if a not in pending and b not in pending:
-                    chained = True
-                    break
-        if chained:
-            continue
-        qi = tuple(a - b for a, b in zip(lcm, lts[i][1]))
-        qj = tuple(a - b for a, b in zip(lcm, lts[j][1]))
-        s: dict = {}
-        for (c, v), coeff in G[i].items():
-            s[(c, tuple(q + e for q, e in zip(qi, v)))] = coeff
-        for (c, v), coeff in G[j].items():
-            w = (c, tuple(q + e for q, e in zip(qj, v)))
-            d = fld.sub(s.get(w, 0), coeff)
-            if fld.is_zero(d):
-                s.pop(w, None)
-            else:
-                s[w] = d
-        r = _mnf_terms(s, data, order, fld)
-        if r:
-            r = _module_monic(r, order, fld)
-            G.append(r)
-            lt = max(r, key=key)
-            lts.append(lt)
-            data.append((lt, [(v, c) for v, c in r.items() if v != lt]))
-            push_pairs(len(G) - 1)
-
-    order_idx = sorted(range(len(G)), key=lambda i: key(lts[i]))
-    minimal: list = []
-    for i in order_idx:
-        if not any(
-            lts[k][0] == lts[i][0] and monomial_divides(lts[k][1], lts[i][1]) for k in minimal
-        ):
-            minimal.append(i)
-    kept = [G[i] for i in minimal]
-    reduced = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        r = _mnf_terms(g, _module_basis_data(others, order), order, fld) if others else g
-        reduced.append(_module_monic(r, order, fld))
-    reduced.sort(key=lambda t: key(max(t, key=key)))
-    return reduced
+def _untag(ring: RingContext, rank: int, terms: dict) -> FreeModuleElement:
+    """The element with engine terms ``terms``; inverse of ``_tag``."""
+    return FreeModuleElement._from_terms(ring, rank, {(t[0] - 1, t[2:]): x for t, x in terms.items()})
 
 
 class ModuleGroebnerBasis:
@@ -646,21 +533,22 @@ class ModuleGroebnerBasis:
         self.rank = rank
         self.order = order
         self.elements = list(elements)
-        self._data = _module_basis_data([e._terms() for e in self.elements], order)
+        self._key = _pot_key(order)
+        self._data = _basis_data([_tag(e) for e in self.elements], self._key)
 
     def normal_form(self, v: FreeModuleElement) -> FreeModuleElement:
         if v.ring != self.ring or v.rank != self.rank:
             raise RingMismatchError("element does not live in this free module")
         if not self._data:
             return v
-        terms = _mnf_terms(v._terms(), self._data, self.order, self.ring.field_spec)
-        return FreeModuleElement._from_terms(self.ring, self.rank, terms)
+        terms = _nf_terms(_tag(v), self._data, self._key, self.ring.field_spec)
+        return _untag(self.ring, self.rank, terms)
 
     def contains(self, v: FreeModuleElement) -> bool:
         return self.normal_form(v).is_zero()
 
     def leading_positions(self) -> list:
-        return [lt for lt, _ in self._data]
+        return [(lt[0] - 1, lt[2:]) for lt, _ in self._data]
 
     def __iter__(self):
         return iter(self.elements)
@@ -692,12 +580,10 @@ class SubmodulePresentation:
         with self._lock:
             cached = self._cache.get(order)
             if cached is None:
-                basis = _module_buchberger(
-                    [g._terms() for g in self.generators], order, self.ring.field_spec
+                basis = _buchberger(
+                    [_tag(g) for g in self.generators], _pot_key(order), self.ring.field_spec, tagged=True
                 )
-                elems = [
-                    FreeModuleElement._from_terms(self.ring, self.rank, t) for t in basis
-                ]
+                elems = [_untag(self.ring, self.rank, t) for t in basis]
                 cached = ModuleGroebnerBasis(self.ring, self.rank, order, elems)
                 self._cache[order] = cached
         return cached
@@ -723,11 +609,7 @@ def module_standard_monomials(
     out = []
     for comp in range(S.rank):
         comp_lts = [u for c, u in lts if c == comp]
-        if zero in comp_lts:
-            continue
-        bounds = _pure_power_bounds(comp_lts, n, S.ring.variables)
-        for u in itertools.product(*(range(b) for b in bounds)):
-            if not any(monomial_divides(lt, u) for lt in comp_lts):
-                out.append((comp, u))
+        if zero not in comp_lts:
+            out += [(comp, u) for u in _standard_monomials(comp_lts, n, S.ring.variables)]
     out.sort(key=lambda cu: (cu[0], DEGREVLEX.key(cu[1])))
     return out

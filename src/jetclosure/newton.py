@@ -46,14 +46,17 @@ def _dominates(u, v) -> bool:
 
 
 def _reduce_generators(vectors: list) -> list:
-    """Drop componentwise-dominated vectors; sort for a canonical form."""
+    """Drop componentwise-dominated vectors; sort for a canonical form.
+
+    One pass in ascending lex order suffices: a vector that dominates a
+    distinct v is lex-larger, so it comes after v and is rejected against
+    v, or against the kept vector that v dominates if v was rejected.
+    """
     kept = []
     for u in sorted(set(vectors)):
-        if not any(_dominates(u, v) for v in kept if v != u):
+        if not any(_dominates(u, v) for v in kept):
             kept.append(u)
-    # a later vector can still dominate an earlier one's survivor set
-    final = [u for u in kept if not any(v != u and _dominates(u, v) for v in kept)]
-    return sorted(final)
+    return kept
 
 
 def _feasible(columns: list, rhs: list) -> bool:

@@ -446,10 +446,14 @@ def tokenize(text: str, line: int = 1) -> list:
     return tokens
 
 
+MAX_NESTING = 100  # parenthesis depth; deeper input would exhaust the Python stack
+
+
 class _TokenStream:
     def __init__(self, tokens: list):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -482,9 +486,13 @@ def _parse_factor(ts: _TokenStream, ring: RingContext) -> Polynomial:
             p = p ** int(e.text)
         return p
     if tok.kind == "(":
+        if ts.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column)
         ts.next()
+        ts.depth += 1
         p = _parse_poly(ts, ring)
         ts.expect(")")
+        ts.depth -= 1
         return p
     if tok.kind == "nat":
         ts.next()

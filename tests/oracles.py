@@ -65,6 +65,27 @@ def brute_force_colength(gens: list, ring: RingContext, max_degree: int) -> int:
     return len(columns) - rank(row_vecs, len(columns), fld)
 
 
+def truncated_module_member(v, gens: list, degree: int) -> bool:
+    """Is the vector v in the submodule N generated by ``gens``?
+
+    Valid when N contains every monomial of total degree ``degree`` in
+    each component, hence m^degree times the whole free module.  Then
+    everything can be read modulo m^degree: v lies in N iff its
+    truncation below ``degree`` is in the span of the truncations of the
+    multiples x^a * g with |a| < degree.
+    """
+    ring = v.ring
+    fld = ring.field_spec
+    low = monomials_up_to_degree(ring.nvars, degree - 1)
+    columns = [(c, u) for c in range(v.rank) for u in low]
+
+    def coords(w) -> list:
+        return [w.components[c].terms.get(u, fld.zero()) for c, u in columns]
+
+    rows = [coords(g.scale(ring.monomial(a))) for g in gens for a in low]
+    return in_row_span(coords(v), rows, len(columns), fld)
+
+
 def monomial_ideal_intersection(gens_a: list, gens_b: list) -> list:
     """Minimal generators of the intersection of two monomial ideals (lcm oracle)."""
     lcms = sorted(

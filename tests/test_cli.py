@@ -216,6 +216,23 @@ def test_main_usage_error_exit_code(tmp_path, capsys):
     assert _main(["closure", "--session", str(bad), "--ideal", "a", "--level", "0"]) == 2
 
 
+def test_main_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    deep = "(" * 2000 + "x" + ")" * 2000
+    path = tmp_path / "s.session"
+    path.write_text(SESSION, encoding="utf-8")
+    argv = ["jsc-member", "--session", str(path), "--ideal", "a", "--level", "1"]
+    assert _main(argv + ["--poly", deep]) == 2
+    nested = tmp_path / "nested.session"
+    nested.write_text(f"field Q\nvars x y\nideal a: {deep}\n", encoding="utf-8")
+    assert _main(["socle", "--session", str(nested), "--modulus", "a"]) == 2
+    assert capsys.readouterr().err.count("parse error: parentheses nested deeper") == 2
+    fifty = "(" * 50 + "x + y" + ")" * 50
+    assert _main(argv + ["--poly", fifty]) == 0
+    assert "element: x + y" in capsys.readouterr().out
+    session = parse_session(f"field Q\nvars x y\nideal a: {fifty}\n")
+    assert session.ideals["a"].generators == (parse_polynomial("x + y", session.ring),)
+
+
 def test_subprocess_json_deterministic(tmp_path):
     path = tmp_path / "s.session"
     path.write_text(SESSION, encoding="utf-8")

@@ -6,6 +6,7 @@ from oracles import (
     brute_force_colength,
     brute_force_member,
     monomial_ideal_intersection,
+    truncated_module_member,
 )
 
 from jetclosure.errors import InfiniteDimensionalError, RingMismatchError
@@ -349,6 +350,49 @@ def test_submodule_normal_form_linear():
     for _ in range(25):
         v, w = rand_vec(), rand_vec()
         assert gb.normal_form(v + w) == gb.normal_form(v) + gb.normal_form(w)
+
+
+def test_submodule_membership_matches_truncated_oracle():
+    # N = (random vectors) + m^3 * free module; membership is decided
+    # without Groebner code by linear algebra modulo m^3
+    rng = random.Random(43)
+    degree = 3
+    seen = set()
+    for field in (Q, FieldSpec.prime_field(3)):
+        R = ring(["x", "y"], field)
+
+        def rand_poly(max_deg):
+            p = R.zero()
+            for _ in range(rng.randrange(1, 4)):
+                u = (rng.randrange(max_deg + 1), rng.randrange(max_deg + 1))
+                p = p + R.monomial(u, rng.randrange(-3, 4))
+            return p
+
+        for rank in (2, 3):
+            for _ in range(8):
+                gens = [
+                    FreeModuleElement(R, [rand_poly(2) for _ in range(rank)])
+                    for _ in range(rng.randrange(1, 4))
+                ]
+                powers = []
+                for c in range(rank):
+                    for e in range(degree + 1):
+                        comps = [R.zero()] * rank
+                        comps[c] = R.monomial((e, degree - e))
+                        powers.append(FreeModuleElement(R, comps))
+                gb = submodule_groebner_basis(SubmodulePresentation(R, rank, gens + powers))
+                for _ in range(10):
+                    v = FreeModuleElement(R, [rand_poly(3) for _ in range(rank)])
+                    if rng.randrange(2):
+                        v = FreeModuleElement(R, [R.zero()] * rank)
+                        for g in gens:
+                            v = v + g.scale(rand_poly(2))
+                        v = v + powers[rng.randrange(len(powers))].scale(rand_poly(1))
+                    expected = truncated_module_member(v, gens, degree)
+                    seen.add(expected)
+                    assert gb.contains(v) == expected
+                    assert gb.normal_form(v).is_zero() == expected
+    assert seen == {True, False}
 
 
 def test_submodule_rank_mismatch():
