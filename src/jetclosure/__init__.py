@@ -29,6 +29,7 @@ from .closures import (
 from .errors import (
     DomainError,
     InfiniteDimensionalError,
+    InternalError,
     NotArtinianError,
     NotGorensteinError,
     NotProperError,

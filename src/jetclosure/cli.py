@@ -12,6 +12,9 @@ or, with --json, one machine-readable object with the fixed key set
 {command, field, vars, inputs, outputs, generators, dims, certificate,
 millis}.  Machine output is byte-deterministic: the millis field is
 pinned to 0 and wall-clock timing goes to stderr instead.
+
+Exit codes: 0 on success, 1 on a domain error, 2 on a parse or usage
+error, 3 on an internal error (a failed invariant of the library).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .closures import (
     matlis_embedding,
     socle_and_gorenstein,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, InternalError, ParseError
 from .groebner import DEGREVLEX, Ideal
 from .jets import fiber_ideal, hs_derivations, jet_ideal, universal_jet_image
 from .newton import MonomialIdealData, monomial_integral_closure
@@ -459,6 +462,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: Value: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     elapsed_ms = int((time.monotonic() - started) * 1000)
     print(f"completed in {elapsed_ms} ms", file=sys.stderr)
     print(report.to_json() if args.json else report.to_text())

@@ -4,8 +4,13 @@ jet-support membership, and the Gorenstein/Matlis reduction pipeline.
 All computations happen at a finite jet level.  An ideal a of the local
 algebra S/I is first replaced by a' = a + I + m^(level+1); the closure
 at that level is then read off as the kernel of an exact linear system
-over the coefficient field, with normal forms taken modulo the fiber
-ideal of a' in the jet ring.
+over the coefficient field, one column per standard monomial of a', with
+normal forms taken modulo the fiber ideal of a' in the jet ring.
+
+That fiber ideal equals the fiber ideal of a + I (see ``jet_closure``),
+so the m^(level+1) generators, most of a' at high levels, never reach
+Buchberger; the column jets grow along the staircase of a', one
+truncated series multiplication per monomial (``monomial_jets``).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 
 from .errors import (
     InfiniteDimensionalError,
+    InternalError,
     NotArtinianError,
     NotGorensteinError,
     NotProperError,
@@ -33,7 +39,7 @@ from .groebner import (
     radical_member,
     standard_monomial_basis,
 )
-from .jets import fiber_ideal, hs_derivations
+from .jets import fiber_ideal, hs_derivations, monomial_jets
 from .linalg import nullspace_basis
 from .poly import Polynomial, RingContext
 
@@ -135,20 +141,32 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int) -> ClosureRep
     The kernel condition is linear over the coefficient field: f (taken
     modulo a') lies in the closure iff every derivation D_i(f), i up to
     the level, reduces to zero against the fiber ideal of a'.
+
+    The fiber ideal of a' is computed as that of a + I; the two are
+    equal.  The fiber ideal of an ideal b at level l is generated by
+    x_1@0, ..., x_n@0 and D_i(g) for the generators g of b and i <= l,
+    and a' adds the generators x^u, deg u = d = l+1, to a + I.  Each
+    term of D_i(x^u) is, up to a coefficient, a product of d jet
+    variables x_j@k whose orders k sum to i.  As i <= l < d, at least
+    one of those orders is 0, so every such D_i(x^u) already lies in
+    (x_1@0, ..., x_n@0).  Equal ideals have the same reduced basis, so
+    the normal forms, and the kernel, are unchanged.  The report keeps
+    a' as ``replacement`` and in ``closure``.
     """
     _check_proper(P, a)
     ring = P.ring
     fld = ring.field_spec
     aprime = _primary_replacement(P, a, level)
     sm = standard_monomial_basis(aprime)
-    basis = fiber_ideal(aprime, level).groebner_basis(DEGREVLEX)
+    basis = fiber_ideal(ideal_sum(a, P.modulus), level).groebner_basis(DEGREVLEX)
 
     columns = sorted(sm.monomials, key=DEGREVLEX.key, reverse=True)
+    jets = monomial_jets(ring, columns, level)
 
     def image(u):
         return {
             (i, w): c
-            for i, d in enumerate(hs_derivations(ring.monomial(u), level))
+            for i, d in enumerate(jets[u])
             for w, c in basis.normal_form(d).terms.items()
         }
 
@@ -215,12 +233,16 @@ def jsc_membership(P: LocalAlgebraPresentation, a: Ideal, f: Polynomial, level: 
     """Membership of f in the level-``level`` jet support closure of a.
 
     Decided per element: every derivation of f must lie in the radical
-    of the fiber ideal of a + I + m^(level+1).
+    of the fiber ideal of a + I + m^(level+1).  That ideal is computed
+    as the fiber ideal of a + I, which is the same ideal: for
+    deg u > level, every term of D_i(x^u), i <= level, is a product of
+    deg u jet variables with orders summing to i, so one of them is
+    some x_j@0 (the full argument is in ``jet_closure``).
     """
     _check_proper(P, a)
     if f.ring != P.ring:
         raise RingMismatchError("element does not live in the presentation ring")
-    J = fiber_ideal(_primary_replacement(P, a, level), level)
+    J = fiber_ideal(ideal_sum(a, P.modulus), level)
     return all(radical_member(d, J) for d in hs_derivations(f, level))
 
 
@@ -299,10 +321,10 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
             witness = w
             break
     if witness is None:
-        raise ArithmeticError("no single witness generates the colon ideal modulo the powers")
+        raise InternalError("no single witness generates the colon ideal modulo the powers")
     colon_dim = standard_monomial_basis(m_n).colength - standard_monomial_basis(colon).colength
     if colon_dim != soc.colength:
-        raise ArithmeticError("witness verification failed: dimension mismatch")
+        raise InternalError("witness verification failed: dimension mismatch")
     images = []
     for u in standard_monomial_basis(I).monomials:
         b = ring.monomial(u)
@@ -324,7 +346,7 @@ def smallest_containing_power(P: LocalAlgebraPresentation) -> int:
     for n in range(1, bound + 1):
         if all(basis.contains(P.ring.variable(j) ** n) for j in range(P.ring.nvars)):
             return n
-    raise ArithmeticError("no pure power bound found below the length bound")
+    raise InternalError("no pure power bound found below the length bound")
 
 
 @dataclass
@@ -369,7 +391,7 @@ def gorenstein_walkthrough(P: LocalAlgebraPresentation, max_level: int) -> Goren
         next_modulus = Ideal(ring, current.modulus.generators + (g,))
         next_pres = LocalAlgebraPresentation(ring, next_modulus)
         if standard_monomial_basis(next_modulus).colength != soc.colength - 1:
-            raise ArithmeticError("socle quotient did not drop the length by one")
+            raise InternalError("socle quotient did not drop the length by one")
         current = next_pres
     embedding = matlis_embedding(current, smallest_containing_power(current))
     return GorensteinWalkthrough(stages=stages, embedding=embedding)
@@ -480,13 +502,13 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     big_gb = SubmodulePresentation(jet_ctx, big_rank, big_rels).groebner_basis(DEGREVLEX)
 
     columns = sorted(sm, key=_block_key, reverse=True)
+    column_jets = monomial_jets(ring, {u for _, u in sm}, level)
 
     def image(cu):
         comp, u = cu
-        jets = hs_derivations(ring.monomial(u), level)
         comps = list(zero_vec)
-        for j in range(level + 1):
-            comps[big_index(comp, j)] = jets[j]
+        for j, d in enumerate(column_jets[u]):
+            comps[big_index(comp, j)] = d
         return big_gb.normal_form(FreeModuleElement(jet_ctx, comps))._terms()
 
     kernel = [

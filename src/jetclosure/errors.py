@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
 Domain errors carry a stable ``code`` used by the CLI when rendering
-failures; parse errors carry a source position.
+failures; parse errors carry a source position; internal errors mark a
+broken invariant of the library itself.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ class NotGorensteinError(DomainError):
 
 class PowersNotContainedError(DomainError):
     code = "PowersNotContained"
+
+
+class InternalError(Exception):
+    """An internal invariant failed: a bug in the library, not bad input."""
 
 
 class ParseError(Exception):

@@ -15,7 +15,7 @@ from functools import reduce as _fold
 from heapq import heappush, heappop
 from operator import ge
 
-from .errors import InfiniteDimensionalError, RingMismatchError
+from .errors import InfiniteDimensionalError, InternalError, RingMismatchError
 from .poly import (
     FieldSpec,
     MonomialOrder,
@@ -83,13 +83,17 @@ def _interreduce(term_dicts: list, key, fld: FieldSpec) -> list:
     while changed:
         changed = False
         out: list = []
+        odata: list = []  # _basis_data(out), grown with out
+        pdata = _basis_data(polys, key)
         for i, p in enumerate(polys):
-            others = out + polys[i + 1 :]
-            r = _nf_terms(p, _basis_data(others, key), key, fld) if others else p
+            others = odata + pdata[i + 1 :]
+            r = _nf_terms(p, others, key, fld) if others else p
             if r != p:
                 changed = True
             if r:
-                out.append(_monic_terms(r, key, fld))
+                r = _monic_terms(r, key, fld)
+                out.append(r)
+                odata += _basis_data([r], key)
         polys = out
     return polys
 
@@ -185,11 +189,11 @@ def _buchberger(term_dicts: list, key, fld: FieldSpec, tagged: bool = False) -> 
     for i in order_idx:
         if not any(monomial_divides(lts[k], lts[i]) for k in minimal):
             minimal.append(i)
-    kept = [G[i] for i in minimal]
+    kept = [data[i] for i in minimal]
     reduced = []
-    for i, g in enumerate(kept):
+    for i, k in enumerate(minimal):
         others = kept[:i] + kept[i + 1 :]
-        r = _nf_terms(g, _basis_data(others, key), key, fld) if others else g
+        r = _nf_terms(G[k], others, key, fld) if others else G[k]
         reduced.append(_monic_terms(r, key, fld))
     reduced.sort(key=lambda t: key(max(t, key=key)))
     return reduced
@@ -373,7 +377,7 @@ def _exact_quotient(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVL
         u = max(work, key=key)
         c = work.pop(u)
         if not all(a >= b for a, b in zip(u, g_lt)):
-            raise ArithmeticError("division is not exact")
+            raise InternalError("division is not exact")
         q = tuple(a - b for a, b in zip(u, g_lt))
         factor = fld.div(c, g_lc)
         quot[q] = factor

@@ -79,6 +79,36 @@ def hs_derivations(f: Polynomial, level: int) -> list:
     return coeffs
 
 
+def monomial_jets(ring: RingContext, monomials, level: int) -> dict:
+    """{u: hs_derivations(x^u, level)} for every exponent tuple u in ``monomials``.
+
+    The truncated series of x^u is that of x^(u - e_j) times that of
+    x_j, for any j with u_j > 0.  Each series is computed once and
+    memoized for the length of this call, so the call costs one
+    truncated multiplication per distinct monomial met while walking
+    each u down to 1, instead of deg u per monomial.  Along a
+    staircase, which is closed under division, those are the monomials
+    of the set itself.
+    """
+    jr = JetRing(ring, level)
+    jring = jr.context
+    var_series = [[jr.variable(j, i) for i in range(level + 1)] for j in range(ring.nvars)]
+    memo = {(0,) * ring.nvars: [jring.one()] + [jring.zero() for _ in range(level)]}
+
+    def series(u):
+        path = []
+        while u not in memo:
+            j = max(j for j, e in enumerate(u) if e)
+            path.append((u, j))
+            u = u[:j] + (u[j] - 1,) + u[j + 1 :]
+        for v, j in reversed(path):
+            memo[v] = _series_mul(memo[u], var_series[j], jring, level)
+            u = v
+        return memo[u]
+
+    return {u: series(u) for u in monomials}
+
+
 @dataclass
 class JetIdeal:
     """Jets of an ideal: D_i of each source generator, 0 <= i <= level."""

@@ -18,16 +18,42 @@ Exponents = tuple  # exponent tuple, one nonnegative int per variable
 Scalar = Union[Fraction, int]
 
 
+# Miller-Rabin with the first 13 prime bases answers exactly below this
+# bound, the least composite that is a strong probable prime to all of
+# them (Sorenson and Webster 2017); the first 12 stop at 3.18e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality of n by deterministic Miller-Rabin.
+
+    Exact for every n below ``_MR_EXACT_BELOW`` (about 3.3e24).  Above
+    it no fixed base set is proven exact, so the test raises
+    ``ValueError`` rather than answer "probably prime".
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: only n below {_MR_EXACT_BELOW} is supported"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

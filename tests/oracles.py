@@ -3,13 +3,19 @@
 Nothing here touches the Groebner machinery: membership is decided by
 exact linear algebra over bounded-degree multiplier spaces, monomial
 questions by direct divisibility, integral closure by the power test.
+The one exception is the section of reference paths at the end: they
+keep the slower computations that a proven shortcut replaced, so the
+shortcut can be checked against them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from jetclosure.linalg import in_row_span, rank
+from jetclosure.closures import _primary_replacement
+from jetclosure.groebner import DEGREVLEX, Ideal, radical_member, standard_monomial_basis
+from jetclosure.jets import fiber_ideal, hs_derivations
+from jetclosure.linalg import in_row_span, nullspace_basis, rank
 from jetclosure.poly import Polynomial, RingContext
 
 
@@ -127,3 +133,60 @@ def power_test_closure(gens: list, max_power: int = 6) -> list:
         for u in members
         if not any(v != u and all(a >= b for a, b in zip(u, v)) for v in members)
     ]
+
+
+# ---------------------------------------------------------------------
+# reference paths: fiber ideal of a' = a + I + m^(level+1)
+# ---------------------------------------------------------------------
+
+
+# (variables, modulus, ideal, levels): cases for checking the fiber ideal
+# of a + I against the reference paths, over any coefficient field
+FIBER_SHORTCUT_CASES = [
+    (("x", "y"), (), ("x^2", "y^3"), range(6)),
+    (("x", "y"), (), ("x^2 - y^3",), range(6)),
+    (("x", "y"), ("y^2 - x^3",), ("x*y",), range(6)),
+    (("x", "y"), ("x^2", "y^2"), (), range(6)),
+    (("x", "y", "z"), ("x*z - y^2",), ("x^2", "y*z"), range(6)),
+]
+
+
+def reference_fiber_ideal(P, a, level: int) -> Ideal:
+    """The fiber ideal of a' = a + I + m^(level+1), m^(level+1) jets included."""
+    return fiber_ideal(_primary_replacement(P, a, level), level)
+
+
+def reference_jet_closure(P, a, level: int):
+    """(kernel basis, reduced closure basis) of the level-``level`` jet closure.
+
+    Normal forms are taken modulo the reference fiber ideal, and each
+    column's jets come from its own ``hs_derivations`` call; columns,
+    rows and the kernel basis are ordered as in ``jet_closure``.
+    """
+    ring = P.ring
+    fld = ring.field_spec
+    aprime = _primary_replacement(P, a, level)
+    basis = fiber_ideal(aprime, level).groebner_basis(DEGREVLEX)
+    columns = sorted(standard_monomial_basis(aprime).monomials, key=DEGREVLEX.key, reverse=True)
+    images = [
+        {
+            (i, w): c
+            for i, d in enumerate(hs_derivations(ring.monomial(u), level))
+            for w, c in basis.normal_form(d).terms.items()
+        }
+        for u in columns
+    ]
+    rows = sorted(set().union(*images), key=lambda r: (r[0], DEGREVLEX.key(r[1])))
+    matrix = [[img.get(r, fld.zero()) for img in images] for r in rows]
+    kernel = [
+        Polynomial(ring, {u: x for x, u in zip(vec, columns) if not fld.is_zero(x)})
+        for vec in nullspace_basis(matrix, len(columns), fld)
+    ]
+    closure = Ideal(ring, aprime.generators + tuple(kernel))
+    return kernel, list(closure.groebner_basis(DEGREVLEX))
+
+
+def reference_jsc_membership(P, a, f: Polynomial, level: int) -> bool:
+    """f in the level-``level`` jet support closure, on the reference fiber ideal."""
+    J = reference_fiber_ideal(P, a, level)
+    return all(radical_member(d, J) for d in hs_derivations(f, level))

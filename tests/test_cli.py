@@ -280,3 +280,19 @@ def test_output_independent_of_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_main_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a failed invariant of the library is exit 3 with one stderr line, not a traceback
+    import jetclosure.closures as closures
+
+    path = tmp_path / "s.session"
+    path.write_text(SESSION, encoding="utf-8")
+    argv = ["matlis", "--session", str(path), "--modulus", "b", "--power", "3"]
+    assert _main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(closures, "ideals_equal", lambda I, J: False)
+    assert _main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: no single witness generates the colon ideal modulo the powers\n"

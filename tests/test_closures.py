@@ -31,6 +31,11 @@ from jetclosure.groebner import (
     submodule_groebner_basis,
 )
 from jetclosure.linalg import in_row_span
+from oracles import (
+    FIBER_SHORTCUT_CASES,
+    reference_jet_closure,
+    reference_jsc_membership,
+)
 from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
 
 Q = FieldSpec.rationals()
@@ -533,3 +538,36 @@ def test_module_restriction_of_scalars_comparison():
         for v in small.kernel_basis:
             coords = _module_coordinates(v, gb, sm, fld)
             assert in_row_span(coords, span, len(sm), fld)
+
+
+# --- closures on the fiber ideal of a + I --------------------------------
+
+SHORTCUT_FIELDS = (Q, F2, F3)
+
+
+def _shortcut_cases():
+    for field in SHORTCUT_FIELDS:
+        for names, mod, gens, levels in FIBER_SHORTCUT_CASES:
+            R = ring(names, field)
+            P = LocalAlgebraPresentation(R, ideal(R, *mod))
+            yield R, P, ideal(R, *gens), levels
+
+
+def test_jet_closure_matches_reference_fiber_path():
+    for _, P, a, levels in _shortcut_cases():
+        for level in levels:
+            rep = jet_closure(P, a, level)
+            kernel, closure = reference_jet_closure(P, a, level)
+            assert rep.kernel_basis == kernel
+            assert rep.closure_generators == closure
+            assert rep.dim_closure == len(kernel)
+
+
+def test_jsc_membership_matches_reference_fiber_path():
+    # each membership runs Buchberger with an extra variable: 3 variables stop at level 3
+    elements = ("x", "x*y", "x^2 - y^3", "x + y^2")
+    for R, P, a, levels in _shortcut_cases():
+        for level in levels if R.nvars == 2 else range(4):
+            for text in elements:
+                f = pp(text, R)
+                assert jsc_membership(P, a, f, level) == reference_jsc_membership(P, a, f, level)

@@ -522,3 +522,14 @@ def test_basis_cache_is_shared_across_threads():
     for t in threads:
         t.join()
     assert all(r is results[0] for r in results)
+
+
+def test_inexact_division_is_an_internal_error():
+    from jetclosure.errors import InternalError
+    from jetclosure.groebner import _exact_quotient
+
+    R = RingContext(FieldSpec.rationals(), ("x", "y"))
+    x2y = parse_polynomial("x^2*y + x", R)
+    assert _exact_quotient(x2y, parse_polynomial("x", R)) == parse_polynomial("x*y + 1", R)
+    with pytest.raises(InternalError, match="not exact"):
+        _exact_quotient(x2y, parse_polynomial("y", R))

@@ -1,7 +1,18 @@
+import itertools
 import random
 
-from jetclosure.groebner import Ideal, ideal_member, reduced_groebner_basis, ideals_equal
-from jetclosure.jets import JetRing, fiber_ideal, hs_derivations, jet_ideal, universal_jet_image
+from oracles import FIBER_SHORTCUT_CASES, reference_fiber_ideal
+
+from jetclosure.closures import LocalAlgebraPresentation
+from jetclosure.groebner import Ideal, ideal_member, ideal_sum, reduced_groebner_basis, ideals_equal
+from jetclosure.jets import (
+    JetRing,
+    fiber_ideal,
+    hs_derivations,
+    jet_ideal,
+    monomial_jets,
+    universal_jet_image,
+)
 from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
 
 Q = FieldSpec.rationals()
@@ -288,3 +299,42 @@ def test_high_order_vanishing_into_origin_ideal():
         origin = Ideal(jr.context, jr.origin_fiber_generators())
         for d in ds:
             assert ideal_member(d, origin)
+
+
+# --- column jets along a staircase, fiber ideal of a + I ------------------
+
+SHORTCUT_FIELDS = (Q, FieldSpec.prime_field(2), FieldSpec.prime_field(3))
+
+
+def test_monomial_jets_match_hs_derivations_on_a_box():
+    for field in SHORTCUT_FIELDS:
+        for names, side in ((("x", "y"), 6), (("x", "y", "z"), 4)):
+            R = ring(names, field)
+            box = list(itertools.product(range(side), repeat=len(names)))
+            for level in range(6):
+                jets = monomial_jets(R, box, level)
+                assert sorted(jets) == sorted(box)
+                for u in box:
+                    assert jets[u] == hs_derivations(R.monomial(u), level)
+
+
+def test_monomial_jets_fill_in_missing_divisors():
+    R = ring(["x", "y", "z"], FieldSpec.prime_field(3))
+    jets = monomial_jets(R, [(3, 0, 2), (0, 4, 1)], 4)
+    assert sorted(jets) == [(0, 4, 1), (3, 0, 2)]
+    for u, ds in jets.items():
+        assert ds == hs_derivations(R.monomial(u), 4)
+
+
+def test_fiber_ideal_of_a_plus_modulus_has_the_reference_basis():
+    # the m^(level+1) generators of a' only add jets inside (x@0)
+    for field in SHORTCUT_FIELDS:
+        for names, mod, gens, levels in FIBER_SHORTCUT_CASES:
+            R = ring(names, field)
+            P = LocalAlgebraPresentation(R, Ideal(R, [pp(t, R) for t in mod]))
+            a = Ideal(R, [pp(t, R) for t in gens])
+            for level in levels:
+                new = fiber_ideal(ideal_sum(a, P.modulus), level)
+                old = reference_fiber_ideal(P, a, level)
+                assert len(new.generators) < len(old.generators)
+                assert new.groebner_basis().elements == old.groebner_basis().elements

@@ -228,3 +228,53 @@ def test_grammar_edge_cases():
     assert parse_polynomial("(x + y)*(x - y)", R) == parse_polynomial("x^2 - y^2", R)
     assert parse_polynomial("x^0", R) == R.one()
     assert parse_polynomial("x # trailing comment", R) == R.variable(0)
+
+
+# --- primality of the characteristic ------------------------------------
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    from jetclosure.poly import _is_prime
+
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    from jetclosure.poly import _is_prime
+
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 5394826801]
+    for n in carmichael:
+        assert not _is_prime(n)
+    # strong probable primes to every prime base up to 23, and up to 37
+    assert not _is_prime(3825123056546413051)
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not _is_prime(psi12)
+
+
+def test_is_prime_on_mersenne_numbers():
+    from jetclosure.poly import _is_prime
+
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime(2**67 - 1)  # 193707721 * 761838257287
+    assert FieldSpec.prime_field(2**61 - 1).characteristic == 2**61 - 1
+    # above the proven bound of the fixed bases: no "probably prime" answer
+    with pytest.raises(ValueError, match="cannot decide"):
+        _is_prime(2**89 - 1)
+    with pytest.raises(ValueError, match="cannot decide"):
+        FieldSpec.prime_field(2**89 - 1)
+    with pytest.raises(ValueError, match="cannot decide"):
+        _is_prime(3317044064679887385961981)  # the bound itself, a composite
