@@ -8,7 +8,6 @@ position-over-term variant handles submodules of free modules.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from functools import reduce as _fold
@@ -418,17 +417,32 @@ class StandardMonomialBasis:
 
 def standard_monomial_basis(I: Ideal, order: MonomialOrder = DEGREVLEX) -> StandardMonomialBasis:
     lts = I.groebner_basis(order).leading_exponents()
-    n = I.ring.nvars
-    zero = (0,) * n
-    if any(lt == zero for lt in lts):
-        return StandardMonomialBasis([], 0)  # unit ideal
-    monomials = sorted(_standard_monomials(lts, n, I.ring.variables), key=DEGREVLEX.key)
+    monomials = sorted(_standard_monomials(lts, I.ring.nvars, I.ring.variables), key=DEGREVLEX.key)
     return StandardMonomialBasis(monomials, len(monomials))
 
 
 def _standard_monomials(lts: list, nvars: int, names) -> list:
-    """Exponents that no leading exponent divides, scanned in the box of
-    the least pure powers; raises when a variable has no pure power."""
+    """Exponents that no leading exponent divides, in walk order: none
+    for the unit ideal, else raises when a variable has no pure power
+    among the leading exponents.
+
+    The pure powers bound every standard exponent (v_j < x_j's least
+    pure power), so the walk below is finite.  It is a depth-first walk
+    from 0: a node u reached by raising variable j0 gets the children
+    u + e_j for j >= j0, and a child is kept only when no leading
+    exponent divides it.  It keeps each standard monomial exactly once
+    and tests no other point than their children.  Proof: the standard
+    monomials form an order ideal (a divisor of a standard monomial is
+    standard).  A nonzero standard v has exactly one path from 0 that
+    raises variable indices in nondecreasing order (raise x_0 v_0
+    times, then x_1 v_1 times, ...), and each point on it divides v, so
+    it is standard and the walk follows the whole path to v.  Any other
+    path would raise some index after a larger one, which the j >= j0
+    rule forbids, so v is reached only once.
+    """
+    zero = (0,) * nvars
+    if zero in lts:
+        return []  # the unit ideal
     bounds = [None] * nvars
     for lt in lts:
         support = [j for j, e in enumerate(lt) if e]
@@ -441,11 +455,16 @@ def _standard_monomials(lts: list, nvars: int, names) -> list:
             raise InfiniteDimensionalError(
                 f"no pure power of '{names[j]}' among the leading terms; the quotient is infinite-dimensional"
             )
-    return [
-        u
-        for u in itertools.product(*(range(b) for b in bounds))
-        if not any(monomial_divides(lt, u) for lt in lts)
-    ]
+    out = [zero]
+    stack = [(zero, 0)]
+    while stack:
+        u, j0 = stack.pop()
+        for j in range(j0, nvars):
+            v = u[:j] + (u[j] + 1,) + u[j + 1:]
+            if not any(all(map(ge, v, lt)) for lt in lts):
+                out.append(v)
+                stack.append((v, j))
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -608,12 +627,9 @@ def module_standard_monomials(
     every variable among its leading terms; raises otherwise.
     """
     lts = S.groebner_basis(order).leading_positions()
-    n = S.ring.nvars
-    zero = (0,) * n
     out = []
     for comp in range(S.rank):
         comp_lts = [u for c, u in lts if c == comp]
-        if zero not in comp_lts:
-            out += [(comp, u) for u in _standard_monomials(comp_lts, n, S.ring.variables)]
+        out += [(comp, u) for u in _standard_monomials(comp_lts, S.ring.nvars, S.ring.variables)]
     out.sort(key=lambda cu: (cu[0], DEGREVLEX.key(cu[1])))
     return out

@@ -55,13 +55,3 @@ def nullspace_basis(rows: list, ncols: int, fld: FieldSpec) -> list:
             v[pc] = fld.neg(mat[r][c])
         basis.append(v)
     return basis
-
-
-def rank(rows: list, ncols: int, fld: FieldSpec) -> int:
-    return len(rref(rows, ncols, fld)[0])
-
-
-def in_row_span(vector: list, rows: list, ncols: int, fld: FieldSpec) -> bool:
-    """True when ``vector`` is a linear combination of ``rows``."""
-    base = rank(rows, ncols, fld)
-    return rank(list(rows) + [vector], ncols, fld) == base

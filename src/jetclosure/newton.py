@@ -9,7 +9,6 @@ no tolerance anywhere.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 
@@ -144,16 +143,40 @@ def monomial_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
     """Minimal generators of the integral closure of the monomial ideal.
 
     Every minimal generator of the closure lies in the box bounded by
-    the componentwise maximum of the input generators, so scanning the
-    box and keeping the membership survivors is exhaustive.
+    the componentwise maximum b of the input generators: every generator
+    has e_i <= b_i, so a member stays a member when a coordinate u_i
+    above b_i is lowered to b_i.  The Newton polyhedron is closed
+    upward, so the box points that are not members form an order ideal.
+    A depth-first walk from 0 visits all of them: from each non-member u
+    it tests u + e_j for every j that stays in the box, and walks on
+    from the non-members.  Every non-member v is reached along any
+    monotone path from 0 to v, whose points all divide v and so are
+    non-members too.
+
+    A box member u != 0 that is minimal among box members has only
+    non-members u - e_k (u_k > 0), so the walk tests u from any of
+    them.  The tested members thus include every minimal box member, and
+    every tested member dominates one; ``MonomialIdealData`` keeps the
+    minimal ones.  Each point is tested once.  A point that dominates a
+    generator needs no LP (lambda is the indicator of that generator);
+    every other point gets one exact LP.  If 0 is a member, there is
+    nothing to walk and the closure is the unit ideal.
     """
-    box = [max(e[i] for e in M.exponents) for i in range(M.nvars)]
-    members = [
-        u
-        for u in itertools.product(*(range(b + 1) for b in box))
-        if newton_membership(u, M)
-    ]
-    minimal = [
-        u for u in members if not any(v != u and _dominates(u, v) for v in members)
-    ]
-    return MonomialIdealData(minimal)
+    n = M.nvars
+    box = [max(e[i] for e in M.exponents) for i in range(n)]
+    member = {}
+
+    def test(u) -> bool:
+        member[u] = any(_dominates(u, e) for e in M.exponents) or newton_membership(u, M)
+        return member[u]
+
+    zero = (0,) * n
+    stack = [] if test(zero) else [zero]
+    while stack:
+        u = stack.pop()
+        for j in range(n):
+            if u[j] < box[j]:
+                v = u[:j] + (u[j] + 1,) + u[j + 1:]
+                if v not in member and not test(v):
+                    stack.append(v)
+    return MonomialIdealData([u for u, is_member in member.items() if is_member])

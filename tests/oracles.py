@@ -3,7 +3,7 @@
 Nothing here touches the Groebner machinery: membership is decided by
 exact linear algebra over bounded-degree multiplier spaces, monomial
 questions by direct divisibility, integral closure by the power test.
-The one exception is the section of reference paths at the end: they
+The exceptions are the sections of reference paths at the end: they
 keep the slower computations that a proven shortcut replaced, so the
 shortcut can be checked against them.
 """
@@ -15,8 +15,19 @@ import itertools
 from jetclosure.closures import _primary_replacement
 from jetclosure.groebner import DEGREVLEX, Ideal, radical_member, standard_monomial_basis
 from jetclosure.jets import fiber_ideal, hs_derivations
-from jetclosure.linalg import in_row_span, nullspace_basis, rank
-from jetclosure.poly import Polynomial, RingContext
+from jetclosure.linalg import nullspace_basis, rref
+from jetclosure.newton import MonomialIdealData, newton_membership
+from jetclosure.poly import Polynomial, RingContext, monomial_divides
+
+
+def rank(rows: list, ncols: int, fld) -> int:
+    return len(rref(rows, ncols, fld)[0])
+
+
+def in_row_span(vector: list, rows: list, ncols: int, fld) -> bool:
+    """True when ``vector`` is a linear combination of ``rows``."""
+    base = rank(rows, ncols, fld)
+    return rank(list(rows) + [vector], ncols, fld) == base
 
 
 def monomials_up_to_degree(nvars: int, max_degree: int) -> list:
@@ -190,3 +201,43 @@ def reference_jsc_membership(P, a, f: Polynomial, level: int) -> bool:
     """f in the level-``level`` jet support closure, on the reference fiber ideal."""
     J = reference_fiber_ideal(P, a, level)
     return all(radical_member(d, J) for d in hs_derivations(f, level))
+
+
+# ---------------------------------------------------------------------
+# reference paths: box scans replaced by walks over order ideals
+# ---------------------------------------------------------------------
+
+
+def box_standard_monomials(lts: list, nvars: int) -> list:
+    """Exponents that no leading exponent divides, by scanning the whole
+    box of the least pure powers, in lex order.  Every variable must
+    have a pure power among ``lts``."""
+    bounds = [None] * nvars
+    for lt in lts:
+        support = [j for j, e in enumerate(lt) if e]
+        if len(support) == 1:
+            j = support[0]
+            if bounds[j] is None or lt[j] < bounds[j]:
+                bounds[j] = lt[j]
+    return [
+        u
+        for u in itertools.product(*(range(b) for b in bounds))
+        if not any(monomial_divides(lt, u) for lt in lts)
+    ]
+
+
+def reference_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
+    """Integral closure by one exact LP at every point of the box bounded
+    by the componentwise maximum of the generators, then minimalized."""
+    box = [max(e[i] for e in M.exponents) for i in range(M.nvars)]
+    members = [
+        u
+        for u in itertools.product(*(range(b + 1) for b in box))
+        if newton_membership(u, M)
+    ]
+    minimal = [
+        u
+        for u in members
+        if not any(v != u and all(a >= b for a, b in zip(u, v)) for v in members)
+    ]
+    return MonomialIdealData(minimal)

@@ -10,7 +10,7 @@ import random
 import subprocess
 import sys
 
-from oracles import power_test_closure
+from oracles import in_row_span, power_test_closure
 
 from jetclosure.closures import (
     LocalAlgebraPresentation,
@@ -32,7 +32,6 @@ from jetclosure.groebner import (
     submodule_groebner_basis,
 )
 from jetclosure.jets import hs_derivations, jet_ideal
-from jetclosure.linalg import in_row_span
 from jetclosure.newton import MonomialIdealData, monomial_integral_closure
 from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
 

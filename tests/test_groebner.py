@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import (
+    box_standard_monomials,
     brute_force_colength,
     brute_force_member,
     monomial_ideal_intersection,
@@ -11,6 +12,7 @@ from oracles import (
 
 from jetclosure.errors import InfiniteDimensionalError, RingMismatchError
 from jetclosure.groebner import (
+    DEGREVLEX,
     FreeModuleElement,
     Ideal,
     SubmodulePresentation,
@@ -307,6 +309,71 @@ def test_unit_ideal_has_no_standard_monomials():
     R = ring(["x"])
     sm = standard_monomial_basis(ideal(R, "1 - x", "x"))
     assert sm.colength == 0 and sm.monomials == []
+
+
+def test_standard_monomial_basis_matches_box_scan_of_leading_terms():
+    rng = random.Random(71)
+    for field in (Q, FieldSpec.prime_field(3)):
+        for names in (["x"], ["x", "y"], ["x", "y", "z"]):
+            R = ring(names, field)
+            for _ in range(8):
+                I = _random_primary_ideal(rng, R, max_exp=4)
+                lts = I.groebner_basis().leading_exponents()
+                sm = standard_monomial_basis(I)
+                expected = box_standard_monomials(lts, R.nvars)
+                assert sm.monomials == sorted(expected, key=DEGREVLEX.key)
+                assert sm.colength == len(expected)
+
+
+def test_module_standard_monomials_match_box_scan_of_leading_terms():
+    rng = random.Random(73)
+    for field in (Q, FieldSpec.prime_field(3)):
+        R = ring(["x", "y"], field)
+
+        def rand_poly():
+            p = R.zero()
+            for _ in range(rng.randrange(1, 3)):
+                u = (rng.randrange(3), rng.randrange(3))
+                p = p + R.monomial(u, rng.randrange(-3, 4))
+            return p
+
+        for rank in (1, 2, 3):
+            for _ in range(6):
+                gens = []
+                for c in range(rank):
+                    for u in ((rng.randrange(1, 5), 0), (0, rng.randrange(1, 5))):
+                        comps = [R.zero()] * rank
+                        comps[c] = R.monomial(u)
+                        gens.append(FreeModuleElement(R, comps))
+                gens += [
+                    FreeModuleElement(R, [rand_poly() for _ in range(rank)])
+                    for _ in range(rng.randrange(3))
+                ]
+                S = SubmodulePresentation(R, rank, gens)
+                lts = submodule_groebner_basis(S).leading_positions()
+                expected = []
+                for c in range(rank):
+                    comp_lts = [u for d, u in lts if d == c]
+                    if (0, 0) not in comp_lts:
+                        expected += [(c, u) for u in box_standard_monomials(comp_lts, 2)]
+                expected.sort(key=lambda cu: (cu[0], DEGREVLEX.key(cu[1])))
+                assert module_standard_monomials(S) == expected
+
+
+def test_standard_monomial_walk_keeps_infinite_dimension_message():
+    message = "no pure power of 'y' among the leading terms; the quotient is infinite-dimensional"
+    R = ring(["x", "y"])
+    with pytest.raises(InfiniteDimensionalError) as caught:
+        standard_monomial_basis(ideal(R, "x^2", "x*y^3"))
+    assert str(caught.value) == message
+    rels = [
+        FreeModuleElement(R, [pp("x", R), R.zero()]),
+        FreeModuleElement(R, [pp("y", R), R.zero()]),
+        FreeModuleElement(R, [R.zero(), pp("x^2", R)]),
+    ]
+    with pytest.raises(InfiniteDimensionalError) as caught:
+        module_standard_monomials(SubmodulePresentation(R, 2, rels))
+    assert str(caught.value) == message
 
 
 # --- submodules --------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import power_test_closure
+from oracles import power_test_closure, reference_integral_closure
 
 from jetclosure.newton import (
     MonomialIdealData,
@@ -126,3 +126,21 @@ def test_random_closures_match_power_test():
             continue
         got = monomial_integral_closure(MonomialIdealData(sorted(gens)))
         assert sorted(got.exponents) == sorted(power_test_closure(sorted(gens), max_power=8))
+
+
+def test_closure_walk_matches_full_box_scan_on_edge_cases():
+    # random ideals are checked in test_shortcut_properties.py
+    fixed = (
+        [(0, 0)],  # unit ideal
+        [(0, 0, 0), (1, 2, 0)],
+        [(1, 1)],  # not m-primary
+        [(2, 0), (1, 1)],
+        [(2, 1, 0), (0, 0, 2)],
+        [(3, 2)],
+        [(5,)],
+        [(1, 0, 2, 1)],
+        [(4, 0), (1, 2), (0, 4)],
+    )
+    for gens in fixed:
+        M = MonomialIdealData(gens)
+        assert monomial_integral_closure(M) == reference_integral_closure(M)
