@@ -3,13 +3,24 @@
 A lattice point u lies in the Newton polyhedron of a monomial ideal
 exactly when some convex combination of the generator exponents is
 componentwise at most u.  Feasibility is decided by a phase-one simplex
-over exact rationals (Bland's rule), so there is no floating point and
-no tolerance anywhere.
+(Bland's rule) over Python integers: every tableau row is a positive
+multiple of the true row, the pivots are fraction-free and each row is
+divided by the gcd of its entries.  There is no floating point and no
+tolerance anywhere.
+
+An infeasible system yields a Farkas certificate, which becomes a cut
+(w, c): w >= 0, w.e >= c for every generator e, and w.u < c.  Each point
+q of the polyhedron dominates some convex combination of generators,
+so w.q >= c, and the cut proves u outside.  Cuts are kept on the
+``MonomialIdealData`` they were found for, and later points that a
+cut already separates need no LP.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
+
+from .errors import InternalError
 
 
 class MonomialIdealData:
@@ -26,6 +37,7 @@ class MonomialIdealData:
             if any(e < 0 for e in u):
                 raise ValueError("exponents must be nonnegative")
         self.exponents = tuple(_reduce_generators(vectors))
+        self._cuts = []  # (w, c) with w.q >= c on the polyhedron; see newton_membership
 
     @property
     def nvars(self) -> int:
@@ -58,85 +70,126 @@ def _reduce_generators(vectors: list) -> list:
     return kept
 
 
-def _feasible(columns: list, rhs: list) -> bool:
-    """Exact phase-one simplex: does
-    columns * lam = rhs, lam >= 0 admit a solution?
+def _phase_one(columns: list, rhs: list):
+    """Exact phase-one simplex for ``columns * lam = rhs, lam >= 0``.
 
-    ``columns`` is a list of column vectors (length m each); artificial
-    variables give the obvious starting basis, Bland's rule guarantees
-    termination, and feasibility means the artificial objective reaches
-    exactly zero.
+    ``columns`` is a list of n integer column vectors of length m and
+    ``rhs`` is a nonnegative integer vector.  Returns None when the
+    system is feasible, otherwise a Farkas vector z of integers with
+    ``z . A_j >= 0`` for every column A_j and ``z . rhs < 0``.
+
+    Artificial variables give the identity as starting basis, and the
+    objective is their sum.  Row i of the tableau is kept as integers
+    ``T_i = d_i * (true row i)`` with d_i > 0.  Pivoting on row l at
+    column j keeps T_l, which is ``T_l[j]`` times the normalized pivot
+    row, and replaces another row by ``T_l[j] * T_i - T_i[j] * T_l``,
+    which is ``d_i * T_l[j]`` times the true eliminated row; each
+    result is divided by the gcd of its entries.  The reduced-cost row
+    is kept as ``R = s * (true cost row)`` in the same way, s > 0.
+    Signs, and the ratio ``T_i[-1] / T_i[j]`` in which d_i cancels, do
+    not depend on the scales, so Bland's rule (the smallest index with
+    a negative reduced cost enters; ratio ties leave by the smaller
+    basic index) takes the same pivots as over the rationals, and it
+    terminates.  Phase one is bounded below by 0, so the ratio test
+    always finds a row.
+
+    Certificate: let y = c_B B^-1 be the duals at the optimum.  The true
+    reduced cost of column j is ``-y . A_j`` and that of artificial i is
+    ``1 - y_i``; R[-1] is s times minus the optimum ``y . rhs``.  With
+    z = -s*y, i.e. ``z_i = R[n+i] - s``, optimality (no negative
+    reduced cost) gives ``z . A_j = R[j] >= 0`` and a positive optimum
+    gives ``z . rhs = R[-1] < 0``.
     """
     m = len(rhs)
     n = len(columns)
     # tableau rows: [a_1 ... a_n | artificial I | rhs]
-    tableau = []
-    for i in range(m):
-        row = [Fraction(col[i]) for col in columns]
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        row.append(Fraction(rhs[i]))
-        if row[-1] < 0:
-            row = [-x for x in row]
-        tableau.append(row)
+    rows = [
+        [col[i] for col in columns] + [int(k == i) for k in range(m)] + [rhs[i]]
+        for i in range(m)
+    ]
     basis = list(range(n, n + m))
-    # objective: minimize the sum of artificial variables
-    cost = [Fraction(0)] * (n + m + 1)
-    for row in tableau:
-        cost = [c - x for c, x in zip(cost, row)]
-    for j in range(n, n + m):
-        cost[j] = Fraction(0)
+    # reduced costs of the artificial objective; artificial columns are basic
+    cost = [-sum(col) for col in columns] + [0] * m + [-sum(rhs)]
+    scale = 1
 
     while True:
-        enter = None
-        for j in range(n + m):
-            if cost[j] < 0:
-                enter = j  # Bland: smallest index with negative reduced cost
-                break
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
-        for i in range(m):
-            a = tableau[i][enter]
+        for i, row in enumerate(rows):
+            a = row[enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                best = rows[leave]
+                lhs, rhs_l = row[-1] * best[enter], best[-1] * a
+                if lhs < rhs_l or (lhs == rhs_l and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            return False  # unbounded phase-one cannot happen; defensive
-        pivot = tableau[leave][enter]
-        tableau[leave] = [x / pivot for x in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tableau[leave])]
+            raise InternalError("phase-one simplex is unbounded")
+        top = rows[leave]
+        p = top[enter]
+        for i, row in enumerate(rows):
+            f = row[enter]
+            if f and i != leave:
+                new = [p * x - f * y for x, y in zip(row, top)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new]
+        f = cost[enter]
+        cost = [p * x - f * y for x, y in zip(cost, top)]
+        scale *= p
+        g = gcd(scale, *cost)
+        cost = [x // g for x in cost]
+        scale //= g
         basis[leave] = enter
-    return cost[-1] == 0
+    if cost[-1] == 0:
+        return None
+    return [cost[n + i] - scale for i in range(m)]
 
 
 def newton_membership(u, M: MonomialIdealData) -> bool:
-    """Is u in the Newton polyhedron (hull of generators + orthant)?
+    """Is u in the Newton polyhedron of M, the convex hull of the
+    generator exponents plus the nonnegative orthant?
 
-    Solves sum(lam_e) = 1, lam_e >= 0, sum(lam_e * e) <= u componentwise.
+    Equivalently: is there lam >= 0 with sum(lam_e) = 1 and
+    sum(lam_e * e) <= u componentwise?  Three exact steps decide it.
+
+    1. A point with a negative coordinate is not a member: the
+       polyhedron lies in the nonnegative orthant.  From here on the
+       right-hand side (u, 1) is nonnegative.
+    2. A cut (w, c) cached on M with ``w . u < c`` proves u outside.
+    3. Otherwise ``_phase_one`` solves the system, with one slack
+       column per coordinate.  When it is infeasible, its Farkas vector
+       z satisfies ``z . (e_i, 0) = w_i >= 0`` on the slack columns,
+       ``w . e + z_n >= 0`` on each generator column (e, 1), and
+       ``w . u + z_n < 0`` on the right-hand side, with w = z[:n].  So
+       (w, c) with c = -z_n is a cut: each point q >= sum(lam_e * e) of
+       the polyhedron has ``w . q >= sum(lam_e * (w . e)) >= c > w . u``.
+       It is appended to M's cuts.
+
+    Every cut is valid on its own, so concurrent callers that append to
+    the same list need no lock: a caller that misses a cut appended by
+    another only solves one more LP.
     """
     u = tuple(int(e) for e in u)
     if len(u) != M.nvars:
         raise ValueError("dimension mismatch")
+    if any(e < 0 for e in u):
+        return False
+    for w, c in M._cuts:
+        if sum(a * b for a, b in zip(w, u)) < c:
+            return False
     n = M.nvars
     # slack variables turn the componentwise inequalities into equalities
-    columns = []
-    for e in M.exponents:
-        columns.append(list(e) + [1])
-    for i in range(n):
-        col = [0] * (n + 1)
-        col[i] = 1
-        columns.append(col)
-    rhs = list(u) + [1]
-    return _feasible(columns, rhs)
+    columns = [list(e) + [1] for e in M.exponents]
+    columns += [[int(k == i) for k in range(n + 1)] for i in range(n)]
+    z = _phase_one(columns, list(u) + [1])
+    if z is None:
+        return True
+    M._cuts.append((tuple(z[:n]), -z[n]))
+    return False
 
 
 def monomial_integral_closure(M: MonomialIdealData) -> MonomialIdealData:

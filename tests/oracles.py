@@ -11,12 +11,13 @@ shortcut can be checked against them.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from jetclosure.closures import _primary_replacement
 from jetclosure.groebner import DEGREVLEX, Ideal, radical_member, standard_monomial_basis
 from jetclosure.jets import fiber_ideal, hs_derivations
 from jetclosure.linalg import nullspace_basis, rref
-from jetclosure.newton import MonomialIdealData, newton_membership
+from jetclosure.newton import MonomialIdealData
 from jetclosure.poly import Polynomial, RingContext, monomial_divides
 
 
@@ -204,7 +205,8 @@ def reference_jsc_membership(P, a, f: Polynomial, level: int) -> bool:
 
 
 # ---------------------------------------------------------------------
-# reference paths: box scans replaced by walks over order ideals
+# reference paths: box scans replaced by walks over order ideals, and
+# the Fraction LP replaced by integer pivots and cached cuts
 # ---------------------------------------------------------------------
 
 
@@ -226,6 +228,78 @@ def box_standard_monomials(lts: list, nvars: int) -> list:
     ]
 
 
+def reference_feasible(columns: list, rhs: list) -> bool:
+    """Exact phase-one simplex over ``Fraction``s: does
+    columns * lam = rhs, lam >= 0 admit a solution?
+
+    Rows with a negative right-hand side are negated before the
+    artificial identity is appended, so the artificial variables are a
+    feasible starting basis; Bland's rule guarantees termination, and
+    feasibility means the artificial objective reaches exactly zero.
+    """
+    m = len(rhs)
+    n = len(columns)
+    # tableau rows: [a_1 ... a_n | artificial I | rhs]
+    tableau = []
+    for i in range(m):
+        sign = -1 if rhs[i] < 0 else 1
+        row = [Fraction(sign * col[i]) for col in columns]
+        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        row.append(Fraction(sign * rhs[i]))
+        tableau.append(row)
+    basis = list(range(n, n + m))
+    # objective: minimize the sum of artificial variables
+    cost = [Fraction(0)] * (n + m + 1)
+    for row in tableau:
+        cost = [c - x for c, x in zip(cost, row)]
+    for j in range(n, n + m):
+        cost[j] = Fraction(0)
+
+    while True:
+        enter = None
+        for j in range(n + m):
+            if cost[j] < 0:
+                enter = j  # Bland: smallest index with negative reduced cost
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise AssertionError("phase one is bounded below by 0")
+        pivot = tableau[leave][enter]
+        tableau[leave] = [x / pivot for x in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, tableau[leave])]
+        basis[leave] = enter
+    return cost[-1] == 0
+
+
+def reference_newton_membership(u, M: MonomialIdealData) -> bool:
+    """Newton-polyhedron membership by one fresh ``Fraction`` LP, with
+    no cuts: sum(lam_e) = 1, lam_e >= 0, sum(lam_e * e) <= u."""
+    n = M.nvars
+    # slack variables turn the componentwise inequalities into equalities
+    columns = [list(e) + [1] for e in M.exponents]
+    for i in range(n):
+        col = [0] * (n + 1)
+        col[i] = 1
+        columns.append(col)
+    return reference_feasible(columns, list(u) + [1])
+
+
 def reference_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
     """Integral closure by one exact LP at every point of the box bounded
     by the componentwise maximum of the generators, then minimalized."""
@@ -233,7 +307,7 @@ def reference_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
     members = [
         u
         for u in itertools.product(*(range(b + 1) for b in box))
-        if newton_membership(u, M)
+        if reference_newton_membership(u, M)
     ]
     minimal = [
         u

@@ -1,14 +1,25 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import power_test_closure, reference_integral_closure
+from oracles import (
+    power_test_closure,
+    reference_feasible,
+    reference_integral_closure,
+    reference_newton_membership,
+)
 
 from jetclosure.newton import (
     MonomialIdealData,
+    _phase_one,
     monomial_integral_closure,
     newton_membership,
 )
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def test_midpoint_of_two_generators():
@@ -144,3 +155,41 @@ def test_closure_walk_matches_full_box_scan_on_edge_cases():
     for gens in fixed:
         M = MonomialIdealData(gens)
         assert monomial_integral_closure(M) == reference_integral_closure(M)
+
+
+def test_phase_one_matches_fraction_simplex_and_certifies():
+    rng = random.Random(83)
+    infeasible = 0
+    for _ in range(1500):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        columns = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        rhs = [rng.randint(0, 4) for _ in range(m)]
+        z = _phase_one(columns, rhs)
+        assert (z is None) == reference_feasible(columns, rhs)
+        if z is not None:
+            infeasible += 1
+            # Farkas: z certifies that no lam >= 0 solves columns * lam = rhs
+            assert all(_dot(z, col) >= 0 for col in columns)
+            assert _dot(z, rhs) < 0
+    assert 300 < infeasible < 1200
+
+
+def test_negative_points_are_not_members_and_leave_no_cut():
+    M = MonomialIdealData([(2, 0), (0, 2)])
+    for u in ((-1, 5), (5, -1), (-3, -3)):
+        assert not newton_membership(u, M)
+        assert not reference_newton_membership(u, M)
+    assert M._cuts == []
+
+
+def test_cut_is_cached_and_separates_later_points():
+    M = MonomialIdealData([(2, 0), (0, 2)])
+    assert not newton_membership((1, 0), M)
+    [(w, c)] = M._cuts
+    assert all(x >= 0 for x in w)
+    assert all(_dot(w, e) >= c for e in M.exponents)
+    assert _dot(w, (1, 0)) < c
+    # (0, 1) lies below the same face x + y = 2: answered by the cut
+    assert not newton_membership((0, 1), M)
+    assert len(M._cuts) == 1
+    assert newton_membership((1, 1), M)

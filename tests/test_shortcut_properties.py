@@ -5,7 +5,10 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
   a + I + m^(level+1);
 * the staircase walk of standard monomials against the box scan;
 * the walk of integral closure against one LP at every box point;
-* reduced bases of permuted and rescaled generators.
+* Newton membership with integer pivots and cached cuts against a
+  fresh ``Fraction`` LP per point, and every cached cut valid;
+* reduced bases of permuted and rescaled generators;
+* each jet closure contains a' and the cumulative chain descends.
 """
 
 import pytest
@@ -18,12 +21,17 @@ from oracles import (
     reference_fiber_ideal,
     reference_integral_closure,
     reference_jet_closure,
+    reference_newton_membership,
 )
 
-from jetclosure.closures import LocalAlgebraPresentation, jet_closure
-from jetclosure.groebner import Ideal, _standard_monomials, ideal_sum
+from jetclosure.closures import LocalAlgebraPresentation, cumulative_closure_chain, jet_closure
+from jetclosure.groebner import Ideal, _standard_monomials, ideal_contains, ideal_sum
 from jetclosure.jets import fiber_ideal
-from jetclosure.newton import MonomialIdealData, monomial_integral_closure
+from jetclosure.newton import (
+    MonomialIdealData,
+    monomial_integral_closure,
+    newton_membership,
+)
 from jetclosure.poly import FieldSpec, MonomialOrder, RingContext
 
 FIELDS = (FieldSpec.rationals(), FieldSpec.prime_field(2), FieldSpec.prime_field(3))
@@ -97,6 +105,61 @@ def monomial_ideals(draw):
 @given(monomial_ideals())
 def test_integral_closure_walk_matches_box_scan(M):
     assert monomial_integral_closure(M) == reference_integral_closure(M)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(monomial_ideals())
+def test_cached_cuts_are_valid(M):
+    monomial_integral_closure(M)
+    for w, c in M._cuts:
+        assert all(x >= 0 for x in w)
+        assert all(sum(a * b for a, b in zip(w, e)) >= c for e in M.exponents)
+
+
+@st.composite
+def shuffled_queries(draw):
+    """A monomial ideal and points around its box, shuffled, with the
+    points that have a negative coordinate asked first."""
+    M = draw(monomial_ideals())
+    box = [max(e[i] for e in M.exponents) for i in range(M.nvars)]
+    coords = st.tuples(*[st.integers(-2, b + 1) for b in box])
+    points = draw(st.lists(coords, min_size=1, max_size=60, unique=True))
+    return M, sorted(points, key=lambda u: min(u) >= 0)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(shuffled_queries())
+def test_newton_membership_with_cuts_matches_fraction_lp(case):
+    M, points = case
+    for u in points:
+        assert newton_membership(u, M) == reference_newton_membership(u, M)
+
+
+@st.composite
+def m_primary_inputs(draw):
+    """(presentation, a) in k[x,y] over Q or F_3: a holds pure powers of
+    x and y, so it is m-primary, plus at most one germ; the modulus is
+    zero or one germ."""
+    R = RingContext(draw(st.sampled_from((FieldSpec.rationals(), FieldSpec.prime_field(3)))), ("x", "y"))
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = Ideal(R, [R.monomial((p, 0)), R.monomial((0, q))] + draw(st.lists(germs(R), max_size=1)))
+    modulus = Ideal(R, draw(st.lists(germs(R), max_size=1)))
+    return LocalAlgebraPresentation(R, modulus), a
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(m_primary_inputs())
+def test_closures_contain_replacement_and_chain_descends(inputs):
+    P, a = inputs
+    for level in range(4):
+        rep = jet_closure(P, a, level)
+        assert ideal_contains(rep.closure, rep.replacement)
+    chain = cumulative_closure_chain(P, a, 3)
+    base = ideal_sum(a, P.modulus)
+    for upper, lower in zip(chain, chain[1:]):
+        assert ideal_contains(upper, lower)
+        assert ideal_contains(lower, base)
+    assert ideal_contains(chain[0], base)
 
 
 @st.composite
