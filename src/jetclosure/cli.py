@@ -11,7 +11,11 @@ Commands operate on those names and print either human-readable lines
 or, with --json, one machine-readable object with the fixed key set
 {command, field, vars, inputs, outputs, generators, dims, certificate,
 millis}.  Machine output is byte-deterministic: the millis field is
-pinned to 0 and wall-clock timing goes to stderr instead.
+pinned to 0 and wall-clock timing goes to stderr instead.  Text lines
+wrap a list nested in a list or a mapping in parentheses, as in
+``chain: (y, x), (x, y^2)``, and print a missing value as ``null``.
+Each command is one ``COMMANDS`` entry: a handler that returns only the
+report fields it sets.
 
 Exit codes: 0 on success, 1 on a domain error, 2 on a parse or usage
 error, 3 on an internal error (a failed invariant of the library).
@@ -23,7 +27,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .closures import (
     LocalAlgebraPresentation,
@@ -55,9 +59,7 @@ class Session:
     def ideal(self, name: str) -> Ideal:
         if name is None:
             raise UsageError("an --ideal name is required for this command")
-        if name not in self.ideals:
-            raise UsageError(f"unknown ideal '{name}'")
-        return self.ideals[name]
+        return self.modulus(name)
 
     def modulus(self, name: str) -> Ideal:
         if name is None:
@@ -148,11 +150,10 @@ class Report:
     field_label: str
     variables: tuple
     inputs: dict
-    outputs: dict
-    generators: list
-    dims: dict
+    outputs: dict = field(default_factory=dict)
+    generators: list = field(default_factory=list)
+    dims: dict = field(default_factory=dict)
     certificate: dict = None
-    millis: int = 0
 
     def to_json(self) -> str:
         payload = {
@@ -164,15 +165,13 @@ class Report:
             "generators": self.generators,
             "dims": self.dims,
             "certificate": self.certificate,
-            "millis": self.millis,
+            "millis": 0,
         }
         return json.dumps(payload)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}", f"field: {self.field_label}", f"vars: {' '.join(self.variables)}"]
-        for key, value in self.inputs.items():
-            lines.append(f"{key}: {_render(value)}")
-        for key, value in self.outputs.items():
+        for key, value in [*self.inputs.items(), *self.outputs.items()]:
             lines.append(f"{key}: {_render(value)}")
         if self.generators:
             lines.append("generators: " + ", ".join(self.generators))
@@ -189,24 +188,30 @@ class Report:
         return "\n".join(lines)
 
 
-def _render(value) -> str:
+def _render(value, nested: bool = False) -> str:
+    """One text value; lists inside a list or a mapping get parentheses."""
+    if value is None:
+        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
-        return ", ".join(_render(v) for v in value) if value else "0"
+        text = ", ".join(_render(v, True) for v in value) if value else "0"
+        return f"({text})" if nested else text
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{k}: {_render(v)}" for k, v in value.items()) + "}"
+        return "{" + ", ".join(f"{k}: {_render(v, True)}" for k, v in value.items()) + "}"
     return str(value)
 
 
-def _gens(ideal_or_list) -> list:
-    if isinstance(ideal_or_list, Ideal):
-        return [format_polynomial(g) for g in ideal_or_list.generators]
-    return [format_polynomial(g) for g in ideal_or_list]
+def _strs(polys) -> list:
+    return [format_polynomial(p) for p in polys]
+
+
+def _gens(I: Ideal) -> list:
+    return _strs(I.generators)
 
 
 def _canonical_gens(I: Ideal) -> list:
-    return [format_polynomial(g) for g in I.groebner_basis(DEGREVLEX)]
+    return _strs(I.groebner_basis(DEGREVLEX))
 
 
 def _certificate_dict(cert) -> dict:
@@ -224,214 +229,186 @@ def _parse_user_poly(session: Session, text: str) -> Polynomial:
     return parse_polynomial(text, session.ring)
 
 
-def run_command(session: Session, args: argparse.Namespace) -> Report:
-    """Dispatch one parsed command line against a session; returns the report."""
-    command = args.command
-    ring = session.ring
-    base = dict(
-        command=command,
-        field_label=session.field_spec.label,
-        variables=ring.variables,
+def _presentation(session: Session, args) -> LocalAlgebraPresentation:
+    return LocalAlgebraPresentation(session.ring, session.modulus(args.modulus))
+
+
+def _derive(session, args):
+    f = _parse_user_poly(session, args.poly)
+    inputs = {"poly": format_polynomial(f), "level": args.level}
+    return dict(inputs=inputs, generators=_strs(hs_derivations(f, args.level)))
+
+
+def _jet_ideal(session, args):
+    I = session.ideal(args.ideal)
+    return dict(inputs={"ideal": _gens(I), "level": args.level}, generators=_strs(jet_ideal(I, args.level).generators))
+
+
+def _fiber_ideal(session, args):
+    I = session.ideal(args.ideal)
+    return dict(inputs={"ideal": _gens(I), "level": args.level}, generators=_gens(fiber_ideal(I, args.level)))
+
+
+def _lambda(session, args):
+    f = _parse_user_poly(session, args.poly)
+    I = session.modulus(args.ideal)
+    entries = universal_jet_image(f, I, args.level)
+    return dict(
+        inputs={"poly": format_polynomial(f), "ideal": _gens(I), "level": args.level},
+        outputs={"zero": all(e.is_zero() for e in entries)},
+        generators=_strs(entries),
     )
 
-    if command == "derive":
-        f = _parse_user_poly(session, args.poly or args.element)
-        derivations = hs_derivations(f, args.level)
-        return Report(
-            **base,
-            inputs={"poly": format_polynomial(f), "level": args.level},
-            outputs={},
-            generators=[format_polynomial(d) for d in derivations],
-            dims={},
-        )
 
-    if command == "jet-ideal":
-        I = session.ideal(args.ideal)
-        ji = jet_ideal(I, args.level)
-        return Report(
-            **base,
-            inputs={"ideal": _gens(I), "level": args.level},
-            outputs={},
-            generators=[format_polynomial(g) for g in ji.generators],
-            dims={},
-        )
+def _closure(session, args):
+    P = _presentation(session, args)
+    a = session.ideal(args.ideal)
+    report = jet_closure(P, a, args.level)
+    return dict(
+        inputs={"ideal": _gens(a), "modulus": _gens(P.modulus), "level": args.level},
+        outputs={"kernel": _strs(report.kernel_basis)},
+        generators=_strs(report.closure_generators),
+        dims={"dimA": report.dim_quotient, "dimClosure": report.dim_closure},
+    )
 
-    if command == "fiber-ideal":
-        I = session.ideal(args.ideal)
-        fi = fiber_ideal(I, args.level)
-        return Report(
-            **base,
-            inputs={"ideal": _gens(I), "level": args.level},
-            outputs={},
-            generators=_gens(fi),
-            dims={},
-        )
 
-    if command == "lambda":
-        f = _parse_user_poly(session, args.poly or args.element)
-        I = session.modulus(args.ideal)
-        entries = universal_jet_image(f, I, args.level)
-        return Report(
-            **base,
-            inputs={"poly": format_polynomial(f), "ideal": _gens(I), "level": args.level},
-            outputs={"zero": all(e.is_zero() for e in entries)},
-            generators=[format_polynomial(e) for e in entries],
-            dims={},
-        )
+def _chain(session, args):
+    P = _presentation(session, args)
+    a = session.ideal(args.ideal)
+    chain = cumulative_closure_chain(P, a, args.max_level)
+    return dict(
+        inputs={"ideal": _gens(a), "modulus": _gens(P.modulus), "maxLevel": args.max_level},
+        outputs={"chain": [_canonical_gens(c) for c in chain]},
+        generators=_canonical_gens(chain[-1]),
+    )
 
-    if command == "closure":
-        P = LocalAlgebraPresentation(ring, session.modulus(args.modulus))
-        a = session.ideal(args.ideal)
-        report = jet_closure(P, a, args.level)
-        return Report(
-            **base,
-            inputs={"ideal": _gens(a), "modulus": _gens(P.modulus), "level": args.level},
-            outputs={"kernel": [format_polynomial(p) for p in report.kernel_basis]},
-            generators=[format_polynomial(g) for g in report.closure_generators],
-            dims={"dimA": report.dim_quotient, "dimClosure": report.dim_closure},
-        )
 
-    if command == "chain":
-        P = LocalAlgebraPresentation(ring, session.modulus(args.modulus))
-        a = session.ideal(args.ideal)
-        chain = cumulative_closure_chain(P, a, args.max_level)
-        return Report(
-            **base,
-            inputs={"ideal": _gens(a), "modulus": _gens(P.modulus), "maxLevel": args.max_level},
-            outputs={"chain": [_canonical_gens(c) for c in chain]},
-            generators=_canonical_gens(chain[-1]),
-            dims={},
-        )
+def _certify(session, args):
+    P = _presentation(session, args)
+    a = session.ideal(args.ideal)
+    cert = certify_arc_closed(P, a, args.max_level)
+    return dict(
+        inputs={"ideal": _gens(a), "modulus": _gens(P.modulus), "maxLevel": args.max_level},
+        outputs={"certified": cert.certified, "level": cert.level},
+        generators=_canonical_gens(cert.chain[-1]),
+        certificate=_certificate_dict(cert),
+    )
 
-    if command == "certify":
-        P = LocalAlgebraPresentation(ring, session.modulus(args.modulus))
-        a = session.ideal(args.ideal)
-        cert = certify_arc_closed(P, a, args.max_level)
-        return Report(
-            **base,
-            inputs={"ideal": _gens(a), "modulus": _gens(P.modulus), "maxLevel": args.max_level},
-            outputs={"certified": cert.certified, "level": cert.level},
-            generators=_canonical_gens(cert.chain[-1]),
-            dims={},
-            certificate=_certificate_dict(cert),
-        )
 
-    if command == "jsc-member":
-        P = LocalAlgebraPresentation(ring, session.modulus(args.modulus))
-        a = session.ideal(args.ideal)
-        f = _parse_user_poly(session, args.element or args.poly)
-        member = jsc_membership(P, a, f, args.level)
-        return Report(
-            **base,
-            inputs={"ideal": _gens(a), "modulus": _gens(P.modulus), "element": format_polynomial(f), "level": args.level},
-            outputs={"member": member},
-            generators=[],
-            dims={},
-        )
+def _jsc_member(session, args):
+    P = _presentation(session, args)
+    a = session.ideal(args.ideal)
+    f = _parse_user_poly(session, args.poly)
+    return dict(
+        inputs={"ideal": _gens(a), "modulus": _gens(P.modulus), "element": format_polynomial(f), "level": args.level},
+        outputs={"member": jsc_membership(P, a, f, args.level)},
+    )
 
-    if command == "socle":
-        P = LocalAlgebraPresentation(ring, session.modulus(args.modulus))
-        soc = socle_and_gorenstein(P)
-        return Report(
-            **base,
-            inputs={"modulus": _gens(P.modulus)},
-            outputs={"gorenstein": soc.gorenstein},
-            generators=[format_polynomial(b) for b in soc.basis],
-            dims={"colength": soc.colength, "socleDimension": len(soc.basis)},
-        )
 
-    if command == "matlis":
-        P = LocalAlgebraPresentation(ring, session.modulus(args.modulus))
-        if args.power is None:
-            raise UsageError("matlis needs --power N")
-        emb = matlis_embedding(P, args.power)
-        return Report(
-            **base,
-            inputs={"modulus": _gens(P.modulus), "power": args.power},
-            outputs={
-                "witness": format_polynomial(emb.witness),
-                "images": [
-                    [format_polynomial(src), format_polynomial(dst)] for src, dst in emb.images
-                ],
-            },
-            generators=_canonical_gens(emb.colon),
-            dims={"colength": emb.quotient_colength, "colonQuotientDim": emb.colon_quotient_dim},
-        )
+def _socle(session, args):
+    P = _presentation(session, args)
+    soc = socle_and_gorenstein(P)
+    return dict(
+        inputs={"modulus": _gens(P.modulus)},
+        outputs={"gorenstein": soc.gorenstein},
+        generators=_strs(soc.basis),
+        dims={"colength": soc.colength, "socleDimension": len(soc.basis)},
+    )
 
-    if command == "walkthrough":
-        P = LocalAlgebraPresentation(ring, session.modulus(args.modulus))
-        walk = gorenstein_walkthrough(P, args.max_level)
-        stages = []
-        for st in walk.stages:
-            stages.append(
-                {
-                    "modulus": _canonical_gens(st.modulus),
-                    "colength": st.colength,
-                    "socle": [format_polynomial(b) for b in st.socle_basis],
-                    "gorenstein": st.gorenstein,
-                    "socleGeneratorUsed": format_polynomial(st.socle_generator_used)
-                    if st.socle_generator_used is not None
-                    else None,
-                    "certificate": _certificate_dict(st.certificate),
-                }
-            )
-        emb = walk.embedding
-        return Report(
-            **base,
-            inputs={"modulus": _gens(P.modulus), "maxLevel": args.max_level},
-            outputs={
-                "stages": stages,
-                "embedding": {
-                    "power": emb.power,
-                    "witness": format_polynomial(emb.witness),
-                    "colength": emb.quotient_colength,
-                    "colonQuotientDim": emb.colon_quotient_dim,
-                },
-            },
-            generators=[],
-            dims={"stages": len(stages)},
-        )
 
-    if command == "icl":
-        I = session.ideal(args.ideal)
-        exponents = []
-        for g in I.generators:
-            if len(g.terms) != 1:
-                raise UsageError("icl needs a monomial ideal: every generator must be a single term")
-            exponents.append(next(iter(g.terms)))
-        closure = monomial_integral_closure(MonomialIdealData(exponents))
-        return Report(
-            **base,
-            inputs={"ideal": _gens(I)},
-            outputs={},
-            generators=[format_polynomial(ring.monomial(u)) for u in closure.exponents],
-            dims={},
-        )
+def _matlis(session, args):
+    P = _presentation(session, args)
+    if args.power is None:
+        raise UsageError("matlis needs --power N")
+    emb = matlis_embedding(P, args.power)
+    return dict(
+        inputs={"modulus": _gens(P.modulus), "power": args.power},
+        outputs={"witness": format_polynomial(emb.witness), "images": [_strs(pair) for pair in emb.images]},
+        generators=_canonical_gens(emb.colon),
+        dims={"colength": emb.quotient_colength, "colonQuotientDim": emb.colon_quotient_dim},
+    )
 
-    raise UsageError(f"unknown command '{command}'")
+
+def _walkthrough(session, args):
+    P = _presentation(session, args)
+    walk = gorenstein_walkthrough(P, args.max_level)
+    stages = [
+        {
+            "modulus": _canonical_gens(st.modulus),
+            "colength": st.colength,
+            "socle": _strs(st.socle_basis),
+            "gorenstein": st.gorenstein,
+            "socleGeneratorUsed": None
+            if st.socle_generator_used is None
+            else format_polynomial(st.socle_generator_used),
+            "certificate": _certificate_dict(st.certificate),
+        }
+        for st in walk.stages
+    ]
+    emb = walk.embedding
+    embedding = {
+        "power": emb.power,
+        "witness": format_polynomial(emb.witness),
+        "colength": emb.quotient_colength,
+        "colonQuotientDim": emb.colon_quotient_dim,
+    }
+    return dict(
+        inputs={"modulus": _gens(P.modulus), "maxLevel": args.max_level},
+        outputs={"stages": stages, "embedding": embedding},
+        dims={"stages": len(stages)},
+    )
+
+
+def _icl(session, args):
+    I = session.ideal(args.ideal)
+    if any(len(g.terms) != 1 for g in I.generators):
+        raise UsageError("icl needs a monomial ideal: every generator must be a single term")
+    closure = monomial_integral_closure(MonomialIdealData([next(iter(g.terms)) for g in I.generators]))
+    return dict(inputs={"ideal": _gens(I)}, generators=_strs(session.ring.monomial(u) for u in closure.exponents))
+
+
+COMMANDS = {
+    "derive": _derive,
+    "jet-ideal": _jet_ideal,
+    "fiber-ideal": _fiber_ideal,
+    "lambda": _lambda,
+    "closure": _closure,
+    "chain": _chain,
+    "certify": _certify,
+    "jsc-member": _jsc_member,
+    "socle": _socle,
+    "matlis": _matlis,
+    "walkthrough": _walkthrough,
+    "icl": _icl,
+}
+
+
+def run_command(session: Session, args: argparse.Namespace) -> Report:
+    """Run one parsed command line against a session; returns the report."""
+    fields = COMMANDS[args.command](session, args)
+    return Report(args.command, session.field_spec.label, session.ring.variables, **fields)
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError("level must be nonnegative")
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="jetclosure", description=__doc__)
-    parser.add_argument("command", choices=[
-        "derive", "jet-ideal", "fiber-ideal", "lambda", "closure", "chain",
-        "certify", "jsc-member", "socle", "matlis", "walkthrough", "icl",
-    ])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--session", required=True, help="session file declaring field, vars, ideals")
     parser.add_argument("--ideal", help="name of a session ideal")
     parser.add_argument("--modulus", help="name of the presentation modulus (default: zero ideal)")
-    parser.add_argument("--poly", help="a polynomial in the session grammar")
-    parser.add_argument("--element", help="alias of --poly for membership commands")
+    parser.add_argument("--poly", "--element", help="a polynomial in the session grammar (two spellings, one value)")
     parser.add_argument("--level", type=_nonnegative, default=0)
     parser.add_argument("--max-level", dest="max_level", type=_nonnegative, default=6)
-    parser.add_argument("--power", type=int)
+    parser.add_argument("--power", type=_nonnegative)
     parser.add_argument("--json", action="store_true", help="emit one machine-readable JSON object")
     return parser
 
@@ -450,10 +427,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import reduce as _fold
 from heapq import heappush, heappop
 from operator import ge
 
-from .errors import InfiniteDimensionalError, InternalError, RingMismatchError
+from .errors import InfiniteDimensionalError, RingMismatchError
 from .poly import (
     FieldSpec,
     MonomialOrder,
@@ -365,46 +364,38 @@ def intersect_ideals(I: Ideal, J: Ideal) -> Ideal:
     return eliminate_variables(Ideal(ext, gens), 1)
 
 
-def _exact_quotient(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """f / g when g divides f exactly (single-divisor division)."""
-    fld = f.ring.field_spec
-    g_lt, g_lc = g.leading_term(order)
-    work = dict(f.terms)
-    quot: dict = {}
-    key = order.key
-    while work:
-        u = max(work, key=key)
-        c = work.pop(u)
-        if not all(a >= b for a, b in zip(u, g_lt)):
-            raise InternalError("division is not exact")
-        q = tuple(a - b for a, b in zip(u, g_lt))
-        factor = fld.div(c, g_lc)
-        quot[q] = factor
-        for v, cv in g.terms.items():
-            if v == g_lt:
-                continue
-            w = tuple(a + b for a, b in zip(q, v))
-            s = fld.sub(work.get(w, 0), fld.mul(factor, cv))
-            if fld.is_zero(s):
-                work.pop(w, None)
-            else:
-                work[w] = s
-    return Polynomial(f.ring, quot)
-
-
 def colon_ideal(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J) = {f : f*J inside I}, via intersections with principal ideals."""
+    """(I : J) = {a : a*J inside I}, read off one submodule basis.
+
+    Let g_1, ..., g_s be the nonzero generators of J, and let M in
+    R^(s+1) be generated by v = (g_1, ..., g_s, 1) and by f*e_k for
+    every generator f of I and every k <= s.  An element of M is
+    a*v + sum_k c_k e_k with every c_k in I; its first s entries vanish
+    iff c_k = -a*g_k for all k, which some choice of the c_k achieves
+    iff a*g_k lies in I for all k.  So the last entries of the elements
+    of M with zero in the first s positions are exactly (I : J).
+
+    Position over term ranks a lower position higher, so a vector is
+    led at its first nonzero entry, and the elements with zero in the
+    first s positions are those led at position s+1.  Only basis
+    elements led there can reduce such an element, and each of them
+    lies in that set; a Groebner basis reduces every element of M to
+    zero, so these basis elements span the set, and their last entries
+    generate (I : J).
+    """
     if I.ring != J.ring:
         raise RingMismatchError("colon requires a common ring")
     ring = I.ring
     gens = [g for g in J.generators if not g.is_zero()]
     if not gens:
         return Ideal(ring, [ring.one()])  # (I : 0) is the unit ideal
-    parts = []
-    for g in gens:
-        meet = intersect_ideals(I, Ideal(ring, [g]))
-        parts.append(Ideal(ring, [_exact_quotient(h, g) for h in meet.generators]))
-    return _fold(intersect_ideals, parts)
+    s = len(gens)
+    vectors = [FreeModuleElement(ring, gens + [ring.one()])]
+    for k in range(s):
+        for f in I.generators:
+            vectors.append(FreeModuleElement(ring, [f if c == k else ring.zero() for c in range(s + 1)]))
+    basis = SubmodulePresentation(ring, s + 1, vectors).groebner_basis(DEGREVLEX)
+    return Ideal(ring, [b.components[s] for b in basis if all(p.is_zero() for p in b.components[:s])])
 
 
 @dataclass

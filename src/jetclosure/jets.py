@@ -61,21 +61,17 @@ def _series_mul(a: list, b: list, ring: RingContext, level: int) -> list:
 
 
 def hs_derivations(f: Polynomial, level: int) -> list:
-    """[D_0 f, ..., D_level f] in the level-``level`` jet ring of f's ring."""
-    jr = JetRing(f.ring, level)
-    ring = jr.context
+    """[D_0 f, ..., D_level f] in the level-``level`` jet ring of f's ring.
+
+    Each D_i is linear, so D_i f is the sum of c * D_i(x^u) over the
+    terms c*x^u of f, with the monomial series from ``monomial_jets``.
+    """
+    ring = JetRing(f.ring, level).context
     coeffs = [ring.zero() for _ in range(level + 1)]
-    # per-variable truncated series x_j -> sum_i x_j@i t^i
-    var_series = [
-        [jr.variable(j, i) for i in range(level + 1)] for j in range(f.ring.nvars)
-    ]
-    for exps, c in f.terms.items():
-        series = [ring.constant(c)] + [ring.zero() for _ in range(level)]
-        for j, e in enumerate(exps):
-            for _ in range(e):
-                series = _series_mul(series, var_series[j], ring, level)
+    for u, series in monomial_jets(f.ring, f.terms, level).items():
+        c = f.terms[u]
         for i in range(level + 1):
-            coeffs[i] = coeffs[i] + series[i]
+            coeffs[i] = coeffs[i] + series[i].scale(c)
     return coeffs
 
 

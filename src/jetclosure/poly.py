@@ -8,6 +8,7 @@ in ``[0, p)`` over F_p, so every operation is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
@@ -143,10 +144,6 @@ class RingContext:
             raise ValueError("variable names must be distinct")
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.variables)})
 
-    @classmethod
-    def make(cls, field_spec: FieldSpec, names: Iterable[str]) -> "RingContext":
-        return cls(field_spec, tuple(names))
-
     @property
     def nvars(self) -> int:
         return len(self.variables)
@@ -190,25 +187,13 @@ class RingContext:
 # monomial helpers -------------------------------------------------------
 
 
-def monomial_mul(u: Exponents, v: Exponents) -> Exponents:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def monomial_divides(u: Exponents, v: Exponents) -> bool:
     """True when x^u divides x^v."""
     return all(a <= b for a, b in zip(u, v))
 
 
-def monomial_quotient(u: Exponents, v: Exponents) -> Exponents:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def monomial_lcm(u: Exponents, v: Exponents) -> Exponents:
     return tuple(max(a, b) for a, b in zip(u, v))
-
-
-def monomial_degree(u: Exponents) -> int:
-    return sum(u)
 
 
 @dataclass(frozen=True)
@@ -371,14 +356,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         u = max(self.terms, key=order.key)
         return u, self.terms[u]
-
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, lc = self.leading_term(order)
-        fld = self.ring.field_spec
-        inv = fld.inv(lc)
-        return Polynomial(self.ring, {u: fld.mul(c, inv) for u, c in self.terms.items()})
 
     def sorted_terms(self, order: MonomialOrder = None) -> list:
         """Terms in decreasing order (degrevlex unless told otherwise)."""
@@ -582,18 +559,8 @@ def _integerized(p: Polynomial) -> list:
     items = p.sorted_terms()
     if p.ring.field_spec.characteristic != 0:
         return [(u, int(c)) for u, c in items]
-    lcm = 1
-    for _, c in items:
-        d = c.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
+    lcm = math.lcm(*(c.denominator for _, c in items))
     return [(u, int(c * lcm)) for u, c in items]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _factor_sort_key(name: str):

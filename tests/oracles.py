@@ -10,11 +10,13 @@ shortcut can be checked against them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 from jetclosure.closures import _primary_replacement
-from jetclosure.groebner import DEGREVLEX, Ideal, radical_member, standard_monomial_basis
+from jetclosure.errors import InternalError
+from jetclosure.groebner import DEGREVLEX, Ideal, intersect_ideals, radical_member, standard_monomial_basis
 from jetclosure.jets import fiber_ideal, hs_derivations
 from jetclosure.linalg import nullspace_basis, rref
 from jetclosure.newton import MonomialIdealData
@@ -315,3 +317,50 @@ def reference_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
         if not any(v != u and all(a >= b for a, b in zip(u, v)) for v in members)
     ]
     return MonomialIdealData(minimal)
+
+
+# ---------------------------------------------------------------------
+# reference path: the colon ideal by intersections with principal
+# ideals, replaced by one submodule basis
+# ---------------------------------------------------------------------
+
+
+def _exact_quotient(f: Polynomial, g: Polynomial, order=DEGREVLEX) -> Polynomial:
+    """f / g when g divides f exactly (single-divisor division)."""
+    fld = f.ring.field_spec
+    g_lt, g_lc = g.leading_term(order)
+    work = dict(f.terms)
+    quot: dict = {}
+    while work:
+        u = max(work, key=order.key)
+        c = work.pop(u)
+        if not all(a >= b for a, b in zip(u, g_lt)):
+            raise InternalError("division is not exact")
+        q = tuple(a - b for a, b in zip(u, g_lt))
+        factor = fld.div(c, g_lc)
+        quot[q] = factor
+        for v, cv in g.terms.items():
+            if v == g_lt:
+                continue
+            w = tuple(a + b for a, b in zip(q, v))
+            s = fld.sub(work.get(w, 0), fld.mul(factor, cv))
+            if fld.is_zero(s):
+                work.pop(w, None)
+            else:
+                work[w] = s
+    return Polynomial(f.ring, quot)
+
+
+def reference_colon_ideal(I: Ideal, J: Ideal) -> Ideal:
+    """(I : J) as the intersection over the nonzero generators g of J of
+    (I cap (g)) / g: s intersections, s exact divisions, s-1 more
+    intersections."""
+    ring = I.ring
+    gens = [g for g in J.generators if not g.is_zero()]
+    if not gens:
+        return Ideal(ring, [ring.one()])
+    parts = []
+    for g in gens:
+        meet = intersect_ideals(I, Ideal(ring, [g]))
+        parts.append(Ideal(ring, [_exact_quotient(h, g) for h in meet.generators]))
+    return functools.reduce(intersect_ideals, parts)

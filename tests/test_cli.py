@@ -296,3 +296,35 @@ def test_main_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: no single witness generates the colon ideal modulo the powers\n"
+
+
+def test_text_report_keeps_nested_lists_apart(tmp_path, capsys):
+    path = tmp_path / "s.session"
+    path.write_text(SESSION, encoding="utf-8")
+    assert _main(["chain", "--session", str(path), "--ideal", "line", "--max-level", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "chain: (y, x), (x, y^2), (x, y^3)\n" in out
+    assert "generators: x, y^3\n" in out
+    assert _main(["matlis", "--session", str(path), "--modulus", "b", "--power", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "images: (1, x^2 + y^2), (y, x^2*y), (x, x*y^2), (y^2, x^2*y^2)\n" in out
+    assert _main(["certify", "--session", str(path), "--ideal", "line", "--max-level", "1"]) == 0
+    assert "level: null\n" in capsys.readouterr().out
+
+
+def test_power_and_levels_are_nonnegative_integers(tmp_path, capsys):
+    path = tmp_path / "s.session"
+    path.write_text(SESSION, encoding="utf-8")
+    assert _main(["matlis", "--session", str(path), "--modulus", "b", "--power", "-1"]) == 2
+    assert "argument --power: expected a nonnegative integer, got '-1'" in capsys.readouterr().err
+    assert _main(["closure", "--session", str(path), "--ideal", "a", "--level", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --level: expected a nonnegative integer, got 'abc'" in err
+    assert "_nonnegative" not in err
+
+
+def test_element_is_a_second_spelling_of_poly(tmp_path):
+    # one destination, so whichever spelling comes last wins
+    for argv, key in ((["derive"], "poly"), (["jsc-member", "--ideal", "a"], "element")):
+        assert run(argv + ["--poly", "x", "--element", "y"], tmp_path=tmp_path).inputs[key] == "y"
+        assert run(argv + ["--element", "y", "--poly", "x"], tmp_path=tmp_path).inputs[key] == "x"

@@ -593,7 +593,7 @@ def test_basis_cache_is_shared_across_threads():
 
 def test_inexact_division_is_an_internal_error():
     from jetclosure.errors import InternalError
-    from jetclosure.groebner import _exact_quotient
+    from oracles import _exact_quotient
 
     R = RingContext(FieldSpec.rationals(), ("x", "y"))
     x2y = parse_polynomial("x^2*y + x", R)

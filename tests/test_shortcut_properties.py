@@ -8,6 +8,8 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 * Newton membership with integer pivots and cached cuts against a
   fresh ``Fraction`` LP per point, and every cached cut valid;
 * reduced bases of permuted and rescaled generators;
+* colon ideals from one submodule basis against intersections with
+  principal ideals;
 * each jet closure contains a' and the cumulative chain descends.
 """
 
@@ -18,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 from oracles import (
     box_standard_monomials,
+    reference_colon_ideal,
     reference_fiber_ideal,
     reference_integral_closure,
     reference_jet_closure,
@@ -25,7 +28,7 @@ from oracles import (
 )
 
 from jetclosure.closures import LocalAlgebraPresentation, cumulative_closure_chain, jet_closure
-from jetclosure.groebner import Ideal, _standard_monomials, ideal_contains, ideal_sum
+from jetclosure.groebner import Ideal, _standard_monomials, colon_ideal, ideal_contains, ideal_sum
 from jetclosure.jets import fiber_ideal
 from jetclosure.newton import (
     MonomialIdealData,
@@ -71,6 +74,31 @@ def test_fiber_ideal_shortcut_matches_reference(inputs):
     kernel, closure = reference_jet_closure(P, a, level)
     assert rep.kernel_basis == kernel
     assert rep.closure_generators == closure
+
+
+def sparse_polys(R):
+    """One to three terms of degree 1 to 3 in k[x,y]; zero if every
+    coefficient vanishes in the field."""
+    terms = st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda u: 1 <= sum(u) <= 3),
+        st.integers(-2, 3), min_size=1, max_size=3,
+    )
+    return terms.map(lambda t: sum((R.monomial(u, R.field_spec.of_int(c)) for u, c in t.items()), R.zero()))
+
+
+@st.composite
+def colon_inputs(draw):
+    R = RingContext(draw(st.sampled_from((FieldSpec.rationals(), FieldSpec.prime_field(3)))), ("x", "y"))
+    I = Ideal(R, draw(st.lists(sparse_polys(R), min_size=1, max_size=3)))
+    J = Ideal(R, draw(st.lists(sparse_polys(R), min_size=1, max_size=3)))
+    return I, J
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(colon_inputs())
+def test_colon_ideal_matches_reference(inputs):
+    I, J = inputs
+    assert colon_ideal(I, J).groebner_basis().elements == reference_colon_ideal(I, J).groebner_basis().elements
 
 
 @st.composite
