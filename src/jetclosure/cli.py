@@ -206,10 +206,6 @@ def _strs(polys) -> list:
     return [format_polynomial(p) for p in polys]
 
 
-def _gens(I: Ideal) -> list:
-    return _strs(I.generators)
-
-
 def _canonical_gens(I: Ideal) -> list:
     return _strs(I.groebner_basis(DEGREVLEX))
 
@@ -241,12 +237,12 @@ def _derive(session, args):
 
 def _jet_ideal(session, args):
     I = session.ideal(args.ideal)
-    return dict(inputs={"ideal": _gens(I), "level": args.level}, generators=_strs(jet_ideal(I, args.level).generators))
+    return dict(inputs={"ideal": _strs(I.generators), "level": args.level}, generators=_strs(jet_ideal(I, args.level).generators))
 
 
 def _fiber_ideal(session, args):
     I = session.ideal(args.ideal)
-    return dict(inputs={"ideal": _gens(I), "level": args.level}, generators=_gens(fiber_ideal(I, args.level)))
+    return dict(inputs={"ideal": _strs(I.generators), "level": args.level}, generators=_strs(fiber_ideal(I, args.level).generators))
 
 
 def _lambda(session, args):
@@ -254,7 +250,7 @@ def _lambda(session, args):
     I = session.modulus(args.ideal)
     entries = universal_jet_image(f, I, args.level)
     return dict(
-        inputs={"poly": format_polynomial(f), "ideal": _gens(I), "level": args.level},
+        inputs={"poly": format_polynomial(f), "ideal": _strs(I.generators), "level": args.level},
         outputs={"zero": all(e.is_zero() for e in entries)},
         generators=_strs(entries),
     )
@@ -265,7 +261,7 @@ def _closure(session, args):
     a = session.ideal(args.ideal)
     report = jet_closure(P, a, args.level)
     return dict(
-        inputs={"ideal": _gens(a), "modulus": _gens(P.modulus), "level": args.level},
+        inputs={"ideal": _strs(a.generators), "modulus": _strs(P.modulus.generators), "level": args.level},
         outputs={"kernel": _strs(report.kernel_basis)},
         generators=_strs(report.closure_generators),
         dims={"dimA": report.dim_quotient, "dimClosure": report.dim_closure},
@@ -277,7 +273,7 @@ def _chain(session, args):
     a = session.ideal(args.ideal)
     chain = cumulative_closure_chain(P, a, args.max_level)
     return dict(
-        inputs={"ideal": _gens(a), "modulus": _gens(P.modulus), "maxLevel": args.max_level},
+        inputs={"ideal": _strs(a.generators), "modulus": _strs(P.modulus.generators), "maxLevel": args.max_level},
         outputs={"chain": [_canonical_gens(c) for c in chain]},
         generators=_canonical_gens(chain[-1]),
     )
@@ -288,7 +284,7 @@ def _certify(session, args):
     a = session.ideal(args.ideal)
     cert = certify_arc_closed(P, a, args.max_level)
     return dict(
-        inputs={"ideal": _gens(a), "modulus": _gens(P.modulus), "maxLevel": args.max_level},
+        inputs={"ideal": _strs(a.generators), "modulus": _strs(P.modulus.generators), "maxLevel": args.max_level},
         outputs={"certified": cert.certified, "level": cert.level},
         generators=_canonical_gens(cert.chain[-1]),
         certificate=_certificate_dict(cert),
@@ -300,7 +296,7 @@ def _jsc_member(session, args):
     a = session.ideal(args.ideal)
     f = _parse_user_poly(session, args.poly)
     return dict(
-        inputs={"ideal": _gens(a), "modulus": _gens(P.modulus), "element": format_polynomial(f), "level": args.level},
+        inputs={"ideal": _strs(a.generators), "modulus": _strs(P.modulus.generators), "element": format_polynomial(f), "level": args.level},
         outputs={"member": jsc_membership(P, a, f, args.level)},
     )
 
@@ -309,7 +305,7 @@ def _socle(session, args):
     P = _presentation(session, args)
     soc = socle_and_gorenstein(P)
     return dict(
-        inputs={"modulus": _gens(P.modulus)},
+        inputs={"modulus": _strs(P.modulus.generators)},
         outputs={"gorenstein": soc.gorenstein},
         generators=_strs(soc.basis),
         dims={"colength": soc.colength, "socleDimension": len(soc.basis)},
@@ -322,7 +318,7 @@ def _matlis(session, args):
         raise UsageError("matlis needs --power N")
     emb = matlis_embedding(P, args.power)
     return dict(
-        inputs={"modulus": _gens(P.modulus), "power": args.power},
+        inputs={"modulus": _strs(P.modulus.generators), "power": args.power},
         outputs={"witness": format_polynomial(emb.witness), "images": [_strs(pair) for pair in emb.images]},
         generators=_canonical_gens(emb.colon),
         dims={"colength": emb.quotient_colength, "colonQuotientDim": emb.colon_quotient_dim},
@@ -353,7 +349,7 @@ def _walkthrough(session, args):
         "colonQuotientDim": emb.colon_quotient_dim,
     }
     return dict(
-        inputs={"modulus": _gens(P.modulus), "maxLevel": args.max_level},
+        inputs={"modulus": _strs(P.modulus.generators), "maxLevel": args.max_level},
         outputs={"stages": stages, "embedding": embedding},
         dims={"stages": len(stages)},
     )
@@ -364,7 +360,7 @@ def _icl(session, args):
     if any(len(g.terms) != 1 for g in I.generators):
         raise UsageError("icl needs a monomial ideal: every generator must be a single term")
     closure = monomial_integral_closure(MonomialIdealData([next(iter(g.terms)) for g in I.generators]))
-    return dict(inputs={"ideal": _gens(I)}, generators=_strs(session.ring.monomial(u) for u in closure.exponents))
+    return dict(inputs={"ideal": _strs(I.generators)}, generators=_strs(session.ring.monomial(u) for u in closure.exponents))
 
 
 COMMANDS = {
@@ -385,17 +381,21 @@ COMMANDS = {
 
 def run_command(session: Session, args: argparse.Namespace) -> Report:
     """Run one parsed command line against a session; returns the report."""
-    fields = COMMANDS[args.command](session, args)
+    handler = COMMANDS.get(args.command)
+    if handler is None:
+        raise UsageError(f"unknown command '{args.command}'")
+    fields = handler(session, args)
     return Report(args.command, session.field_spec.label, session.ring.variables, **fields)
 
 
 def _nonnegative(text: str) -> int:
+    message = f"expected a nonnegative integer, got {text!r}"
     try:
         value = int(text)
     except ValueError:
-        value = -1
+        raise argparse.ArgumentTypeError(message) from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(message)
     return value
 
 

@@ -64,11 +64,12 @@ def hs_derivations(f: Polynomial, level: int) -> list:
     """[D_0 f, ..., D_level f] in the level-``level`` jet ring of f's ring.
 
     Each D_i is linear, so D_i f is the sum of c * D_i(x^u) over the
-    terms c*x^u of f, with the monomial series from ``monomial_jets``.
+    terms c*x^u of f, with the monomial series of ``monomial_jets``.
     """
-    ring = JetRing(f.ring, level).context
+    jr = JetRing(f.ring, level)
+    ring = jr.context
     coeffs = [ring.zero() for _ in range(level + 1)]
-    for u, series in monomial_jets(f.ring, f.terms, level).items():
+    for u, series in _monomial_series(jr, f.terms).items():
         c = f.terms[u]
         for i in range(level + 1):
             coeffs[i] = coeffs[i] + series[i].scale(c)
@@ -86,10 +87,13 @@ def monomial_jets(ring: RingContext, monomials, level: int) -> dict:
     staircase, which is closed under division, those are the monomials
     of the set itself.
     """
-    jr = JetRing(ring, level)
-    jring = jr.context
-    var_series = [[jr.variable(j, i) for i in range(level + 1)] for j in range(ring.nvars)]
-    memo = {(0,) * ring.nvars: [jring.one()] + [jring.zero() for _ in range(level)]}
+    return _monomial_series(JetRing(ring, level), monomials)
+
+
+def _monomial_series(jr: JetRing, monomials) -> dict:
+    level, nvars, jring = jr.level, jr.base.nvars, jr.context
+    var_series = [[jr.variable(j, i) for i in range(level + 1)] for j in range(nvars)]
+    memo = {(0,) * nvars: [jring.one()] + [jring.zero() for _ in range(level)]}
 
     def series(u):
         path = []

@@ -17,7 +17,7 @@ from fractions import Fraction
 from jetclosure.closures import _primary_replacement
 from jetclosure.errors import InternalError
 from jetclosure.groebner import DEGREVLEX, Ideal, intersect_ideals, radical_member, standard_monomial_basis
-from jetclosure.jets import fiber_ideal, hs_derivations
+from jetclosure.jets import JetRing, fiber_ideal
 from jetclosure.linalg import nullspace_basis, rref
 from jetclosure.newton import MonomialIdealData
 from jetclosure.poly import Polynomial, RingContext, monomial_divides
@@ -170,11 +170,35 @@ def reference_fiber_ideal(P, a, level: int) -> Ideal:
     return fiber_ideal(_primary_replacement(P, a, level), level)
 
 
+def reference_hs_derivations(f: Polynomial, level: int) -> list:
+    """[D_0 f, ..., D_level f], each term's series built on its own.
+
+    For every term c*x^u the truncated series c, then c times
+    (x_j@0 + x_j@1 t + ... + x_j@level t^level) once per unit of u_j,
+    variables in ascending order, is multiplied out here; ``jets``
+    shares one memoized walk over all the monomials instead.
+    """
+    jr = JetRing(f.ring, level)
+    ring = jr.context
+    coeffs = [ring.zero() for _ in range(level + 1)]
+    for u, c in f.terms.items():
+        series = [ring.constant(c)] + [ring.zero() for _ in range(level)]
+        for j, e in enumerate(u):
+            for _ in range(e):
+                product = [ring.zero() for _ in range(level + 1)]
+                for a, s in enumerate(series):
+                    for b in range(level + 1 - a):
+                        product[a + b] = product[a + b] + s * jr.variable(j, b)
+                series = product
+        coeffs = [x + y for x, y in zip(coeffs, series)]
+    return coeffs
+
+
 def reference_jet_closure(P, a, level: int):
     """(kernel basis, reduced closure basis) of the level-``level`` jet closure.
 
     Normal forms are taken modulo the reference fiber ideal, and each
-    column's jets come from its own ``hs_derivations`` call; columns,
+    column's jets come from its own ``reference_hs_derivations`` call; columns,
     rows and the kernel basis are ordered as in ``jet_closure``.
     """
     ring = P.ring
@@ -185,7 +209,7 @@ def reference_jet_closure(P, a, level: int):
     images = [
         {
             (i, w): c
-            for i, d in enumerate(hs_derivations(ring.monomial(u), level))
+            for i, d in enumerate(reference_hs_derivations(ring.monomial(u), level))
             for w, c in basis.normal_form(d).terms.items()
         }
         for u in columns
@@ -203,7 +227,7 @@ def reference_jet_closure(P, a, level: int):
 def reference_jsc_membership(P, a, f: Polynomial, level: int) -> bool:
     """f in the level-``level`` jet support closure, on the reference fiber ideal."""
     J = reference_fiber_ideal(P, a, level)
-    return all(radical_member(d, J) for d in hs_derivations(f, level))
+    return all(radical_member(d, J) for d in reference_hs_derivations(f, level))
 
 
 # ---------------------------------------------------------------------

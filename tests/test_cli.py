@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from jetclosure.cli import Session, build_parser, main, parse_session, run_command
+from jetclosure.cli import Session, UsageError, build_parser, main, parse_session, run_command
 from jetclosure.errors import ParseError
 from jetclosure.poly import parse_polynomial
 
@@ -328,3 +328,10 @@ def test_element_is_a_second_spelling_of_poly(tmp_path):
     for argv, key in ((["derive"], "poly"), (["jsc-member", "--ideal", "a"], "element")):
         assert run(argv + ["--poly", "x", "--element", "y"], tmp_path=tmp_path).inputs[key] == "y"
         assert run(argv + ["--element", "y", "--poly", "x"], tmp_path=tmp_path).inputs[key] == "x"
+
+
+def test_run_command_rejects_an_unknown_command():
+    args = build_parser().parse_args(["socle", "--session", "s.session"])
+    args.command = "bogus"
+    with pytest.raises(UsageError, match="unknown command 'bogus'"):
+        run_command(parse_session(SESSION), args)

@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from oracles import FIBER_SHORTCUT_CASES, reference_fiber_ideal
+from oracles import FIBER_SHORTCUT_CASES, reference_fiber_ideal, reference_hs_derivations
 
 from jetclosure.closures import LocalAlgebraPresentation
 from jetclosure.groebner import Ideal, ideal_member, ideal_sum, reduced_groebner_basis, ideals_equal
@@ -315,7 +315,7 @@ def test_monomial_jets_match_hs_derivations_on_a_box():
                 jets = monomial_jets(R, box, level)
                 assert sorted(jets) == sorted(box)
                 for u in box:
-                    assert jets[u] == hs_derivations(R.monomial(u), level)
+                    assert jets[u] == reference_hs_derivations(R.monomial(u), level)
 
 
 def test_monomial_jets_fill_in_missing_divisors():
@@ -323,7 +323,21 @@ def test_monomial_jets_fill_in_missing_divisors():
     jets = monomial_jets(R, [(3, 0, 2), (0, 4, 1)], 4)
     assert sorted(jets) == [(0, 4, 1), (3, 0, 2)]
     for u, ds in jets.items():
-        assert ds == hs_derivations(R.monomial(u), 4)
+        assert ds == reference_hs_derivations(R.monomial(u), 4)
+
+
+def test_hs_derivations_match_the_per_term_reference():
+    rng = random.Random(11)
+    for field in SHORTCUT_FIELDS:
+        for names in (("x",), ("x", "y"), ("x", "y", "z")):
+            R = ring(names, field)
+            for _ in range(40):
+                f = R.zero()
+                for _ in range(rng.randrange(1, 5)):
+                    u = tuple(rng.randrange(4) for _ in names)
+                    f = f + R.monomial(u, rng.randrange(-3, 4))
+                level = rng.randrange(5)
+                assert hs_derivations(f, level) == reference_hs_derivations(f, level)
 
 
 def test_fiber_ideal_of_a_plus_modulus_has_the_reference_basis():
