@@ -11,6 +11,10 @@ That fiber ideal equals the fiber ideal of a + I (see ``jet_closure``),
 so the m^(level+1) generators, most of a' at high levels, never reach
 Buchberger; the column jets grow along the staircase of a', one
 truncated series multiplication per monomial (``monomial_jets``).
+
+Jet closures descend with the level, so the closure chain C_l and the
+arc-closedness certificate are the level-by-level closures themselves,
+with no ideal intersection (proof in ``cumulative_closure_chain``).
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .groebner import (
     colon_ideal,
     ideal_sum,
     ideals_equal,
-    intersect_ideals,
     module_standard_monomials,
     radical_member,
     standard_monomial_basis,
@@ -186,18 +189,40 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int) -> ClosureRep
     )
 
 
-def _closure_chain(P: LocalAlgebraPresentation, a: Ideal, max_level: int):
-    """Yield C_0, ..., C_max_level lazily, one jet closure per level."""
-    current = None
-    for level in range(max_level + 1):
-        closure = jet_closure(P, a, level).closure
-        current = closure if current is None else intersect_ideals(current, closure)
-        yield current
-
-
 def cumulative_closure_chain(P: LocalAlgebraPresentation, a: Ideal, max_level: int) -> list:
-    """C_0, ..., C_max_level with C_l the intersection of closures up to l."""
-    return list(_closure_chain(P, a, max_level))
+    """C_0, ..., C_max_level, where C_l = closure_0 ∩ ... ∩ closure_l.
+
+    The jet closures descend with the level, so C_l is the level-l
+    closure itself and each level costs one ``jet_closure`` call.
+
+    The closure is T_l.  Let F_l be the level-l fiber ideal of a + I and
+    T_l = {f : D_i f in F_l for all i <= l}.  By the Leibniz rule
+    D_m(hf) = sum_(i+j=m) D_i(h) D_j(f), T_l is an ideal; it contains
+    a + I, and it contains m^(l+1) because each D_i(x^u) with
+    deg u > l >= i lies in (x@0) (see ``jet_closure``).  So T_l contains
+    a', every f is congruent mod a' to its normal form on the standard
+    monomials of a', and T_l = a' + (its part on those monomials).  That
+    part is the kernel ``jet_closure`` computes, so its ``closure`` is
+    T_l.
+
+    Drop the base point.  Let phi set every x@0 to 0.  F_l contains
+    (x@0), so D lies in F_l iff phi(D) lies in J'_l, the ideal of
+    k[x@1, ..., x@l] generated by phi(D_k g) for the generators g of
+    a + I and 1 <= k <= l; phi(D_0 g) = g(0) = 0 because a + I is proper
+    (``_check_proper``).
+
+    Grade and conclude.  Give x@k weight k.  Each term of D_k(x^u) is a
+    product of jet variables whose orders sum to k, so phi(D_k g) is
+    weighted-homogeneous of weight k and phi(D_i f) of weight i.  Every
+    variable of J'_l has positive weight, so a weight-i element of J'_l
+    is sum_k r_k phi(D_k g) with each r_k of weight i - k >= 0: then
+    k <= i, and r_k uses only variables of order <= i - k.  For
+    i <= l - 1 that sum already lies in J'_(l-1).  Hence f in T_l gives
+    D_i f in F_(l-1) for all i <= l - 1, that is T_l ⊆ T_(l-1), and
+    C_l = T_0 ∩ ... ∩ T_l = T_l.  Nothing here divides by an integer, so
+    the argument holds in every characteristic.
+    """
+    return [jet_closure(P, a, level).closure for level in range(max_level + 1)]
 
 
 @dataclass
@@ -212,19 +237,30 @@ class CertificateResult:
     certified: bool
     level: int  # least certifying level, or None
     max_level: int
-    chain: list  # cumulative closures, one Ideal per level computed
+    chain: list  # C_0, ..., C_level: the jet closure at each level computed
 
     def __bool__(self):
         return self.certified
 
 
 def certify_arc_closed(P: LocalAlgebraPresentation, a: Ideal, max_level: int) -> CertificateResult:
+    """Look for a level l <= ``max_level`` at which C_l comes back down to a + I.
+
+    C_l is the level-l jet closure; it is also the intersection of the
+    closures up to level l, because the closures descend (proof in
+    ``cumulative_closure_chain``).  ``certified`` is True when some C_l
+    equals a + I; ``level`` is the least such l, the chain stops there,
+    and the answer soundly implies that the arc closure of a is a + I.
+    A negative answer claims nothing about the arc closure: every C_l
+    contains m^(l+1), so an ideal that is not m-primary never certifies
+    at a finite level.
+    """
     _check_proper(P, a)
     target = ideal_sum(a, P.modulus)
     chain = []
-    for level, current in enumerate(_closure_chain(P, a, max_level)):
-        chain.append(current)
-        if ideals_equal(current, target):
+    for level in range(max_level + 1):
+        chain.append(jet_closure(P, a, level).closure)
+        if ideals_equal(chain[-1], target):
             return CertificateResult(True, level, max_level, chain)
     return CertificateResult(False, None, max_level, chain)
 

@@ -367,9 +367,9 @@ def intersect_ideals(I: Ideal, J: Ideal) -> Ideal:
 def colon_ideal(I: Ideal, J: Ideal) -> Ideal:
     """(I : J) = {a : a*J inside I}, read off one submodule basis.
 
-    Let g_1, ..., g_s be the nonzero generators of J, and let M in
-    R^(s+1) be generated by v = (g_1, ..., g_s, 1) and by f*e_k for
-    every generator f of I and every k <= s.  An element of M is
+    Let g_1, ..., g_s be the generators of J (``Ideal`` drops zeros),
+    and let M in R^(s+1) be generated by v = (g_1, ..., g_s, 1) and by
+    f*e_k for every generator f of I and every k <= s.  An element of M is
     a*v + sum_k c_k e_k with every c_k in I; its first s entries vanish
     iff c_k = -a*g_k for all k, which some choice of the c_k achieves
     iff a*g_k lies in I for all k.  So the last entries of the elements
@@ -386,7 +386,7 @@ def colon_ideal(I: Ideal, J: Ideal) -> Ideal:
     if I.ring != J.ring:
         raise RingMismatchError("colon requires a common ring")
     ring = I.ring
-    gens = [g for g in J.generators if not g.is_zero()]
+    gens = list(J.generators)
     if not gens:
         return Ideal(ring, [ring.one()])  # (I : 0) is the unit ideal
     s = len(gens)

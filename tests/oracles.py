@@ -14,7 +14,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from jetclosure.closures import _primary_replacement
+from jetclosure.closures import _primary_replacement, jet_closure
 from jetclosure.errors import InternalError
 from jetclosure.groebner import DEGREVLEX, Ideal, intersect_ideals, radical_member, standard_monomial_basis
 from jetclosure.jets import JetRing, fiber_ideal
@@ -388,3 +388,19 @@ def reference_colon_ideal(I: Ideal, J: Ideal) -> Ideal:
         meet = intersect_ideals(I, Ideal(ring, [g]))
         parts.append(Ideal(ring, [_exact_quotient(h, g) for h in meet.generators]))
     return functools.reduce(intersect_ideals, parts)
+
+
+# ---------------------------------------------------------------------
+# reference path: the closure chain as a running intersection of the
+# closures, replaced by the closures themselves
+# ---------------------------------------------------------------------
+
+
+def reference_closure_chain(P, a, max_level: int) -> list:
+    """C_0, ..., C_max_level with C_0 = closure_0 and
+    C_l = C_(l-1) ∩ closure_l, one tag-variable intersection per level."""
+    chain = []
+    for level in range(max_level + 1):
+        closure = jet_closure(P, a, level).closure
+        chain.append(intersect_ideals(chain[-1], closure) if chain else closure)
+    return chain

@@ -25,7 +25,9 @@ from jetclosure.groebner import (
     FreeModuleElement,
     Ideal,
     SubmodulePresentation,
+    ideal_contains,
     ideal_member,
+    ideal_sum,
     ideals_equal,
     module_standard_monomials,
     submodule_groebner_basis,
@@ -33,6 +35,7 @@ from jetclosure.groebner import (
 from oracles import (
     FIBER_SHORTCUT_CASES,
     in_row_span,
+    reference_closure_chain,
     reference_jet_closure,
     reference_jsc_membership,
 )
@@ -41,6 +44,7 @@ from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
 F3 = FieldSpec.prime_field(3)
+F5 = FieldSpec.prime_field(5)
 
 
 def ring(names, field=Q):
@@ -206,6 +210,49 @@ def test_certificate_soundness_chain():
         assert target.contains(g)
     for g in P.modulus.generators:
         assert final.groebner_basis().contains(g)
+
+
+# (variables, modulus, ideal, [(field, levels <= CHAIN_LEVEL at which the
+# closure is larger than a + I + m^(l+1))]).  Random ideals almost never
+# have such a level; at one, a chain of replacements differs from the
+# chain of closures.
+CHAIN_CASES = [
+    (("x", "y"), (), ("x^4", "y^4", "x^2 + 2*y^3"), [(Q, {4}), (F5, {4}), (F3, {4, 5, 6})]),
+    (("x", "y"), (), ("x^4", "y^4", "x^2*y + y^2"), [(F2, {3, 4})]),
+    (("x", "y"), (), ("x^4", "y^4", "x*y^2 + x^2"), [(F2, {3, 4})]),
+    (("x", "y"), (), ("x",), [(Q, set())]),
+    (("x", "y", "z"), ("x*y - z^2",), ("x", "z"), [(Q, set())]),
+]
+CHAIN_LEVEL = 6
+
+
+def _chain_cases():
+    for names, mod, gens, fields in CHAIN_CASES:
+        for field, kernel_levels in fields:
+            R = ring(names, field)
+            yield LocalAlgebraPresentation(R, ideal(R, *mod)), ideal(R, *gens), kernel_levels
+
+
+def test_jet_closures_descend():
+    for P, a, kernel_levels in _chain_cases():
+        reports = [jet_closure(P, a, level) for level in range(CHAIN_LEVEL + 1)]
+        assert {r.level for r in reports if r.dim_closure} == kernel_levels
+        for upper, lower in zip(reports, reports[1:]):
+            assert ideal_contains(upper.closure, lower.closure)
+
+
+def test_chain_and_certificate_match_reference_intersections():
+    for P, a, _ in _chain_cases():
+        reference = reference_closure_chain(P, a, CHAIN_LEVEL)
+        chain = cumulative_closure_chain(P, a, CHAIN_LEVEL)
+        assert len(chain) == len(reference)
+        assert all(ideals_equal(c, r) for c, r in zip(chain, reference))
+        target = ideal_sum(a, P.modulus)
+        level = next((i for i, r in enumerate(reference) if ideals_equal(r, target)), None)
+        cert = certify_arc_closed(P, a, CHAIN_LEVEL)
+        assert cert.certified == (level is not None) and cert.level == level
+        assert len(cert.chain) == (CHAIN_LEVEL + 1 if level is None else level + 1)
+        assert all(ideals_equal(c, r) for c, r in zip(cert.chain, reference))
 
 
 # --- jet support closure ------------------------------------------------
