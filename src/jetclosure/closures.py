@@ -4,13 +4,17 @@ jet-support membership, and the Gorenstein/Matlis reduction pipeline.
 All computations happen at a finite jet level.  An ideal a of the local
 algebra S/I is first replaced by a' = a + I + m^(level+1); the closure
 at that level is then read off as the kernel of an exact linear system
-over the coefficient field, one column per standard monomial of a', with
-normal forms taken modulo the fiber ideal of a' in the jet ring.
+over the coefficient field, one column per standard monomial of a'.
 
-That fiber ideal equals the fiber ideal of a + I (see ``jet_closure``),
-so the m^(level+1) generators, most of a' at high levels, never reach
-Buchberger; the column jets grow along the staircase of a', one
-truncated series multiplication per monomial (``monomial_jets``).
+A column's jets lie in the fiber ideal of a' iff they do after setting
+the base point x@0 to 0, so the normal forms are taken in the pointed
+jet ring k[x@1, ..., x@level], modulo the image J' of the fiber ideal
+of a + I, which is that of a' (see ``jet_closure``).  So the
+m^(level+1) generators, most of a' at high levels, never reach
+Buchberger, and neither do the n base-point variables; the column jets
+grow along the staircase of a', one truncated series multiplication per
+monomial (``pointed_jets``).  Module closures and jet-support
+membership work in the pointed jet ring too.
 
 Jet closures descend with the level, so the closure chain C_l and the
 arc-closedness certificate are the level-by-level closures themselves,
@@ -42,7 +46,7 @@ from .groebner import (
     radical_member,
     standard_monomial_basis,
 )
-from .jets import fiber_ideal, hs_derivations, monomial_jets
+from .jets import pointed_derivations, pointed_fiber_ideal, pointed_jets
 from .linalg import nullspace_basis
 from .poly import Polynomial, RingContext
 
@@ -143,28 +147,41 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int) -> ClosureRep
 
     The kernel condition is linear over the coefficient field: f (taken
     modulo a') lies in the closure iff every derivation D_i(f), i up to
-    the level, reduces to zero against the fiber ideal of a'.
+    the level, lies in the fiber ideal of a'.
 
-    The fiber ideal of a' is computed as that of a + I; the two are
-    equal.  The fiber ideal of an ideal b at level l is generated by
-    x_1@0, ..., x_n@0 and D_i(g) for the generators g of b and i <= l,
-    and a' adds the generators x^u, deg u = d = l+1, to a + I.  Each
-    term of D_i(x^u) is, up to a coefficient, a product of d jet
-    variables x_j@k whose orders k sum to i.  As i <= l < d, at least
-    one of those orders is 0, so every such D_i(x^u) already lies in
-    (x_1@0, ..., x_n@0).  Equal ideals have the same reduced basis, so
-    the normal forms, and the kernel, are unchanged.  The report keeps
-    a' as ``replacement`` and in ``closure``.
+    The fiber ideal of a' equals that of a + I.  The fiber ideal of an
+    ideal b at level l is generated by x_1@0, ..., x_n@0 and D_i(g) for
+    the generators g of b and i <= l, and a' adds the generators x^u,
+    deg u = d = l+1, to a + I.  Each term of D_i(x^u) is, up to a
+    coefficient, a product of d jet variables x_j@k whose orders k sum
+    to i.  As i <= l < d, at least one of those orders is 0, so every
+    such D_i(x^u) already lies in (x_1@0, ..., x_n@0).  The membership
+    test, and the kernel, are unchanged.  The report keeps a' as
+    ``replacement`` and in ``closure``.
+
+    The test runs without the base point.  Let phi set every x@0 to 0,
+    a map of the jet ring R_jet onto k[x@1, ..., x@l] with kernel
+    (x@0), and let F_l be the fiber ideal of a + I and
+    J'_l = phi(F_l), generated by phi(D_k g) for the generators g of
+    a + I and 1 <= k <= l (``pointed_fiber_ideal``); phi(D_0 g) = g(0)
+    = 0 because a + I is proper (``_check_proper``).  The kernel (x@0)
+    lies in F_l, so phi induces R_jet/F_l = k[x@1, ..., x@l]/J'_l: D lies
+    in F_l iff phi(D) lies in J'_l.  The columns are therefore reduced
+    as phi(D_i x^u) (``pointed_jets``) modulo J'_l.  A combination of
+    columns is in the kernel of the one map iff it is in the kernel of
+    the other, so the kernel subspace is the same; ``nullspace_basis``
+    returns its canonical RREF basis for the fixed column order, and
+    the report does not change.
     """
     _check_proper(P, a)
     ring = P.ring
     fld = ring.field_spec
     aprime = _primary_replacement(P, a, level)
     sm = standard_monomial_basis(aprime)
-    basis = fiber_ideal(ideal_sum(a, P.modulus), level).groebner_basis(DEGREVLEX)
+    basis = pointed_fiber_ideal(ideal_sum(a, P.modulus), level).groebner_basis(DEGREVLEX)
 
     columns = sorted(sm.monomials, key=DEGREVLEX.key, reverse=True)
-    jets = monomial_jets(ring, columns, level)
+    jets = pointed_jets(ring, columns, level)
 
     def image(u):
         return {
@@ -270,16 +287,24 @@ def jsc_membership(P: LocalAlgebraPresentation, a: Ideal, f: Polynomial, level: 
 
     Decided per element: every derivation of f must lie in the radical
     of the fiber ideal of a + I + m^(level+1).  That ideal is computed
-    as the fiber ideal of a + I, which is the same ideal: for
+    as the fiber ideal F of a + I, which is the same ideal: for
     deg u > level, every term of D_i(x^u), i <= level, is a product of
     deg u jet variables with orders summing to i, so one of them is
     some x_j@0 (the full argument is in ``jet_closure``).
+
+    The test runs in k[x@1, ..., x@level].  Let phi set every x@0 to 0.
+    Its kernel (x@0) lies in F, so phi induces R_jet/F = k[x@1, ...]/J'
+    with J' = phi(F) (``pointed_fiber_ideal``; ``jet_closure`` has the
+    proof).  Radicals correspond under that isomorphism: D^m lies in F
+    iff phi(D)^m = phi(D^m) lies in J'.  So D_i f lies in the radical
+    of F iff phi(D_i f) lies in the radical of J', and the Buchberger
+    runs of ``radical_member`` go without the n base-point variables.
     """
     _check_proper(P, a)
     if f.ring != P.ring:
         raise RingMismatchError("element does not live in the presentation ring")
-    J = fiber_ideal(ideal_sum(a, P.modulus), level)
-    return all(radical_member(d, J) for d in hs_derivations(f, level))
+    J = pointed_fiber_ideal(ideal_sum(a, P.modulus), level)
+    return all(radical_member(d, J) for d in pointed_derivations(f, level))
 
 
 # ---------------------------------------------------------------------
@@ -500,6 +525,24 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     fiber of the base, presented over the jet ring with one block of
     coordinates per t-power, and the kernel of the induced k-linear map
     on a monomial basis of M/N is returned.
+
+    The presentation is taken over the pointed jet ring
+    k[x@1, ..., x@level].  Over R_jet its relations are F e_k for every
+    coordinate k, F the fiber ideal of the base modulus I, and the
+    t-shifted jets of the relations of M/N.  Let phi set every x@0 to 0;
+    J' = phi(F) is generated by phi(D_k g), g a generator of I and
+    1 <= k <= level, as phi(D_0 g) = g(0) = 0 (``LocalAlgebraPresentation``
+    rejects an improper modulus).  A column combination v vanishes in
+    the quotient iff v = f + r with f in F^big and r a combination of
+    the relation jets.  Then phi(v) = phi(f) + phi(r) with phi(f) in
+    J'^big; conversely, let phi(v) = j + phi(r) with j in J'^big.  Each
+    phi(D) differs from D by an element of (x@0), so J' lies in F and j
+    in F^big, and phi(v - r - j) = 0: v - r - j lies in the kernel
+    (x@0)^big of phi, which lies in F^big.  So v vanishes iff phi(v)
+    lies in the submodule presented by J' e_k and phi of the relation
+    jets, and the kernel is unchanged (proof for ideals in
+    ``jet_closure``).  D_0 of a relation is kept: phi(D_0 h) = h(0),
+    and an entry of a relation may have a nonzero constant term.
     """
     ring = MP.base.ring
     fld = ring.field_spec
@@ -510,7 +553,7 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     pres = SubmodulePresentation(ring, rank, rels)
     sm = module_standard_monomials(pres)
 
-    J = fiber_ideal(MP.base.modulus, level)
+    J = pointed_fiber_ideal(MP.base.modulus, level)
     jet_ctx = J.ring
     big_rank = rank * (level + 1)
 
@@ -526,7 +569,7 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
             big_rels.append(FreeModuleElement(jet_ctx, comps))
     module_rels = list(MP.relations) + list(MP.submodule)
     for v in module_rels:
-        jets = [hs_derivations(comp, level) for comp in v.components]
+        jets = [pointed_derivations(comp, level) for comp in v.components]
         for shift in range(level + 1):
             comps = list(zero_vec)
             for c in range(rank):
@@ -538,7 +581,7 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     big_gb = SubmodulePresentation(jet_ctx, big_rank, big_rels).groebner_basis(DEGREVLEX)
 
     columns = sorted(sm, key=_block_key, reverse=True)
-    column_jets = monomial_jets(ring, {u for _, u in sm}, level)
+    column_jets = pointed_jets(ring, {u for _, u in sm}, level)
 
     def image(cu):
         comp, u = cu

@@ -4,6 +4,10 @@ The derivation D_i reads the t^i coefficient of a polynomial after the
 substitution x_j -> x_j@0 + x_j@1 t + ... + x_j@l t^l, truncated at
 t^(l+1).  That divided-power convention satisfies
 D_m(fg) = sum_{i+j=m} D_i(f) D_j(g) in every characteristic.
+
+Pointed jets set the base point to 0: phi(x_j@0) = 0, in the ring
+k[x@1, ..., x@l].  Closures only ask questions modulo fiber ideals,
+which contain every x_j@0, so they work there (``pointed_fiber_ideal``).
 """
 
 from __future__ import annotations
@@ -19,28 +23,39 @@ class JetRing:
 
     Variables are ordered level-major: x_1@0, ..., x_n@0, x_1@1, ...,
     so the level-l' prefix of the level-l context is the level-l'
-    context itself.
+    context itself.  The pointed jet ring leaves out the base point:
+    its variables are x_1@1, ..., x_n@l, and x_j@0 reads as 0.
     """
 
-    def __init__(self, base: RingContext, level: int):
+    def __init__(self, base: RingContext, level: int, pointed: bool = False):
         if level < 0:
             raise ValueError("jet level must be nonnegative")
         self.base = base
         self.level = level
+        self.first = 1 if pointed else 0
         names = []
-        for i in range(level + 1):
+        for i in range(self.first, level + 1):
             for v in base.variables:
                 names.append(f"{v}@{i}")
         self.context = RingContext(base.field_spec, tuple(names))
 
     def variable_index(self, base_index: int, order: int) -> int:
         """Position of x_j@i in the jet context."""
-        if not (0 <= base_index < self.base.nvars and 0 <= order <= self.level):
+        if not (0 <= base_index < self.base.nvars and self.first <= order <= self.level):
             raise IndexError("jet variable out of range")
-        return order * self.base.nvars + base_index
+        return (order - self.first) * self.base.nvars + base_index
 
     def variable(self, base_index: int, order: int) -> Polynomial:
         return self.context.variable(self.variable_index(base_index, order))
+
+    def variable_series(self) -> list:
+        """[x_j@0, x_j@1, ..., x_j@l] for each base variable x_j, with
+        x_j@0 = 0 in the pointed ring: the series substituted for x_j."""
+        zero = self.context.zero()
+        return [
+            [self.variable(j, i) if i >= self.first else zero for i in range(self.level + 1)]
+            for j in range(self.base.nvars)
+        ]
 
     def origin_fiber_generators(self) -> list:
         """The expansion of the base maximal ideal: x_1@0, ..., x_n@0."""
@@ -60,20 +75,30 @@ def _series_mul(a: list, b: list, ring: RingContext, level: int) -> list:
     return out
 
 
-def hs_derivations(f: Polynomial, level: int) -> list:
-    """[D_0 f, ..., D_level f] in the level-``level`` jet ring of f's ring.
+def _derivations(polys: list, jr: JetRing) -> list:
+    """[D_0 f, ..., D_l f] in ``jr`` for each f in ``polys``, on one walk.
 
     Each D_i is linear, so D_i f is the sum of c * D_i(x^u) over the
-    terms c*x^u of f, with the monomial series of ``monomial_jets``.
+    terms c*x^u of f.
     """
-    jr = JetRing(f.ring, level)
     ring = jr.context
-    coeffs = [ring.zero() for _ in range(level + 1)]
-    for u, series in _monomial_series(jr, f.terms).items():
-        c = f.terms[u]
-        for i in range(level + 1):
-            coeffs[i] = coeffs[i] + series[i].scale(c)
-    return coeffs
+    monomials = {u for f in polys for u in f.terms}
+    jets = _monomial_series(ring, jr.variable_series(), monomials, jr.level)
+    out = []
+    for f in polys:
+        coeffs = [ring.zero() for _ in range(jr.level + 1)]
+        for u, c in f.terms.items():
+            for i, d in enumerate(jets[u]):
+                if d:
+                    coeffs[i] = coeffs[i] + d.scale(c)
+        out.append(coeffs)
+    return out
+
+
+def hs_derivations(f: Polynomial, level: int) -> list:
+    """[D_0 f, ..., D_level f] in the level-``level`` jet ring of f's ring,
+    on the series walk of ``monomial_jets``."""
+    return _derivations([f], JetRing(f.ring, level))[0]
 
 
 def monomial_jets(ring: RingContext, monomials, level: int) -> dict:
@@ -87,13 +112,14 @@ def monomial_jets(ring: RingContext, monomials, level: int) -> dict:
     staircase, which is closed under division, those are the monomials
     of the set itself.
     """
-    return _monomial_series(JetRing(ring, level), monomials)
+    jr = JetRing(ring, level)
+    return _monomial_series(jr.context, jr.variable_series(), monomials, level)
 
 
-def _monomial_series(jr: JetRing, monomials) -> dict:
-    level, nvars, jring = jr.level, jr.base.nvars, jr.context
-    var_series = [[jr.variable(j, i) for i in range(level + 1)] for j in range(nvars)]
-    memo = {(0,) * nvars: [jring.one()] + [jring.zero() for _ in range(level)]}
+def _monomial_series(ring: RingContext, var_series: list, monomials, level: int) -> dict:
+    """{u: series of x^u mod t^(level+1)} for the substitution x_j -> var_series[j]."""
+    nvars = len(var_series)
+    memo = {(0,) * nvars: [ring.one()] + [ring.zero() for _ in range(level)]}
 
     def series(u):
         path = []
@@ -102,11 +128,47 @@ def _monomial_series(jr: JetRing, monomials) -> dict:
             path.append((u, j))
             u = u[:j] + (u[j] - 1,) + u[j + 1 :]
         for v, j in reversed(path):
-            memo[v] = _series_mul(memo[u], var_series[j], jring, level)
+            memo[v] = _series_mul(memo[u], var_series[j], ring, level)
             u = v
         return memo[u]
 
     return {u: series(u) for u in monomials}
+
+
+# ---------------------------------------------------------------------
+# pointed jets: the base point x@0 set to 0
+# ---------------------------------------------------------------------
+
+
+def pointed_jets(ring: RingContext, monomials, level: int) -> dict:
+    """{u: [phi(D_0 x^u), ..., phi(D_level x^u)]} in the pointed jet ring.
+
+    phi sets every x_j@0 to 0, so the walk of ``monomial_jets`` runs on
+    the series x_j -> x_j@1 t + ... + x_j@level t^level.  A monomial of
+    degree d then starts at t^d, and its series is zero when d > level.
+    """
+    jr = JetRing(ring, level, pointed=True)
+    return _monomial_series(jr.context, jr.variable_series(), monomials, level)
+
+
+def pointed_derivations(f: Polynomial, level: int) -> list:
+    """[phi(D_0 f), ..., phi(D_level f)] in the pointed jet ring."""
+    return _derivations([f], JetRing(f.ring, level, pointed=True))[0]
+
+
+def pointed_fiber_ideal(I: Ideal, level: int) -> Ideal:
+    """phi(F), for F the level-``level`` fiber ideal of I, in k[x@1, ..., x@level].
+
+    phi is onto, and F is generated by (x@0) and the D_k(g), g a
+    generator of I, so phi(F) is generated by the phi(D_k g),
+    0 <= k <= level.  phi(D_0 g) = g(0) is zero when I is proper.  The
+    kernel (x@0) of phi lies in F, so phi induces
+    R_jet/F = k[x@1, ..., x@level]/phi(F): D lies in F iff phi(D) lies
+    in phi(F), and D^m in F iff phi(D)^m in phi(F), so radicals
+    correspond as well.
+    """
+    jr = JetRing(I.ring, level, pointed=True)
+    return Ideal(jr.context, [d for ds in _derivations(I.generators, jr) for d in ds])
 
 
 @dataclass

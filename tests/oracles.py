@@ -14,9 +14,18 @@ import functools
 import itertools
 from fractions import Fraction
 
-from jetclosure.closures import _primary_replacement, jet_closure
+from jetclosure.closures import _artinian_standard_basis, _block_key, _kernel, _primary_replacement, jet_closure
 from jetclosure.errors import InternalError
-from jetclosure.groebner import DEGREVLEX, Ideal, intersect_ideals, radical_member, standard_monomial_basis
+from jetclosure.groebner import (
+    DEGREVLEX,
+    FreeModuleElement,
+    Ideal,
+    SubmodulePresentation,
+    intersect_ideals,
+    module_standard_monomials,
+    radical_member,
+    standard_monomial_basis,
+)
 from jetclosure.jets import JetRing, fiber_ideal
 from jetclosure.linalg import nullspace_basis, rref
 from jetclosure.newton import MonomialIdealData
@@ -194,6 +203,17 @@ def reference_hs_derivations(f: Polynomial, level: int) -> list:
     return coeffs
 
 
+def drop_base_point(d: Polynomial, level: int) -> Polynomial:
+    """phi(d) for d in the level-``level`` jet ring: every term with some
+    x@0 dropped, the rest moved to k[x@1, ..., x@level], whose variables
+    are named and ordered here, level-major."""
+    base = d.ring.variables[: len(d.ring.variables) // (level + 1)]
+    n = len(base)
+    names = tuple(f"{v.split('@')[0]}@{i}" for i in range(1, level + 1) for v in base)
+    ring = RingContext(d.ring.field_spec, names)
+    return Polynomial(ring, {u[n:]: c for u, c in d.terms.items() if not any(u[:n])})
+
+
 def reference_jet_closure(P, a, level: int):
     """(kernel basis, reduced closure basis) of the level-``level`` jet closure.
 
@@ -228,6 +248,56 @@ def reference_jsc_membership(P, a, f: Polynomial, level: int) -> bool:
     """f in the level-``level`` jet support closure, on the reference fiber ideal."""
     J = reference_fiber_ideal(P, a, level)
     return all(radical_member(d, J) for d in reference_hs_derivations(f, level))
+
+
+def reference_module_jet_closure(MP, level: int) -> list:
+    """Kernel basis of the level-``level`` module jet closure, in the full
+    jet ring: the base modulus's fiber ideal, x@0 included, times every
+    coordinate, plus the t-shifted jets of each relation; column jets from
+    ``reference_hs_derivations``, columns ordered as in ``module_jet_closure``."""
+    ring = MP.base.ring
+    fld = ring.field_spec
+    rank = MP.rank
+    _artinian_standard_basis(MP.base.modulus)
+    sm = module_standard_monomials(SubmodulePresentation(ring, rank, MP.working_relations()))
+
+    jr = JetRing(ring, level)
+    jet_ctx = jr.context
+    fiber = [d for g in MP.base.modulus.generators for d in reference_hs_derivations(g, level)]
+    J = Ideal(jet_ctx, fiber + jr.origin_fiber_generators())
+    big_rank = rank * (level + 1)
+
+    def big_index(component: int, t_power: int) -> int:
+        return t_power * rank + component
+
+    zero_vec = [jet_ctx.zero()] * big_rank
+    big_rels = []
+    for g in J.groebner_basis(DEGREVLEX):
+        for idx in range(big_rank):
+            comps = list(zero_vec)
+            comps[idx] = g
+            big_rels.append(FreeModuleElement(jet_ctx, comps))
+    for v in list(MP.relations) + list(MP.submodule):
+        jets = [reference_hs_derivations(comp, level) for comp in v.components]
+        for shift in range(level + 1):
+            comps = list(zero_vec)
+            for c in range(rank):
+                for j in range(shift, level + 1):
+                    comps[big_index(c, j)] = comps[big_index(c, j)] + jets[c][j - shift]
+            vec = FreeModuleElement(jet_ctx, comps)
+            if not vec.is_zero():
+                big_rels.append(vec)
+    big_gb = SubmodulePresentation(jet_ctx, big_rank, big_rels).groebner_basis(DEGREVLEX)
+
+    def image(cu):
+        comp, u = cu
+        comps = list(zero_vec)
+        for j, d in enumerate(reference_hs_derivations(ring.monomial(u), level)):
+            comps[big_index(comp, j)] = d
+        return big_gb.normal_form(FreeModuleElement(jet_ctx, comps))._terms()
+
+    columns = sorted(sm, key=_block_key, reverse=True)
+    return [FreeModuleElement._from_terms(ring, rank, t) for t in _kernel(columns, image, fld)]
 
 
 # ---------------------------------------------------------------------

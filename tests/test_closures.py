@@ -35,9 +35,11 @@ from jetclosure.groebner import (
 from oracles import (
     FIBER_SHORTCUT_CASES,
     in_row_span,
+    rank,
     reference_closure_chain,
     reference_jet_closure,
     reference_jsc_membership,
+    reference_module_jet_closure,
 )
 from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
 
@@ -618,3 +620,64 @@ def test_jsc_membership_matches_reference_fiber_path():
             for text in elements:
                 f = pp(text, R)
                 assert jsc_membership(P, a, f, level) == reference_jsc_membership(P, a, f, level)
+
+
+# --- module closures in the pointed jet ring ------------------------------
+
+
+def _vec(R, *texts):
+    return FreeModuleElement(R, [pp(t, R) for t in texts])
+
+
+def _module_cases(field):
+    """Module presentations of ranks 1-3 over k[x]/(x^3), k[x]/(x^4),
+    k[x,y]/(x^2, y^2), k[x,y]/(x^2 - y^3, xy) and k[x,y]/(x^4, y^4):
+    relations with nonzero constant entries, and non-empty submodules.
+    Over (x^4, y^4) the kernel is nonzero up to level 3."""
+    RX1, RXY1 = ring(["x"], field), ring(["x", "y"], field)
+    cube = LocalAlgebraPresentation(RX1, ideal(RX1, "x^3"))
+    quartic = LocalAlgebraPresentation(RX1, ideal(RX1, "x^4"))
+    square = LocalAlgebraPresentation(RXY1, ideal(RXY1, "x^2", "y^2"))
+    plane = LocalAlgebraPresentation(RXY1, ideal(RXY1, "x^2 - y^3", "x*y"))
+    box = LocalAlgebraPresentation(RXY1, ideal(RXY1, "x^4", "y^4"))
+    yield ModulePresentation(cube, 1, [], [_vec(RX1, "x^2")])
+    yield ModulePresentation(quartic, 2, [_vec(RX1, "1 + x", "x^2")], [_vec(RX1, "x", "x^3")])
+    yield ModulePresentation(cube, 3, [_vec(RX1, "x", "1", "x^2")], [_vec(RX1, "0", "x^2", "x + 2")])
+    yield ModulePresentation(square, 1, [_vec(RXY1, "x*y")], [_vec(RXY1, "x + y")])
+    yield ModulePresentation(square, 2, [_vec(RXY1, "1 + y", "x")], [_vec(RXY1, "y", "0")])
+    yield ModulePresentation(plane, 2, [], [_vec(RXY1, "x", "y")])
+    yield ModulePresentation(
+        square, 3, [_vec(RXY1, "y", "1", "x"), _vec(RXY1, "1", "0", "x + y")], [_vec(RXY1, "0", "x", "y")]
+    )
+    yield ModulePresentation(box, 1, [], [_vec(RXY1, "x^2 + 2*y^3")])
+    yield ModulePresentation(box, 2, [_vec(RXY1, "y", "1")], [_vec(RXY1, "x^2 + 2*y^3", "0")])
+    yield ModulePresentation(box, 2, [_vec(RXY1, "x^2*y + y^2", "0")], [_vec(RXY1, "0", "x*y^2 + x^2")])
+
+
+def test_module_jet_closure_matches_reference():
+    for field in SHORTCUT_FIELDS:
+        for MP in _module_cases(field):
+            for level in range(5):
+                rep = module_jet_closure(MP, level)
+                assert rep.kernel_basis == reference_module_jet_closure(MP, level)
+                assert rep.dim_kernel == len(rep.kernel_basis)
+
+
+def test_level_zero_runs_in_the_pointed_ring_with_no_variables():
+    # k[x@1, ..., x@0] is the field itself: the level-0 closure of a proper
+    # ideal is m, f passes jsc iff f(0) = 0, and a module's closure is
+    # m*M + N, of codimension rank minus the rank of the constant terms
+    for R, P, a, _ in _shortcut_cases():
+        rep = jet_closure(P, a, 0)
+        assert ideals_equal(rep.closure, Ideal(R, [R.variable(j) for j in range(R.nvars)]))
+        for text in ("x", "x*y", "1 + x"):
+            assert jsc_membership(P, a, pp(text, R), 0) == (text != "1 + x")
+    for field in SHORTCUT_FIELDS:
+        for MP in _module_cases(field):
+            rep = module_jet_closure(MP, 0)
+            zero = (0,) * MP.base.ring.nvars
+            constants = [
+                [c.terms.get(zero, field.zero()) for c in v.components]
+                for v in MP.relations + MP.submodule
+            ]
+            assert rep.dim_module - rep.dim_kernel == MP.rank - rank(constants, MP.rank, field)

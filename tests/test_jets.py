@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from oracles import FIBER_SHORTCUT_CASES, reference_fiber_ideal, reference_hs_derivations
+from oracles import FIBER_SHORTCUT_CASES, drop_base_point, reference_fiber_ideal, reference_hs_derivations
 
 from jetclosure.closures import LocalAlgebraPresentation
 from jetclosure.groebner import Ideal, ideal_member, ideal_sum, reduced_groebner_basis, ideals_equal
@@ -11,6 +11,9 @@ from jetclosure.jets import (
     hs_derivations,
     jet_ideal,
     monomial_jets,
+    pointed_derivations,
+    pointed_fiber_ideal,
+    pointed_jets,
     universal_jet_image,
 )
 from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
@@ -352,3 +355,56 @@ def test_fiber_ideal_of_a_plus_modulus_has_the_reference_basis():
                 old = reference_fiber_ideal(P, a, level)
                 assert len(new.generators) < len(old.generators)
                 assert new.groebner_basis().elements == old.groebner_basis().elements
+
+
+# --- pointed jets: the base point set to 0 ------------------------------
+
+
+def test_pointed_jet_ring_variable_layout():
+    R = ring(["x", "y"])
+    assert JetRing(R, 2, pointed=True).context.variables == ("x@1", "y@1", "x@2", "y@2")
+    point = JetRing(R, 0, pointed=True).context
+    assert point.variables == ()
+    assert pointed_jets(R, [(0, 0), (1, 0)], 0) == {(0, 0): [point.one()], (1, 0): [point.zero()]}
+
+
+def test_pointed_jets_drop_the_base_point_from_the_reference():
+    for field in SHORTCUT_FIELDS:
+        for names, side in ((("x",), 8), (("x", "y"), 5), (("x", "y", "z"), 3)):
+            R = ring(names, field)
+            box = list(itertools.product(range(side), repeat=len(names)))
+            for level in range(6):
+                jets = pointed_jets(R, box, level)
+                assert sorted(jets) == sorted(box)
+                for u in box:
+                    full = reference_hs_derivations(R.monomial(u), level)
+                    assert jets[u] == [drop_base_point(d, level) for d in full]
+
+
+def test_pointed_derivations_and_fiber_ideal_drop_the_base_point():
+    rng = random.Random(17)
+    for field in SHORTCUT_FIELDS:
+        for names in (("x",), ("x", "y"), ("x", "y", "z")):
+            R = ring(names, field)
+            for _ in range(15):
+                gens = [_random_poly(rng, R, max_deg=3, terms=3) for _ in range(2)]
+                level = rng.randrange(6)
+                expected = [[drop_base_point(d, level) for d in reference_hs_derivations(g, level)] for g in gens]
+                assert [pointed_derivations(g, level) for g in gens] == expected
+                J = pointed_fiber_ideal(Ideal(R, gens), level)
+                assert list(J.generators) == [d for ds in expected for d in ds if d]
+
+
+def test_pointed_series_vanishes_above_the_level():
+    for field in SHORTCUT_FIELDS:
+        R = ring(["x", "y", "z"], field)
+        for level in range(5):
+            high = [u for u in itertools.product(range(level + 2), repeat=3) if sum(u) > level]
+            for u, series in pointed_jets(R, high, level).items():
+                assert len(series) == level + 1
+                assert all(d.is_zero() for d in series)
+            low = [u for u in itertools.product(range(level + 1), repeat=3) if sum(u) <= level]
+            for u, series in pointed_jets(R, low, level).items():
+                # x^u starts at t^(deg u): x_j@1^(u_j) is its lowest term
+                assert all(d.is_zero() for d in series[: sum(u)])
+                assert not series[sum(u)].is_zero()

@@ -3,6 +3,8 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 
 * jet closures on the fiber ideal of a + I against the fiber ideal of
   a + I + m^(level+1);
+* jet closures in the pointed jet ring, without the base point, against
+  the full jet ring, in one or two variables at levels 0 to 5;
 * the staircase walk of standard monomials against the box scan;
 * the walk of integral closure against one LP at every box point;
 * Newton membership with integer pivots and cached cuts against a
@@ -70,6 +72,35 @@ def test_fiber_ideal_shortcut_matches_reference(inputs):
     P, a, level = inputs
     new = fiber_ideal(ideal_sum(a, P.modulus), level).groebner_basis()
     assert new.elements == reference_fiber_ideal(P, a, level).groebner_basis().elements
+    rep = jet_closure(P, a, level)
+    kernel, closure = reference_jet_closure(P, a, level)
+    assert rep.kernel_basis == kernel
+    assert rep.closure_generators == closure
+
+
+@st.composite
+def pointed_inputs(draw):
+    """(presentation, a, level) over Q, F_2 or F_3, levels 0 to 5.  In
+    one variable a is (x^p) and the modulus (x^q) or zero; in two, as in
+    ``closure_inputs``."""
+    field = draw(st.sampled_from(FIELDS))
+    level = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        R = RingContext(field, ("x",))
+        powers = st.integers(1, 6).map(lambda e: R.monomial((e,)))
+        a = Ideal(R, [draw(powers)])
+        modulus = Ideal(R, draw(st.lists(powers, max_size=1)))
+        return LocalAlgebraPresentation(R, modulus), a, level
+    R = RingContext(field, ("x", "y"))
+    a = Ideal(R, [draw(cusps(R))] + draw(st.lists(germs(R), max_size=1)))
+    modulus = Ideal(R, draw(st.lists(germs(R), max_size=1)))
+    return LocalAlgebraPresentation(R, modulus), a, level
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pointed_inputs())
+def test_pointed_jet_closure_matches_reference(inputs):
+    P, a, level = inputs
     rep = jet_closure(P, a, level)
     kernel, closure = reference_jet_closure(P, a, level)
     assert rep.kernel_basis == kernel
