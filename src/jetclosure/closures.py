@@ -40,6 +40,7 @@ from .groebner import (
     Ideal,
     SubmodulePresentation,
     colon_ideal,
+    ideal_contains,
     ideal_sum,
     ideals_equal,
     module_standard_monomials,
@@ -48,7 +49,7 @@ from .groebner import (
 )
 from .jets import pointed_derivations, pointed_fiber_ideal, pointed_jets
 from .linalg import nullspace_basis
-from .poly import Polynomial, RingContext
+from .poly import Polynomial, RingContext, walk_order_ideal
 
 
 class LocalAlgebraPresentation:
@@ -69,18 +70,12 @@ class LocalAlgebraPresentation:
         return f"LocalAlgebraPresentation(vars={self.ring.variables}, modulus={self.modulus!r})"
 
 
-def _monomials_of_degree(n: int, d: int):
-    if n == 1:
-        yield (d,)
-        return
-    for e in range(d + 1):
-        for rest in _monomials_of_degree(n - 1, d - e):
-            yield (e,) + rest
-
-
 def maximal_ideal_power(ring: RingContext, d: int) -> list:
-    """All monomials of total degree d, the generators of m^d."""
-    return [ring.monomial(u) for u in _monomials_of_degree(ring.nvars, d)]
+    """All monomials of total degree d, the generators of m^d, in lex
+    order: the minimal points of degree >= d, which are the border of the
+    walk over degree < d, as each point it asks raises one of degree < d."""
+    _, border = walk_order_ideal([d + 1] * ring.nvars, lambda u: sum(u) >= d)
+    return [ring.monomial(u) for u in sorted(border)]
 
 
 def _artinian_standard_basis(I: Ideal):
@@ -271,13 +266,16 @@ def certify_arc_closed(P: LocalAlgebraPresentation, a: Ideal, max_level: int) ->
     A negative answer claims nothing about the arc closure: every C_l
     contains m^(l+1), so an ideal that is not m-primary never certifies
     at a finite level.
+
+    Only C_l ⊆ a + I is tested: C_l is T_l, which contains a + I at
+    every level (``cumulative_closure_chain``).
     """
     _check_proper(P, a)
     target = ideal_sum(a, P.modulus)
     chain = []
     for level in range(max_level + 1):
         chain.append(jet_closure(P, a, level).closure)
-        if ideals_equal(chain[-1], target):
+        if ideal_contains(target, chain[-1]):
             return CertificateResult(True, level, max_level, chain)
     return CertificateResult(False, None, max_level, chain)
 
@@ -578,7 +576,7 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
             vec = FreeModuleElement(jet_ctx, comps)
             if not vec.is_zero():
                 big_rels.append(vec)
-    big_gb = SubmodulePresentation(jet_ctx, big_rank, big_rels).groebner_basis(DEGREVLEX)
+    big_gb = SubmodulePresentation(jet_ctx, big_rank, big_rels).groebner_basis()
 
     columns = sorted(sm, key=_block_key, reverse=True)
     column_jets = pointed_jets(ring, {u for _, u in sm}, level)

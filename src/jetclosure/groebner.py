@@ -21,6 +21,7 @@ from .poly import (
     RingContext,
     monomial_divides,
     monomial_lcm,
+    walk_order_ideal,
 )
 
 DEGREVLEX = MonomialOrder.degrevlex()
@@ -394,7 +395,7 @@ def colon_ideal(I: Ideal, J: Ideal) -> Ideal:
     for k in range(s):
         for f in I.generators:
             vectors.append(FreeModuleElement(ring, [f if c == k else ring.zero() for c in range(s + 1)]))
-    basis = SubmodulePresentation(ring, s + 1, vectors).groebner_basis(DEGREVLEX)
+    basis = SubmodulePresentation(ring, s + 1, vectors).groebner_basis()
     return Ideal(ring, [b.components[s] for b in basis if all(p.is_zero() for p in b.components[:s])])
 
 
@@ -406,8 +407,8 @@ class StandardMonomialBasis:
     colength: int
 
 
-def standard_monomial_basis(I: Ideal, order: MonomialOrder = DEGREVLEX) -> StandardMonomialBasis:
-    lts = I.groebner_basis(order).leading_exponents()
+def standard_monomial_basis(I: Ideal) -> StandardMonomialBasis:
+    lts = I.groebner_basis(DEGREVLEX).leading_exponents()
     monomials = sorted(_standard_monomials(lts, I.ring.nvars, I.ring.variables), key=DEGREVLEX.key)
     return StandardMonomialBasis(monomials, len(monomials))
 
@@ -418,18 +419,8 @@ def _standard_monomials(lts: list, nvars: int, names) -> list:
     among the leading exponents.
 
     The pure powers bound every standard exponent (v_j < x_j's least
-    pure power), so the walk below is finite.  It is a depth-first walk
-    from 0: a node u reached by raising variable j0 gets the children
-    u + e_j for j >= j0, and a child is kept only when no leading
-    exponent divides it.  It keeps each standard monomial exactly once
-    and tests no other point than their children.  Proof: the standard
-    monomials form an order ideal (a divisor of a standard monomial is
-    standard).  A nonzero standard v has exactly one path from 0 that
-    raises variable indices in nondecreasing order (raise x_0 v_0
-    times, then x_1 v_1 times, ...), and each point on it divides v, so
-    it is standard and the walk follows the whole path to v.  Any other
-    path would raise some index after a larger one, which the j >= j0
-    rule forbids, so v is reached only once.
+    pure power), and the standard exponents form an order ideal in that
+    box: ``walk_order_ideal`` lists each of them once.
     """
     zero = (0,) * nvars
     if zero in lts:
@@ -446,16 +437,7 @@ def _standard_monomials(lts: list, nvars: int, names) -> list:
             raise InfiniteDimensionalError(
                 f"no pure power of '{names[j]}' among the leading terms; the quotient is infinite-dimensional"
             )
-    out = [zero]
-    stack = [(zero, 0)]
-    while stack:
-        u, j0 = stack.pop()
-        for j in range(j0, nvars):
-            v = u[:j] + (u[j] + 1,) + u[j + 1:]
-            if not any(all(map(ge, v, lt)) for lt in lts):
-                out.append(v)
-                stack.append((v, j))
-    return out
+    return walk_order_ideal(bounds, lambda v: any(all(map(ge, v, lt)) for lt in lts))[0]
 
 
 # ---------------------------------------------------------------------
@@ -524,9 +506,9 @@ class FreeModuleElement:
         return f"({', '.join(str(p) for p in self.components)})"
 
 
-def _pot_key(order: MonomialOrder):
-    """Position over term on tagged module terms: a lower position is larger."""
-    return lambda t: (-t[0], order.key(t[2:]))
+def _pot_key(t: tuple) -> tuple:
+    """Position over term, degrevlex within a position: a lower position is larger."""
+    return (-t[0], DEGREVLEX.key(t[2:]))
 
 
 def _tag(v: FreeModuleElement) -> dict:
@@ -542,20 +524,18 @@ def _untag(ring: RingContext, rank: int, terms: dict) -> FreeModuleElement:
 class ModuleGroebnerBasis:
     """Reduced module basis with normal form and membership."""
 
-    def __init__(self, ring: RingContext, rank: int, order: MonomialOrder, elements: list):
+    def __init__(self, ring: RingContext, rank: int, elements: list):
         self.ring = ring
         self.rank = rank
-        self.order = order
         self.elements = list(elements)
-        self._key = _pot_key(order)
-        self._data = _basis_data([_tag(e) for e in self.elements], self._key)
+        self._data = _basis_data([_tag(e) for e in self.elements], _pot_key)
 
     def normal_form(self, v: FreeModuleElement) -> FreeModuleElement:
         if v.ring != self.ring or v.rank != self.rank:
             raise RingMismatchError("element does not live in this free module")
         if not self._data:
             return v
-        terms = _nf_terms(_tag(v), self._data, self._key, self.ring.field_spec)
+        terms = _nf_terms(_tag(v), self._data, _pot_key, self.ring.field_spec)
         return _untag(self.ring, self.rank, terms)
 
     def contains(self, v: FreeModuleElement) -> bool:
@@ -584,40 +564,31 @@ class SubmodulePresentation:
             if not g.is_zero():
                 gens.append(g)
         self.generators = tuple(gens)
-        self._cache: dict = {}
+        self._basis = None
         self._lock = threading.Lock()
 
-    def groebner_basis(self, order: MonomialOrder = DEGREVLEX) -> ModuleGroebnerBasis:
-        cached = self._cache.get(order)
-        if cached is not None:
-            return cached
+    def groebner_basis(self) -> ModuleGroebnerBasis:
+        if self._basis is not None:
+            return self._basis
         with self._lock:
-            cached = self._cache.get(order)
-            if cached is None:
-                basis = _buchberger(
-                    [_tag(g) for g in self.generators], _pot_key(order), self.ring.field_spec, tagged=True
-                )
+            if self._basis is None:
+                basis = _buchberger([_tag(g) for g in self.generators], _pot_key, self.ring.field_spec, tagged=True)
                 elems = [_untag(self.ring, self.rank, t) for t in basis]
-                cached = ModuleGroebnerBasis(self.ring, self.rank, order, elems)
-                self._cache[order] = cached
-        return cached
+                self._basis = ModuleGroebnerBasis(self.ring, self.rank, elems)
+        return self._basis
 
 
-def submodule_groebner_basis(
-    S: SubmodulePresentation, order: MonomialOrder = DEGREVLEX
-) -> ModuleGroebnerBasis:
-    return S.groebner_basis(order)
+def submodule_groebner_basis(S: SubmodulePresentation) -> ModuleGroebnerBasis:
+    return S.groebner_basis()
 
 
-def module_standard_monomials(
-    S: SubmodulePresentation, order: MonomialOrder = DEGREVLEX
-) -> list:
+def module_standard_monomials(S: SubmodulePresentation) -> list:
     """All (component, exponents) outside the leading-term module.
 
     Finite exactly when each surviving component has a pure power of
     every variable among its leading terms; raises otherwise.
     """
-    lts = S.groebner_basis(order).leading_positions()
+    lts = S.groebner_basis().leading_positions()
     out = []
     for comp in range(S.rank):
         comp_lts = [u for c, u in lts if c == comp]

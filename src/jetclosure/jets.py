@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import Ideal
-from .poly import MonomialOrder, Polynomial, RingContext
+from .groebner import DEGREVLEX, Ideal
+from .poly import Polynomial, RingContext
 
 
 class JetRing:
@@ -203,5 +203,5 @@ def universal_jet_image(f: Polynomial, I: Ideal, level: int) -> list:
     All entries vanish exactly when f is killed by the universal jet of
     the quotient by I at this level.
     """
-    basis = fiber_ideal(I, level).groebner_basis(MonomialOrder.degrevlex())
+    basis = fiber_ideal(I, level).groebner_basis(DEGREVLEX)
     return [basis.normal_form(d) for d in hs_derivations(f, level)]

@@ -75,6 +75,8 @@ class FieldSpec:
 
     @classmethod
     def prime_field(cls, p: int) -> "FieldSpec":
+        if p == 0:  # FieldSpec(0) is Q
+            raise ValueError("characteristic 0 is not prime")
         return cls(p)
 
     @property
@@ -194,6 +196,49 @@ def monomial_divides(u: Exponents, v: Exponents) -> bool:
 
 def monomial_lcm(u: Exponents, v: Exponents) -> Exponents:
     return tuple(max(a, b) for a, b in zip(u, v))
+
+
+def walk_order_ideal(bounds, outside) -> tuple:
+    """(inside, border) for the box u_j < bounds[j], every bound >= 1,
+    and a predicate ``outside`` closed upward in the box: if it holds at
+    u, it holds at every box point v >= u.
+
+    The walk is depth-first from 0.  At a point u reached by raising
+    coordinate j0 (j0 = 0 at 0) it asks ``outside`` at u + e_j for each
+    j >= j0 that stays in the box; a point found inside goes to
+    ``inside`` and is walked on, one found outside goes to ``border``.
+    If 0 is outside, the result is ([], [0]).
+
+    * No point is asked twice.  By induction the walk reaches an inside
+      u != 0 by raising the largest index of u's support, so it asks
+      v = u + e_j only when u's support lies in indices <= j, that is
+      when j is the largest index of v's support: v has one parent.
+    * ``inside`` is every box point that is not outside.  For such a v,
+      the path from 0 that raises coordinate 0 v_0 times, then
+      coordinate 1 v_1 times, and so on, raises indices in
+      nondecreasing order, and each of its points divides v, so it is
+      inside; the walk follows the path to v.
+    * ``border`` is outside and holds every minimal outside point v.
+      For v != 0, let j be the largest index of v's support: v - e_j is
+      inside, the walk reaches it by raising an index <= j, and so asks
+      v from it.
+    """
+    zero = (0,) * len(bounds)
+    if outside(zero):
+        return [], [zero]
+    inside, border = [zero], []
+    stack = [(zero, 0)]
+    while stack:
+        u, j0 = stack.pop()
+        for j in range(j0, len(bounds)):
+            if u[j] + 1 < bounds[j]:
+                v = u[:j] + (u[j] + 1,) + u[j + 1:]
+                if outside(v):
+                    border.append(v)
+                else:
+                    inside.append(v)
+                    stack.append((v, j))
+    return inside, border
 
 
 @dataclass(frozen=True)
@@ -357,10 +402,10 @@ class Polynomial:
         u = max(self.terms, key=order.key)
         return u, self.terms[u]
 
-    def sorted_terms(self, order: MonomialOrder = None) -> list:
-        """Terms in decreasing order (degrevlex unless told otherwise)."""
-        order = order or MonomialOrder.degrevlex()
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def sorted_terms(self) -> list:
+        """Terms in decreasing degrevlex order."""
+        key = MonomialOrder.degrevlex().key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def transport(self, target: RingContext, positions: Iterable[int]) -> "Polynomial":
         """Reinterpret in ``target``, sending variable j to ``positions[j]``.

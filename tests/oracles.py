@@ -287,7 +287,7 @@ def reference_module_jet_closure(MP, level: int) -> list:
             vec = FreeModuleElement(jet_ctx, comps)
             if not vec.is_zero():
                 big_rels.append(vec)
-    big_gb = SubmodulePresentation(jet_ctx, big_rank, big_rels).groebner_basis(DEGREVLEX)
+    big_gb = SubmodulePresentation(jet_ctx, big_rank, big_rels).groebner_basis()
 
     def image(cu):
         comp, u = cu

@@ -47,6 +47,15 @@ def test_parse_session_rejects_nonprime():
         parse_session("field F 4\nvars x\n")
 
 
+def test_parse_session_rejects_characteristic_zero(tmp_path):
+    with pytest.raises(ParseError) as err:
+        parse_session("field F 0\nvars x\n")
+    assert (err.value.line, err.value.column) == (1, 9)
+    path = tmp_path / "f0.session"
+    path.write_text("field F 0\nvars x\nideal a: x\n", encoding="utf-8")
+    assert _main(["closure", "--session", str(path), "--ideal", "a", "--level", "0"]) == 2
+
+
 def test_parse_session_rejects_duplicates_and_order():
     with pytest.raises(ParseError):
         parse_session("field Q\nfield Q\nvars x\n")

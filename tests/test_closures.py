@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from jetclosure.closures import (
     jet_closure,
     jsc_membership,
     matlis_embedding,
+    maximal_ideal_power,
     module_jet_closure,
     smallest_containing_power,
     socle_and_gorenstein,
@@ -199,6 +201,28 @@ def test_certify_line_not_certified():
     assert len(cert.chain) == 6
     for level, c in enumerate(cert.chain):
         assert ideals_equal(c, Ideal(RXY, [pp("x", RXY), pp("y", RXY) ** (level + 1)]))
+
+
+def test_point_germ_spec_k():
+    """k itself, the local ring with no variables: (0) is its own
+    closure at every level, with no kernel, certified at level 0."""
+    R = RingContext(Q, ())
+    P, zero = LocalAlgebraPresentation(R), Ideal(R, [])
+    for level in range(3):
+        rep = jet_closure(P, zero, level)
+        assert rep.closure_generators == [] and rep.kernel_basis == []
+        assert rep.dim_quotient == 1
+    assert [c.generators for c in cumulative_closure_chain(P, zero, 2)] == [(), (), ()]
+    cert = certify_arc_closed(P, zero, 2)
+    assert cert.certified and cert.level == 0
+
+
+def test_maximal_ideal_power_is_every_degree_d_monomial_in_lex_order():
+    for n in range(5):
+        R = ring(["w", "x", "y", "z"][:n])
+        for d in range(7):
+            lex = [u for u in itertools.product(range(d + 1), repeat=n) if sum(u) == d]
+            assert maximal_ideal_power(R, d) == [R.monomial(u) for u in lex]
 
 
 def test_certificate_soundness_chain():

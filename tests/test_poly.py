@@ -28,6 +28,13 @@ def test_field_spec_rejects_nonprime():
         FieldSpec.prime_field(1)
 
 
+def test_prime_field_zero_is_not_the_rationals():
+    with pytest.raises(ValueError):
+        FieldSpec.prime_field(0)
+    assert FieldSpec(0) == FieldSpec.rationals()
+    assert FieldSpec(0).label == "Q"
+
+
 def test_parse_basic():
     R = ring(["x", "y"])
     p = parse_polynomial("x^2 - y", R)

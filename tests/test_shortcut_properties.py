@@ -5,6 +5,8 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
   a + I + m^(level+1);
 * jet closures in the pointed jet ring, without the base point, against
   the full jet ring, in one or two variables at levels 0 to 5;
+* the order-ideal walk against a scan of its box, asking each point
+  at most once;
 * the staircase walk of standard monomials against the box scan;
 * the walk of integral closure against one LP at every box point;
 * Newton membership with integer pivots and cached cuts against a
@@ -14,6 +16,10 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
   principal ideals;
 * each jet closure contains a' and the cumulative chain descends.
 """
+
+import itertools
+from collections import Counter
+from operator import ge
 
 import pytest
 
@@ -37,7 +43,7 @@ from jetclosure.newton import (
     monomial_integral_closure,
     newton_membership,
 )
-from jetclosure.poly import FieldSpec, MonomialOrder, RingContext
+from jetclosure.poly import FieldSpec, MonomialOrder, RingContext, walk_order_ideal
 
 FIELDS = (FieldSpec.rationals(), FieldSpec.prime_field(2), FieldSpec.prime_field(3))
 
@@ -130,6 +136,40 @@ def colon_inputs(draw):
 def test_colon_ideal_matches_reference(inputs):
     I, J = inputs
     assert colon_ideal(I, J).groebner_basis().elements == reference_colon_ideal(I, J).groebner_basis().elements
+
+
+@st.composite
+def walk_inputs(draw):
+    """A box of 1 to 4 coordinates with bounds 1 to 6, and a predicate
+    closed upward: divisible by one of at most five exponents, or total
+    degree at least d."""
+    n = draw(st.integers(1, 4))
+    bounds = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), max_size=5))
+        return bounds, lambda u: any(all(map(ge, u, g)) for g in gens)
+    d = draw(st.integers(0, 5 * n))
+    return bounds, lambda u: sum(u) >= d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(walk_inputs())
+def test_order_ideal_walk_matches_box_scan(case):
+    bounds, outside = case
+    asked = Counter()
+
+    def counted(u):
+        asked[u] += 1
+        return outside(u)
+
+    inside, border = walk_order_ideal(bounds, counted)
+    assert max(asked.values()) == 1
+    box = list(itertools.product(*map(range, bounds)))  # in lex order
+    assert sorted(inside) == [u for u in box if not outside(u)]
+    assert all(outside(u) for u in border)
+    lower = [[u[:k] + (u[k] - 1,) + u[k + 1:] for k in range(len(u)) if u[k]] for u in box]
+    minimal = [u for u, below in zip(box, lower) if outside(u) and not any(map(outside, below))]
+    assert set(minimal) <= set(border)
 
 
 @st.composite
