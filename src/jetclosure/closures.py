@@ -6,6 +6,12 @@ algebra S/I is first replaced by a' = a + I + m^(level+1); the closure
 at that level is then read off as the kernel of an exact linear system
 over the coefficient field, one column per standard monomial of a'.
 
+a' and the closure both contain m^(level+1), so each is a subspace of
+S/m^(level+1): a' is the span of the truncated multiples of the
+generators of a + I, the closure adds the kernel vectors, and their
+standard monomials and reduced degrevlex bases are read off one sparse
+exact echelon each (``_truncated_ideal``), with no Buchberger on S.
+
 A column's jets lie in the fiber ideal of a' iff they do after setting
 the base point x@0 to 0, so the normal forms are taken in the pointed
 jet ring k[x@1, ..., x@level], modulo the image J' of the fiber ideal
@@ -24,6 +30,7 @@ with no ideal intersection (proof in ``cumulative_closure_chain``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import (
     InfiniteDimensionalError,
@@ -48,7 +55,7 @@ from .groebner import (
     standard_monomial_basis,
 )
 from .jets import pointed_derivations, pointed_fiber_ideal, pointed_jets
-from .linalg import nullspace_basis
+from .linalg import nullspace_basis, rref
 from .poly import Polynomial, RingContext, walk_order_ideal
 
 
@@ -94,12 +101,6 @@ def _check_proper(P: LocalAlgebraPresentation, a: Ideal) -> None:
             raise NotProperError("ideal plus modulus contains a unit")
 
 
-def _primary_replacement(P: LocalAlgebraPresentation, a: Ideal, level: int) -> Ideal:
-    """a + I + m^(level+1); jet closure at this level is unchanged."""
-    extra = maximal_ideal_power(P.ring, level + 1)
-    return Ideal(P.ring, a.generators + P.modulus.generators + tuple(extra))
-
-
 def _block_key(key: tuple):
     """Order (block, exponents) keys by block, then degrevlex."""
     return (key[0], DEGREVLEX.key(key[1]))
@@ -108,18 +109,66 @@ def _block_key(key: tuple):
 def _kernel(columns: list, image, fld) -> list:
     """A k-basis of the kernel of the linear map column -> ``image(column)``.
 
-    ``image`` sends a column to a dict {(block, exponents): coefficient};
-    rows are ordered by block, then degrevlex.  Each kernel vector comes
-    back as {column: coefficient} with its zero entries dropped, in the
+    ``image`` sends a column to a dict {row key: coefficient}, one
+    sparse matrix row per row key met.  Each kernel vector comes back
+    as {column: coefficient} with its zero entries dropped, in the
     canonical order of ``nullspace_basis`` for the given column order.
     """
-    images = [image(col) for col in columns]
-    rows = sorted(set().union(*images), key=_block_key)
-    matrix = [[img.get(r, fld.zero()) for img in images] for r in rows]
+    rows: dict = {}
+    for c, col in enumerate(columns):
+        for r, x in image(col).items():
+            rows.setdefault(r, {})[c] = x
     return [
-        {col: x for x, col in zip(vec, columns) if not fld.is_zero(x)}
-        for vec in nullspace_basis(matrix, len(columns), fld)
+        {columns[c]: x for c, x in vec.items()}
+        for vec in nullspace_basis(list(rows.values()), len(columns), fld)
     ]
+
+
+def _truncated_ideal(ring: RingContext, monomials: list, echelon: dict, level: int):
+    """(b, standard monomials of b, largest first) for b = V + m^(level+1),
+    where V is the span of ``echelon``, a reduced echelon form (``rref``)
+    over the columns ``monomials``: every monomial of degree <= level,
+    largest first, so that a row's pivot is its largest monomial.  b
+    carries its reduced degrevlex basis, read off the echelon.
+
+    Leading terms.  degrevlex is degree-compatible: the leading monomial
+    of f has the largest degree of f's terms.  So if it has degree
+    <= level, f has no term of degree > level and lies in V (as b
+    contains m^(level+1), b ∩ S_(<=level) is V); the leading monomials
+    of the nonzero elements of V are the pivots, since the echelon rows
+    have distinct pivots and a combination of them is led by the largest
+    pivot it uses.  Hence LT(b) is generated by the pivots and the
+    monomials of degree level+1: its degree-<=level part is the pivots,
+    a set closed upward below degree level+1, and the standard monomials
+    are the non-pivot monomials of degree <= level.
+
+    Reading off.  ``walk_order_ideal`` over the box u_j <= level+1, with
+    "pivot or of degree > level" as the upward-closed predicate, finds
+    the standard monomials inside and every minimal generator u of
+    LT(b) on its border; a border point is minimal iff every u - e_j is
+    inside.  The reduced basis element at u is the monic element of b
+    led by u whose other terms are all standard.  For a pivot u it is
+    the echelon row at u: monic, in V, and its other entries are at
+    non-pivot columns of degree <= level.  For deg u = level+1 it is x^u
+    itself, which lies in m^(level+1).
+    """
+    fld = ring.field_spec
+    index = {u: c for c, u in enumerate(monomials)}
+    inside, border = walk_order_ideal(
+        [level + 2] * ring.nvars, lambda u: sum(u) > level or index[u] in echelon
+    )
+    inside = set(inside)
+    corners = [
+        u for u in border
+        if all(u[:j] + (e - 1,) + u[j + 1:] in inside for j, e in enumerate(u) if e)
+    ]
+    basis = [
+        Polynomial(ring, {monomials[c]: x for c, x in echelon[index[u]].items()})
+        if sum(u) <= level else Polynomial(ring, {u: fld.one()})
+        for u in sorted(corners, key=DEGREVLEX.key)
+    ]
+    standard = [u for u in monomials if index[u] not in echelon]
+    return Ideal.with_reduced_basis(ring, basis), standard
 
 
 @dataclass
@@ -129,8 +178,8 @@ class ClosureReport:
     presentation: LocalAlgebraPresentation
     ideal: Ideal
     level: int
-    replacement: Ideal  # a' = a + I + m^(level+1)
-    closure: Ideal  # generated by replacement plus kernel elements
+    replacement: Ideal  # a' = a + I + m^(level+1), generated by its reduced degrevlex basis
+    closure: Ideal  # a' + span(kernel_basis), generated by its reduced degrevlex basis
     closure_generators: list  # reduced degrevlex basis of the closure
     kernel_basis: list  # k-basis of closure/replacement, as polynomials
     dim_quotient: int  # colength of a'
@@ -144,6 +193,16 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int) -> ClosureRep
     modulo a') lies in the closure iff every derivation D_i(f), i up to
     the level, lies in the fiber ideal of a'.
 
+    a' by linear algebra.  Every generator g of a + I lies in m
+    (``_check_proper``), so x^v g lies in m^(level+1) once deg v >=
+    level.  An element sum h_g g + (m^(level+1)) of a' is therefore
+    congruent mod m^(level+1) to a combination of the truncations
+    x^v g mod m^(level+1) with deg v <= level-1, and as a' contains
+    m^(level+1), a' ∩ S_(<=level) is the span of those truncated
+    Macaulay rows.  ``_truncated_ideal`` reads a', its reduced basis and
+    its standard monomials off their echelon form; no Buchberger runs
+    on an ideal of S.
+
     The fiber ideal of a' equals that of a + I.  The fiber ideal of an
     ideal b at level l is generated by x_1@0, ..., x_n@0 and D_i(g) for
     the generators g of b and i <= l, and a' adds the generators x^u,
@@ -152,7 +211,7 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int) -> ClosureRep
     to i.  As i <= l < d, at least one of those orders is 0, so every
     such D_i(x^u) already lies in (x_1@0, ..., x_n@0).  The membership
     test, and the kernel, are unchanged.  The report keeps a' as
-    ``replacement`` and in ``closure``.
+    ``replacement``.
 
     The test runs without the base point.  Let phi set every x@0 to 0,
     a map of the jet ring R_jet onto k[x@1, ..., x@l] with kernel
@@ -165,17 +224,33 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int) -> ClosureRep
     as phi(D_i x^u) (``pointed_jets``) modulo J'_l.  A combination of
     columns is in the kernel of the one map iff it is in the kernel of
     the other, so the kernel subspace is the same; ``nullspace_basis``
-    returns its canonical RREF basis for the fixed column order, and
-    the report does not change.
+    returns its canonical basis for the fixed column order, and the
+    report does not change.
+
+    The closure is a' + span(kernel) (``cumulative_closure_chain``), an
+    ideal that contains m^(level+1), so it is read off the echelon of
+    the a' rows and the kernel vectors in the same way.
     """
     _check_proper(P, a)
     ring = P.ring
     fld = ring.field_spec
-    aprime = _primary_replacement(P, a, level)
-    sm = standard_monomial_basis(aprime)
+    monomials = walk_order_ideal([level + 1] * ring.nvars, lambda u: sum(u) > level)[0]
+    monomials.sort(key=DEGREVLEX.key, reverse=True)
+    index = {u: c for c, u in enumerate(monomials)}
+    gens = a.generators + P.modulus.generators
+    rows = []
+    for v in monomials:
+        if sum(v) < level:
+            for g in gens:
+                row = {}
+                for u, x in g.terms.items():
+                    c = index.get(tuple(map(add, u, v)))
+                    if c is not None:
+                        row[c] = x
+                rows.append(row)
+    aprime = rref(rows, fld)
+    replacement, columns = _truncated_ideal(ring, monomials, aprime, level)
     basis = pointed_fiber_ideal(ideal_sum(a, P.modulus), level).groebner_basis(DEGREVLEX)
-
-    columns = sorted(sm.monomials, key=DEGREVLEX.key, reverse=True)
     jets = pointed_jets(ring, columns, level)
 
     def image(u):
@@ -185,19 +260,21 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int) -> ClosureRep
             for w, c in basis.normal_form(d).terms.items()
         }
 
-    kernel_polys = [Polynomial(ring, t) for t in _kernel(columns, image, fld)]
-
-    closure = Ideal(ring, aprime.generators + tuple(kernel_polys))
+    kernel = _kernel(columns, image, fld)
+    closure = replacement
+    if kernel:
+        kernel_rows = [{index[u]: x for u, x in t.items()} for t in kernel]
+        closure = _truncated_ideal(ring, monomials, rref(list(aprime.values()) + kernel_rows, fld), level)[0]
     return ClosureReport(
         presentation=P,
         ideal=a,
         level=level,
-        replacement=aprime,
+        replacement=replacement,
         closure=closure,
-        closure_generators=list(closure.groebner_basis(DEGREVLEX)),
-        kernel_basis=kernel_polys,
-        dim_quotient=sm.colength,
-        dim_closure=len(kernel_polys),
+        closure_generators=list(closure.generators),
+        kernel_basis=[Polynomial(ring, t) for t in kernel],
+        dim_quotient=len(columns),
+        dim_closure=len(kernel),
     )
 
 

@@ -249,6 +249,15 @@ class Ideal:
         self._cache: dict = {}
         self._lock = threading.Lock()
 
+    @classmethod
+    def with_reduced_basis(cls, ring: RingContext, basis: list) -> "Ideal":
+        """The ideal generated by ``basis``, its reduced degrevlex basis
+        sorted by increasing leading term, cached as that basis: asking
+        for it runs no Buchberger."""
+        ideal = cls(ring, basis)
+        ideal._cache[DEGREVLEX] = GroebnerBasis(ring, DEGREVLEX, ideal.generators)
+        return ideal
+
     def groebner_basis(self, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
         cached = self._cache.get(order)
         if cached is not None:
@@ -420,24 +429,29 @@ def _standard_monomials(lts: list, nvars: int, names) -> list:
 
     The pure powers bound every standard exponent (v_j < x_j's least
     pure power), and the standard exponents form an order ideal in that
-    box: ``walk_order_ideal`` lists each of them once.
+    box: ``walk_order_ideal`` lists each of them once.  Only the mixed
+    leading exponents are tested: a pure power x_j^e with e >= bounds[j]
+    divides no point of the box.
     """
     zero = (0,) * nvars
     if zero in lts:
         return []  # the unit ideal
     bounds = [None] * nvars
+    mixed = []
     for lt in lts:
         support = [j for j, e in enumerate(lt) if e]
         if len(support) == 1:
             j = support[0]
             if bounds[j] is None or lt[j] < bounds[j]:
                 bounds[j] = lt[j]
+        else:
+            mixed.append(lt)
     for j, b in enumerate(bounds):
         if b is None:
             raise InfiniteDimensionalError(
                 f"no pure power of '{names[j]}' among the leading terms; the quotient is infinite-dimensional"
             )
-    return walk_order_ideal(bounds, lambda v: any(all(map(ge, v, lt)) for lt in lts))[0]
+    return walk_order_ideal(bounds, lambda v: any(all(map(ge, v, lt)) for lt in mixed))[0]
 
 
 # ---------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Small exact linear-algebra routines over a FieldSpec.
+"""Exact sparse linear algebra over a FieldSpec.
 
-Matrices are lists of rows; rows are lists of scalars.  Everything here
-is plain Gaussian elimination with exact field arithmetic.
+A row is a dict {column: scalar} with no zero entries, columns are
+integers, and a row's pivot is its least column.  One elimination,
+``rref``, serves every caller: the kernels of ``nullspace_basis`` and
+the truncated echelons that ``closures`` reads ideals off.  No dense
+matrix is built.
 """
 
 from __future__ import annotations
@@ -9,49 +12,71 @@ from __future__ import annotations
 from .poly import FieldSpec
 
 
-def rref(rows: list, ncols: int, fld: FieldSpec):
-    """Reduced row echelon form (in place on a copy); returns (rows, pivots)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if not fld.is_zero(mat[i][c]):
-                pivot = i
+def _subtract(row: dict, c, other: dict, p: int) -> None:
+    """row -= c * other, in place, in characteristic p."""
+    for k, v in other.items():
+        x = row.get(k, 0) - c * v
+        if p:
+            x %= p
+        if x:
+            row[k] = x
+        else:
+            row.pop(k, None)
+
+
+def rref(rows, fld: FieldSpec) -> dict:
+    """The reduced row echelon form of the span of ``rows``, as {pivot: row}.
+
+    Each row is monic at its pivot and has no entry at another pivot.
+    The reduced echelon form of a subspace is unique, so the result
+    does not depend on the order or the redundancy of ``rows``; the
+    input rows are not changed.
+
+    A forward pass reduces each row by the pivots found so far until
+    its least column is a new pivot (or the row is zero); subtracting a
+    row with pivot q removes column q and touches only larger columns,
+    so this ends.  The backward pass then clears the other pivot
+    columns, largest pivot first: the rows with larger pivots are
+    already reduced, so subtracting one adds entries only at non-pivot
+    columns.
+    """
+    p = fld.characteristic
+    echelon: dict = {}
+    for row in rows:
+        r = dict(row)
+        while r:
+            lead = min(r)
+            other = echelon.get(lead)
+            if other is None:
+                inv = fld.inv(r[lead])
+                echelon[lead] = {k: fld.mul(v, inv) for k, v in r.items()}
                 break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = fld.inv(mat[r][c])
-        mat[r] = [fld.mul(x, inv) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not fld.is_zero(mat[i][c]):
-                factor = mat[i][c]
-                mat[i] = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+            _subtract(r, r[lead], other, p)
+    for lead in sorted(echelon, reverse=True):
+        row = echelon[lead]
+        for col in [k for k in row if k != lead and k in echelon]:
+            _subtract(row, row[col], echelon[col], p)
+    return echelon
 
 
 def nullspace_basis(rows: list, ncols: int, fld: FieldSpec) -> list:
     """A canonical basis of {v : A v = 0}, one vector per free column.
 
-    Vectors come out in free-column order, each with a 1 in its free
-    column; the basis is the standard one read off the RREF, so it is
-    deterministic for a fixed column order.
+    A has the sparse ``rows`` over the columns 0, ..., ncols-1; each
+    vector comes back as a dict {column: scalar}, in free-column order.
+    The pivot columns of the reduced echelon form are the columns that
+    are not combinations of the columns before them, and the vector of
+    the free column c is e_c minus the combination of pivot columns
+    before c that equals column c: the row with pivot q has its entry
+    at c in place of that coefficient.  A kernel vector is fixed by its
+    free entries (each row gives v_q = -sum of row[c] v_c over free c),
+    so this vector is the only kernel vector that is 1 at c, 0 at every
+    other free column; the basis depends on the column order only.
     """
-    mat, pivots = rref(rows, ncols, fld)
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(ncols):
-        if c in pivot_set:
-            continue
-        v = [fld.zero()] * ncols
-        v[c] = fld.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = fld.neg(mat[r][c])
-        basis.append(v)
-    return basis
+    echelon = rref(rows, fld)
+    basis = {c: {c: fld.one()} for c in range(ncols) if c not in echelon}
+    for lead, row in echelon.items():
+        for c, x in row.items():
+            if c != lead:
+                basis[c][lead] = fld.neg(x)
+    return list(basis.values())

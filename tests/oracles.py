@@ -14,7 +14,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from jetclosure.closures import _artinian_standard_basis, _block_key, _kernel, _primary_replacement, jet_closure
+from jetclosure.closures import _artinian_standard_basis, _block_key, _kernel, jet_closure, maximal_ideal_power
 from jetclosure.errors import InternalError
 from jetclosure.groebner import (
     DEGREVLEX,
@@ -27,13 +27,58 @@ from jetclosure.groebner import (
     standard_monomial_basis,
 )
 from jetclosure.jets import JetRing, fiber_ideal
-from jetclosure.linalg import nullspace_basis, rref
 from jetclosure.newton import MonomialIdealData
 from jetclosure.poly import Polynomial, RingContext, monomial_divides
 
 
+def reference_rref(rows: list, ncols: int, fld):
+    """Dense Gauss-Jordan on a copy of ``rows`` (lists of scalars):
+    (the nonzero rows of the reduced row echelon form, pivot columns)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(mat)):
+            if not fld.is_zero(mat[i][c]):
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = fld.inv(mat[r][c])
+        mat[r] = [fld.mul(x, inv) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not fld.is_zero(mat[i][c]):
+                factor = mat[i][c]
+                mat[i] = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def reference_nullspace_basis(rows: list, ncols: int, fld) -> list:
+    """Dense kernel basis read off ``reference_rref``: for each free
+    column c in order, the vector with a 1 at c, 0 at the other free
+    columns, and minus row r's entry at c at row r's pivot."""
+    mat, pivots = reference_rref(rows, ncols, fld)
+    pivot_set = set(pivots)
+    basis = []
+    for c in range(ncols):
+        if c in pivot_set:
+            continue
+        v = [fld.zero()] * ncols
+        v[c] = fld.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = fld.neg(mat[r][c])
+        basis.append(v)
+    return basis
+
+
 def rank(rows: list, ncols: int, fld) -> int:
-    return len(rref(rows, ncols, fld)[0])
+    return len(reference_rref(rows, ncols, fld)[0])
 
 
 def in_row_span(vector: list, rows: list, ncols: int, fld) -> bool:
@@ -174,6 +219,13 @@ FIBER_SHORTCUT_CASES = [
 ]
 
 
+def _primary_replacement(P, a, level: int) -> Ideal:
+    """a + I + m^(level+1) by generators: those of a and I, and every
+    monomial of degree level+1."""
+    extra = maximal_ideal_power(P.ring, level + 1)
+    return Ideal(P.ring, a.generators + P.modulus.generators + tuple(extra))
+
+
 def reference_fiber_ideal(P, a, level: int) -> Ideal:
     """The fiber ideal of a' = a + I + m^(level+1), m^(level+1) jets included."""
     return fiber_ideal(_primary_replacement(P, a, level), level)
@@ -238,7 +290,7 @@ def reference_jet_closure(P, a, level: int):
     matrix = [[img.get(r, fld.zero()) for img in images] for r in rows]
     kernel = [
         Polynomial(ring, {u: x for x, u in zip(vec, columns) if not fld.is_zero(x)})
-        for vec in nullspace_basis(matrix, len(columns), fld)
+        for vec in reference_nullspace_basis(matrix, len(columns), fld)
     ]
     closure = Ideal(ring, aprime.generators + tuple(kernel))
     return kernel, list(closure.groebner_basis(DEGREVLEX))

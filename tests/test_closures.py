@@ -315,7 +315,7 @@ def test_jet_closure_inside_jsc():
 def test_replacement_leaves_fiber_ideal_unchanged():
     # derivations of degree-(level+1) monomials land in the origin ideal,
     # so the replacement only shrinks the coefficient quotient, never the fiber
-    from jetclosure.closures import _primary_replacement
+    from oracles import _primary_replacement
     from jetclosure.jets import fiber_ideal
 
     cases = [

@@ -14,7 +14,10 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 * reduced bases of permuted and rescaled generators;
 * colon ideals from one submodule basis against intersections with
   principal ideals;
-* each jet closure contains a' and the cumulative chain descends.
+* each jet closure contains a' and the cumulative chain descends;
+* a' read off its truncated echelon against Buchberger on its
+  generators, in 0 to 3 variables at levels 0 to 6;
+* print -> parse -> print is a fixed point.
 """
 
 import itertools
@@ -27,6 +30,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    _primary_replacement,
     box_standard_monomials,
     reference_colon_ideal,
     reference_fiber_ideal,
@@ -35,15 +39,34 @@ from oracles import (
     reference_newton_membership,
 )
 
-from jetclosure.closures import LocalAlgebraPresentation, cumulative_closure_chain, jet_closure
-from jetclosure.groebner import Ideal, _standard_monomials, colon_ideal, ideal_contains, ideal_sum
+from jetclosure.closures import (
+    LocalAlgebraPresentation,
+    certify_arc_closed,
+    cumulative_closure_chain,
+    jet_closure,
+)
+from jetclosure.groebner import (
+    Ideal,
+    _standard_monomials,
+    colon_ideal,
+    ideal_contains,
+    ideal_sum,
+    standard_monomial_basis,
+)
 from jetclosure.jets import fiber_ideal
 from jetclosure.newton import (
     MonomialIdealData,
     monomial_integral_closure,
     newton_membership,
 )
-from jetclosure.poly import FieldSpec, MonomialOrder, RingContext, walk_order_ideal
+from jetclosure.poly import (
+    FieldSpec,
+    MonomialOrder,
+    RingContext,
+    format_polynomial,
+    parse_polynomial,
+    walk_order_ideal,
+)
 
 FIELDS = (FieldSpec.rationals(), FieldSpec.prime_field(2), FieldSpec.prime_field(3))
 
@@ -287,3 +310,110 @@ def reordered_generators(draw):
 def test_reduced_basis_ignores_generator_order_and_scaling(case):
     R, order, gens, moved = case
     assert Ideal(R, gens).groebner_basis(order).elements == Ideal(R, moved).groebner_basis(order).elements
+
+
+ALL_FIELDS = FIELDS + (FieldSpec.prime_field(32003),)
+
+
+@st.composite
+def truncation_inputs(draw):
+    """(presentation, a, level) in 0 to 3 variables over Q, F_2, F_3 or
+    F_32003, levels 0 to 6 (0 to 4 in three variables).  a and the
+    modulus have up to two and one generators of one to three terms of
+    degree 1 to 3, so neither needs to be m-primary and the modulus is
+    rarely monomial."""
+    fld = draw(st.sampled_from(ALL_FIELDS))
+    n = draw(st.integers(0, 3))
+    R = RingContext(fld, ("x", "y", "z")[:n])
+    level = draw(st.integers(0, 4 if n == 3 else 6))
+    if n == 0:  # Spec k: every proper ideal is (0)
+        return LocalAlgebraPresentation(R), Ideal(R, []), level
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda u: 1 <= sum(u) <= 3)
+    term = st.builds(lambda u, c: R.monomial(u, fld.of_int(c)), exps, st.integers(-3, 3))
+    poly = st.lists(term, min_size=1, max_size=3).map(lambda ts: sum(ts, R.zero()))
+    a = Ideal(R, draw(st.lists(poly, max_size=2)))
+    modulus = Ideal(R, draw(st.lists(poly, max_size=1)))
+    return LocalAlgebraPresentation(R, modulus), a, level
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(truncation_inputs())
+def test_truncated_replacement_matches_buchberger(inputs):
+    P, a, level = inputs
+    rep = jet_closure(P, a, level)
+    reference = _primary_replacement(P, a, level)
+    assert rep.replacement.groebner_basis().elements == reference.groebner_basis().elements
+    standard = standard_monomial_basis(reference)
+    assert standard_monomial_basis(rep.replacement) == standard
+    assert rep.dim_quotient == standard.colength
+    closure = Ideal(rep.closure.ring, reference.generators + tuple(rep.kernel_basis))
+    assert rep.closure_generators == closure.groebner_basis().elements
+
+
+def _computed_bases(monkeypatch) -> list:
+    """The rings of the ideals whose degrevlex basis Buchberger computes
+    from now on (a basis not yet in the ideal's cache)."""
+    computed = []
+    raw = Ideal.groebner_basis
+
+    def recording(ideal, order=MonomialOrder.degrevlex()):
+        if order not in ideal._cache:
+            computed.append(ideal.ring)
+        return raw(ideal, order)
+
+    monkeypatch.setattr(Ideal, "groebner_basis", recording)
+    return computed
+
+
+def test_jet_closure_runs_no_buchberger_on_the_base_ring(monkeypatch):
+    """Only J'_l, in the pointed jet ring, reaches Buchberger: a' and
+    the closure come with their bases."""
+    computed = _computed_bases(monkeypatch)
+    R = RingContext(FieldSpec.rationals(), ("x", "y"))
+    P = LocalAlgebraPresentation(R, Ideal(R, [R.monomial((0, 2)) - R.monomial((3, 0))]))
+    for level in range(6):
+        rep = jet_closure(P, Ideal(R, [R.monomial((1, 1))]), level)
+        rep.closure.groebner_basis()
+        rep.replacement.groebner_basis()
+    assert len(computed) == 6 and R not in computed
+
+
+def test_certify_runs_buchberger_on_the_base_ring_once(monkeypatch):
+    """The certificate's containment test needs the basis of a + I, once
+    per run; every other basis is of a J'_l."""
+    computed = _computed_bases(monkeypatch)
+    R = RingContext(FieldSpec.prime_field(3), ("x", "y"))
+    a = Ideal(R, [R.monomial((2, 0)), R.monomial((0, 2))])
+    cert = certify_arc_closed(LocalAlgebraPresentation(R), a, 6)
+    assert cert.certified and cert.level == 2
+    assert computed.count(R) == 1 and len(computed) == 4
+
+
+def jet_names(n):
+    """n distinct variable names, plain or jet names such as x@1."""
+    name = st.builds(lambda b, k: b if k is None else f"{b}@{k}",
+                     st.sampled_from(("x", "y", "z", "w1", "t_2")), st.none() | st.integers(0, 12))
+    return st.lists(name, min_size=n, max_size=n, unique=True)
+
+
+@st.composite
+def printable_polys(draw):
+    """A polynomial over Q (non-integral coefficients included), F_2, F_3
+    or F_32003 in 0 to 3 variables with up to five terms."""
+    fld = draw(st.sampled_from(ALL_FIELDS))
+    n = draw(st.integers(0, 3))
+    R = RingContext(fld, tuple(draw(jet_names(n))))
+    if fld.characteristic == 0:
+        coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    else:
+        coeff = st.integers(0, fld.characteristic - 1)
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), coeff, max_size=5))
+    return R, sum((R.monomial(u, c) for u, c in terms.items()), R.zero())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(printable_polys())
+def test_print_parse_print_is_a_fixed_point(case):
+    R, p = case
+    text = format_polynomial(p)
+    assert format_polynomial(parse_polynomial(text, R)) == text
