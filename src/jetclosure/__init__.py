@@ -45,16 +45,12 @@ from .groebner import (
     ModuleGroebnerBasis,
     SubmodulePresentation,
     colon_ideal,
-    eliminate_variables,
     ideal_member,
     ideals_equal,
     intersect_ideals,
     module_standard_monomials,
-    normal_form,
     radical_member,
-    reduced_groebner_basis,
     standard_monomial_basis,
-    submodule_groebner_basis,
 )
 from .jets import JetIdeal, JetRing, fiber_ideal, hs_derivations, jet_ideal, universal_jet_image
 from .newton import MonomialIdealData, monomial_integral_closure, newton_membership
@@ -68,4 +64,22 @@ from .poly import (
     parse_polynomial,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CertificateResult", "ClosureReport", "GorensteinWalkthrough",
+    "LocalAlgebraPresentation", "MatlisEmbedding", "ModuleClosureReport",
+    "ModulePresentation", "SocleReport", "certify_arc_closed",
+    "cumulative_closure_chain", "gorenstein_walkthrough", "jet_closure",
+    "jsc_membership", "matlis_embedding", "module_jet_closure", "socle_and_gorenstein",
+    "DomainError", "InfiniteDimensionalError", "InternalError", "NotArtinianError",
+    "NotGorensteinError", "NotProperError", "ParseError", "PowersNotContainedError",
+    "RingMismatchError", "UnknownVariableError",
+    "FreeModuleElement", "GroebnerBasis", "Ideal", "ModuleGroebnerBasis",
+    "SubmodulePresentation", "colon_ideal", "ideal_member", "ideals_equal",
+    "intersect_ideals", "module_standard_monomials", "radical_member",
+    "standard_monomial_basis",
+    "JetIdeal", "JetRing", "fiber_ideal", "hs_derivations", "jet_ideal",
+    "universal_jet_image",
+    "MonomialIdealData", "monomial_integral_closure", "newton_membership",
+    "FieldSpec", "MonomialOrder", "Polynomial", "RingContext", "compare_monomials",
+    "format_polynomial", "parse_polynomial",
+]

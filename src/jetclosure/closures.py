@@ -77,14 +77,6 @@ class LocalAlgebraPresentation:
         return f"LocalAlgebraPresentation(vars={self.ring.variables}, modulus={self.modulus!r})"
 
 
-def maximal_ideal_power(ring: RingContext, d: int) -> list:
-    """All monomials of total degree d, the generators of m^d, in lex
-    order: the minimal points of degree >= d, which are the border of the
-    walk over degree < d, as each point it asks raises one of degree < d."""
-    _, border = walk_order_ideal([d + 1] * ring.nvars, lambda u: sum(u) >= d)
-    return [ring.monomial(u) for u in sorted(border)]
-
-
 def _artinian_standard_basis(I: Ideal):
     """Standard monomials of an m-primary ideal; NotArtinian otherwise."""
     try:

@@ -1,9 +1,11 @@
 """Buchberger-based ideal and submodule arithmetic.
 
-Reduced Groebner bases are the canonical normal-form oracle behind
-membership, elimination, intersection, colon ideals, radical membership
-(via the extra-variable trick) and standard-monomial counting.  A
-position-over-term variant handles submodules of free modules.
+One Buchberger engine computes reduced Groebner bases of ideals
+(degrevlex) and of submodules of free modules (position over term).
+They are the canonical normal-form oracle behind membership, colon
+ideals and intersections (both read off one submodule basis), radical
+membership (via the extra-variable trick) and standard-monomial
+counting.
 """
 
 from __future__ import annotations
@@ -278,14 +280,6 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
 
 
-def reduced_groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
-    return I.groebner_basis(order)
-
-
-def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
-    return G.normal_form(f)
-
-
 def ideal_member(f: Polynomial, I: Ideal) -> bool:
     if f.ring != I.ring:
         raise RingMismatchError("polynomial does not live in the ideal's ring")
@@ -317,10 +311,9 @@ def _fresh_name(base: str, taken) -> str:
     return f"{base}{i}"
 
 
-def _extend_ring(ring: RingContext, name: str, first: bool) -> RingContext:
-    fresh = _fresh_name(name, set(ring.variables))
-    names = (fresh,) + ring.variables if first else ring.variables + (fresh,)
-    return RingContext(ring.field_spec, names)
+def _extend_ring(ring: RingContext, name: str) -> RingContext:
+    """``ring`` with one fresh variable appended."""
+    return RingContext(ring.field_spec, ring.variables + (_fresh_name(name, set(ring.variables)),))
 
 
 def radical_member(f: Polynomial, I: Ideal) -> bool:
@@ -334,7 +327,7 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
     if f.is_zero():
         return True
     ring = I.ring
-    ext = _extend_ring(ring, "zrad", first=False)
+    ext = _extend_ring(ring, "zrad")
     positions = list(range(ring.nvars))
     gens = [g.transport(ext, positions) for g in I.groebner_basis(DEGREVLEX)]
     z = ext.variable(ext.nvars - 1)
@@ -342,36 +335,34 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
     return Ideal(ext, gens).groebner_basis(DEGREVLEX).contains(ext.one())
 
 
-def eliminate_variables(I: Ideal, first_k: int) -> Ideal:
-    """Generators of the intersection with the subring omitting the
-    first ``first_k`` variables, returned over that smaller ring."""
-    ring = I.ring
-    if first_k > ring.nvars:
-        raise ValueError("cannot eliminate more variables than the ring has")
-    order = MonomialOrder.elimination_block(first_k)
-    basis = I.groebner_basis(order)
-    sub = RingContext(ring.field_spec, ring.variables[first_k:])
-    kept = []
-    for g in basis:
-        if all(not any(u[:first_k]) for u in g.terms):
-            kept.append(Polynomial(sub, {u[first_k:]: c for u, c in g.terms.items()}))
-    return Ideal(sub, kept)
-
-
 def intersect_ideals(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via a tag variable t on t*I + (1-t)*J and elimination of t."""
+    """I ∩ J, read off one submodule basis.
+
+    Let M in R^2 be generated by (g, g) for every generator g of J and
+    by (f, 0) for every generator f of I.  An element of M is
+    (i + j, j) with i in I and j in J.  Its first entry vanishes iff
+    j = -i, and then its second entry lies in I ∩ J; conversely, h in
+    I ∩ J gives (0, h) = (-h, 0) + (h, h) in M.  So the second entries
+    of the elements of M with zero first entry are exactly I ∩ J.
+
+    Position over term ranks the first position higher, so the
+    elements with zero first entry are those led at the second
+    position.  Only basis elements led there can reduce such an
+    element, and each of them lies in that set; a Groebner basis
+    reduces every element of M to zero, so these basis elements span
+    the set, and their second entries generate I ∩ J.  If I or J is 0,
+    the only element of M with zero first entry is 0 (i = -j forces
+    both to vanish), no basis element is led at the second position,
+    and the result is the zero ideal.
+    """
     if I.ring != J.ring:
         raise RingMismatchError("intersection requires a common ring")
     ring = I.ring
-    if not I.generators or not J.generators:
-        return Ideal(ring, [])
-    ext = _extend_ring(ring, "t", first=True)
-    positions = list(range(1, ring.nvars + 1))
-    t = ext.variable(0)
-    one_minus_t = ext.one() - t
-    gens = [t * g.transport(ext, positions) for g in I.generators]
-    gens += [one_minus_t * g.transport(ext, positions) for g in J.generators]
-    return eliminate_variables(Ideal(ext, gens), 1)
+    zero = ring.zero()
+    vectors = [FreeModuleElement(ring, [g, g]) for g in J.generators]
+    vectors += [FreeModuleElement(ring, [f, zero]) for f in I.generators]
+    basis = SubmodulePresentation(ring, 2, vectors).groebner_basis()
+    return Ideal(ring, [b.components[1] for b in basis if b.components[0].is_zero()])
 
 
 def colon_ideal(I: Ideal, J: Ideal) -> Ideal:
@@ -590,10 +581,6 @@ class SubmodulePresentation:
                 elems = [_untag(self.ring, self.rank, t) for t in basis]
                 self._basis = ModuleGroebnerBasis(self.ring, self.rank, elems)
         return self._basis
-
-
-def submodule_groebner_basis(S: SubmodulePresentation) -> ModuleGroebnerBasis:
-    return S.groebner_basis()
 
 
 def module_standard_monomials(S: SubmodulePresentation) -> list:

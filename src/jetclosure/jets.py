@@ -13,6 +13,7 @@ which contain every x_j@0, so they work there (``pointed_fiber_ideal``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .groebner import DEGREVLEX, Ideal
 from .poly import Polynomial, RingContext
@@ -97,12 +98,13 @@ def _derivations(polys: list, jr: JetRing) -> list:
 
 def hs_derivations(f: Polynomial, level: int) -> list:
     """[D_0 f, ..., D_level f] in the level-``level`` jet ring of f's ring,
-    on the series walk of ``monomial_jets``."""
+    on the series walk of ``_monomial_series``."""
     return _derivations([f], JetRing(f.ring, level))[0]
 
 
-def monomial_jets(ring: RingContext, monomials, level: int) -> dict:
-    """{u: hs_derivations(x^u, level)} for every exponent tuple u in ``monomials``.
+def _monomial_series(ring: RingContext, var_series: list, monomials, level: int) -> dict:
+    """{u: series of x^u mod t^(level+1)} for every exponent tuple u in
+    ``monomials``, under the substitution x_j -> var_series[j].
 
     The truncated series of x^u is that of x^(u - e_j) times that of
     x_j, for any j with u_j > 0.  Each series is computed once and
@@ -111,17 +113,26 @@ def monomial_jets(ring: RingContext, monomials, level: int) -> dict:
     each u down to 1, instead of deg u per monomial.  Along a
     staircase, which is closed under division, those are the monomials
     of the set itself.
+
+    Zeros without a walk.  Let low_j be the least i with
+    var_series[j][i] nonzero, or level+1 if there is none: 0 in the
+    full jet ring (x_j@0), 1 in the pointed one (x_j@1).  The series of
+    x_j is then t^(low_j) times a power series, so that of x^u is
+    t^w times one, w = sum_j u_j low_j.  If w > level, every
+    coefficient up to t^level is zero, and x^u gets the zero series at
+    once; in the pointed ring a monomial of degree above the level
+    costs nothing, whatever its exponents.  The walk down from any
+    other u meets only divisors of u, of weight at most w <= level, so
+    the memo never holds a shortcut's zeros.
     """
-    jr = JetRing(ring, level)
-    return _monomial_series(jr.context, jr.variable_series(), monomials, level)
-
-
-def _monomial_series(ring: RingContext, var_series: list, monomials, level: int) -> dict:
-    """{u: series of x^u mod t^(level+1)} for the substitution x_j -> var_series[j]."""
     nvars = len(var_series)
-    memo = {(0,) * nvars: [ring.one()] + [ring.zero() for _ in range(level)]}
+    zero = ring.zero()
+    low = [next((i for i, s in enumerate(ser) if s), level + 1) for ser in var_series]
+    memo = {(0,) * nvars: [ring.one()] + [zero] * level}
 
     def series(u):
+        if sum(map(mul, u, low)) > level:
+            return [zero] * (level + 1)
         path = []
         while u not in memo:
             j = max(j for j, e in enumerate(u) if e)
@@ -143,9 +154,10 @@ def _monomial_series(ring: RingContext, var_series: list, monomials, level: int)
 def pointed_jets(ring: RingContext, monomials, level: int) -> dict:
     """{u: [phi(D_0 x^u), ..., phi(D_level x^u)]} in the pointed jet ring.
 
-    phi sets every x_j@0 to 0, so the walk of ``monomial_jets`` runs on
-    the series x_j -> x_j@1 t + ... + x_j@level t^level.  A monomial of
-    degree d then starts at t^d, and its series is zero when d > level.
+    phi sets every x_j@0 to 0, so the walk of ``_monomial_series`` runs
+    on the series x_j -> x_j@1 t + ... + x_j@level t^level.  A monomial
+    of degree d then starts at t^d, and its series is zero, returned
+    without a walk, when d > level.
     """
     jr = JetRing(ring, level, pointed=True)
     return _monomial_series(jr.context, jr.variable_series(), monomials, level)

@@ -243,43 +243,22 @@ def walk_order_ideal(bounds, outside) -> tuple:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: lex, degrevlex, or an elimination block order.
+    """The degree reverse lexicographic order, the one order the library uses.
 
     ``key`` maps an exponent tuple to a tuple of integers whose
     lexicographic comparison realizes the order; keys add componentwise
-    under monomial multiplication, which makes every order here
+    under monomial multiplication, which makes the order
     multiplicative, and the key of 1 is minimal among exponent tuples.
+    Any hashable object with such a ``key`` can stand in for it where a
+    basis is asked for (``Ideal.groebner_basis``).
     """
-
-    kind: str  # "lex" | "degrevlex" | "elim"
-    block: int = 0
-
-    @classmethod
-    def lex(cls) -> "MonomialOrder":
-        return cls("lex")
 
     @classmethod
     def degrevlex(cls) -> "MonomialOrder":
-        return cls("degrevlex")
-
-    @classmethod
-    def elimination_block(cls, k: int) -> "MonomialOrder":
-        if k < 0:
-            raise ValueError("block size must be nonnegative")
-        return cls("elim", k)
+        return cls()
 
     def key(self, u: Exponents):
-        if self.kind == "lex":
-            return u
-        if self.kind == "degrevlex":
-            return (sum(u), tuple(-e for e in reversed(u)))
-        head, tail = u[: self.block], u[self.block :]
-        return (
-            sum(head),
-            tuple(-e for e in reversed(head)),
-            sum(tail),
-            tuple(-e for e in reversed(tail)),
-        )
+        return (sum(u), tuple(-e for e in reversed(u)))
 
 
 def compare_monomials(order: MonomialOrder, u: Exponents, v: Exponents) -> int:

@@ -3,32 +3,35 @@
 Nothing here touches the Groebner machinery: membership is decided by
 exact linear algebra over bounded-degree multiplier spaces, monomial
 questions by direct divisibility, integral closure by the power test.
-The exceptions are the sections of reference paths at the end: they
-keep the slower computations that a proven shortcut replaced, so the
-shortcut can be checked against them.
+The exceptions are ``maximal_ideal_power``, which lists m^d on the
+library's order-ideal walk, and the sections at the end.  Those run
+Buchberger on the orders that the library does not use (lex and
+elimination blocks) and keep the slower computations that a proven
+shortcut replaced, so the shortcut can be checked against them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
-from jetclosure.closures import _artinian_standard_basis, _block_key, _kernel, jet_closure, maximal_ideal_power
-from jetclosure.errors import InternalError
+from jetclosure.closures import _artinian_standard_basis, _block_key, jet_closure
+from jetclosure.errors import InternalError, RingMismatchError
 from jetclosure.groebner import (
     DEGREVLEX,
     FreeModuleElement,
     Ideal,
     SubmodulePresentation,
-    intersect_ideals,
+    _fresh_name,
     module_standard_monomials,
     radical_member,
     standard_monomial_basis,
 )
 from jetclosure.jets import JetRing, fiber_ideal
 from jetclosure.newton import MonomialIdealData
-from jetclosure.poly import Polynomial, RingContext, monomial_divides
+from jetclosure.poly import Polynomial, RingContext, monomial_divides, walk_order_ideal
 
 
 def reference_rref(rows: list, ncols: int, fld):
@@ -203,6 +206,85 @@ def power_test_closure(gens: list, max_power: int = 6) -> list:
     ]
 
 
+def maximal_ideal_power(ring: RingContext, d: int) -> list:
+    """All monomials of total degree d, the generators of m^d, in lex
+    order: the minimal points of degree >= d, which are the border of the
+    walk over degree < d, as each point it asks raises one of degree < d."""
+    _, border = walk_order_ideal([d + 1] * ring.nvars, lambda u: sum(u) >= d)
+    return [ring.monomial(u) for u in sorted(border)]
+
+
+# ---------------------------------------------------------------------
+# other monomial orders, elimination and the tag-variable intersection:
+# the library's one Buchberger engine run on orders it never uses
+# ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LexOrder:
+    """Lexicographic order, x_1 > x_2 > ...: the exponent tuple is its
+    own key.  Hashable, so ``Ideal.groebner_basis`` caches by it."""
+
+    def key(self, u):
+        return u
+
+
+@dataclass(frozen=True)
+class EliminationOrder:
+    """Block order for eliminating the first ``block`` variables:
+    degrevlex on that block, ties broken by degrevlex on the rest, so
+    any monomial that uses the block is above every one that does not."""
+
+    block: int
+
+    def __post_init__(self):
+        if self.block < 0:
+            raise ValueError("block size must be nonnegative")
+
+    def key(self, u):
+        head, tail = u[: self.block], u[self.block :]
+        return (
+            sum(head),
+            tuple(-e for e in reversed(head)),
+            sum(tail),
+            tuple(-e for e in reversed(tail)),
+        )
+
+
+LEX = LexOrder()
+
+
+def eliminate_variables(I: Ideal, first_k: int) -> Ideal:
+    """Generators of the intersection with the subring omitting the
+    first ``first_k`` variables, returned over that smaller ring."""
+    ring = I.ring
+    if first_k > ring.nvars:
+        raise ValueError("cannot eliminate more variables than the ring has")
+    basis = I.groebner_basis(EliminationOrder(first_k))
+    sub = RingContext(ring.field_spec, ring.variables[first_k:])
+    kept = []
+    for g in basis:
+        if all(not any(u[:first_k]) for u in g.terms):
+            kept.append(Polynomial(sub, {u[first_k:]: c for u, c in g.terms.items()}))
+    return Ideal(sub, kept)
+
+
+def reference_intersect_ideals(I: Ideal, J: Ideal) -> Ideal:
+    """I ∩ J via a tag variable t on t*I + (1-t)*J and elimination of t."""
+    if I.ring != J.ring:
+        raise RingMismatchError("intersection requires a common ring")
+    ring = I.ring
+    if not I.generators or not J.generators:
+        return Ideal(ring, [])
+    ext = RingContext(ring.field_spec, (_fresh_name("t", set(ring.variables)),) + ring.variables)
+    positions = list(range(1, ring.nvars + 1))
+    t = ext.variable(0)
+    one_minus_t = ext.one() - t
+    gens = [t * g.transport(ext, positions) for g in I.generators]
+    gens += [one_minus_t * g.transport(ext, positions) for g in J.generators]
+    return eliminate_variables(Ideal(ext, gens), 1)
+
+
 # ---------------------------------------------------------------------
 # reference paths: fiber ideal of a' = a + I + m^(level+1)
 # ---------------------------------------------------------------------
@@ -306,7 +388,8 @@ def reference_module_jet_closure(MP, level: int) -> list:
     """Kernel basis of the level-``level`` module jet closure, in the full
     jet ring: the base modulus's fiber ideal, x@0 included, times every
     coordinate, plus the t-shifted jets of each relation; column jets from
-    ``reference_hs_derivations``, columns ordered as in ``module_jet_closure``."""
+    ``reference_hs_derivations``, columns ordered as in ``module_jet_closure``,
+    and the kernel from the dense ``reference_nullspace_basis``."""
     ring = MP.base.ring
     fld = ring.field_spec
     rank = MP.rank
@@ -349,7 +432,15 @@ def reference_module_jet_closure(MP, level: int) -> list:
         return big_gb.normal_form(FreeModuleElement(jet_ctx, comps))._terms()
 
     columns = sorted(sm, key=_block_key, reverse=True)
-    return [FreeModuleElement._from_terms(ring, rank, t) for t in _kernel(columns, image, fld)]
+    images = [image(cu) for cu in columns]
+    rows = sorted(set().union(*images))
+    matrix = [[img.get(r, fld.zero()) for img in images] for r in rows]
+    return [
+        FreeModuleElement._from_terms(
+            ring, rank, {cu: x for cu, x in zip(columns, vec) if not fld.is_zero(x)}
+        )
+        for vec in reference_nullspace_basis(matrix, len(columns), fld)
+    ]
 
 
 # ---------------------------------------------------------------------
@@ -507,9 +598,9 @@ def reference_colon_ideal(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(ring, [ring.one()])
     parts = []
     for g in gens:
-        meet = intersect_ideals(I, Ideal(ring, [g]))
+        meet = reference_intersect_ideals(I, Ideal(ring, [g]))
         parts.append(Ideal(ring, [_exact_quotient(h, g) for h in meet.generators]))
-    return functools.reduce(intersect_ideals, parts)
+    return functools.reduce(reference_intersect_ideals, parts)
 
 
 # ---------------------------------------------------------------------
@@ -524,5 +615,5 @@ def reference_closure_chain(P, a, max_level: int) -> list:
     chain = []
     for level in range(max_level + 1):
         closure = jet_closure(P, a, level).closure
-        chain.append(intersect_ideals(chain[-1], closure) if chain else closure)
+        chain.append(reference_intersect_ideals(chain[-1], closure) if chain else closure)
     return chain

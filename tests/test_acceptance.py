@@ -28,8 +28,6 @@ from jetclosure.groebner import (
     SubmodulePresentation,
     ideals_equal,
     module_standard_monomials,
-    reduced_groebner_basis,
-    submodule_groebner_basis,
 )
 from jetclosure.jets import hs_derivations, jet_ideal
 from jetclosure.newton import MonomialIdealData, monomial_integral_closure
@@ -219,9 +217,9 @@ def test_criterion_06_non_certification():
         assert not cert.certified
         assert len(cert.chain) == 6
         for level, entry in enumerate(cert.chain):
-            got = [g.terms for g in reduced_groebner_basis(entry)]
+            got = [g.terms for g in entry.groebner_basis()]
             want_ideal = Ideal(RXY, [pp("x", RXY), pp("y", RXY) ** (level + 1)])
-            want = [g.terms for g in reduced_groebner_basis(want_ideal)]
+            want = [g.terms for g in want_ideal.groebner_basis()]
             assert got == want
 
     _report(6, "a = (x) stays uncertified with chain (x, y^(l+1)) for l <= 5", check)
@@ -299,7 +297,7 @@ def test_criterion_09_module_persistence_and_restriction():
             src = module_jet_closure(M, level)
             dst = module_jet_closure(Mq, level)
             pres = SubmodulePresentation(R, rank, Mq.working_relations())
-            gb = submodule_groebner_basis(pres)
+            gb = pres.groebner_basis()
             sm = module_standard_monomials(pres)
             fld = R.field_spec
             span = [_coords(v, gb, sm, fld) for v in dst.kernel_basis]
@@ -329,7 +327,7 @@ def test_criterion_09_module_persistence_and_restriction():
                 LocalAlgebraPresentation(R, I1), rank, rels + i2_rows
             )
             pres = SubmodulePresentation(R, rank, over_quotient.working_relations())
-            gb = submodule_groebner_basis(pres)
+            gb = pres.groebner_basis()
             sm = module_standard_monomials(pres)
             fld = R.field_spec
             for level in (0, 1, 2):

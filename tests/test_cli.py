@@ -273,6 +273,26 @@ def test_machine_format_golden_bytes(tmp_path, capsys):
     )
 
 
+def test_huge_exponent_certify_answers_at_once(tmp_path):
+    # x^99999999 has no pointed jets up to level 3, and the series walk
+    # skips it; walking it one degree at a time never ended
+    path = tmp_path / "huge.session"
+    path.write_text("field Q\nvars x y z\nideal h: x^99999999, y, z\n", encoding="utf-8")
+    argv = ["certify", "--session", str(path), "--ideal", "h", "--max-level", "3"]
+    script = (
+        "import sys, time\n"
+        "from jetclosure.cli import main\n"
+        "start = time.perf_counter()\n"
+        f"code = main({argv!r})\n"
+        "print(time.perf_counter() - start, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "certified: false" in proc.stdout
+    assert float(proc.stderr.strip().splitlines()[-1]) < 0.25
+
+
 def test_output_independent_of_hash_seed(tmp_path):
     import os
 

@@ -12,7 +12,6 @@ from jetclosure.closures import (
     jet_closure,
     jsc_membership,
     matlis_embedding,
-    maximal_ideal_power,
     module_jet_closure,
     smallest_containing_power,
     socle_and_gorenstein,
@@ -32,11 +31,11 @@ from jetclosure.groebner import (
     ideal_sum,
     ideals_equal,
     module_standard_monomials,
-    submodule_groebner_basis,
 )
 from oracles import (
     FIBER_SHORTCUT_CASES,
     in_row_span,
+    maximal_ideal_power,
     rank,
     reference_closure_chain,
     reference_jet_closure,
@@ -579,7 +578,7 @@ def test_module_persistence_under_quotient_surjection():
         src = module_jet_closure(M, level)
         dst = module_jet_closure(Mq, level)
         pres = SubmodulePresentation(RXY, 2, Mq.working_relations())
-        gb = submodule_groebner_basis(pres)
+        gb = pres.groebner_basis()
         sm = module_standard_monomials(pres)
         span = [_module_coordinates(v, gb, sm, fld) for v in dst.kernel_basis]
         for v in src.kernel_basis:
@@ -602,7 +601,7 @@ def test_module_restriction_of_scalars_comparison():
     )
     fld = RXY.field_spec
     pres = SubmodulePresentation(RXY, 1, over_quotient.working_relations())
-    gb = submodule_groebner_basis(pres)
+    gb = pres.groebner_basis()
     sm = module_standard_monomials(pres)
     for level in (0, 1, 2):
         small = module_jet_closure(over_quotient, level)
@@ -655,9 +654,11 @@ def _vec(R, *texts):
 
 def _module_cases(field):
     """Module presentations of ranks 1-3 over k[x]/(x^3), k[x]/(x^4),
-    k[x,y]/(x^2, y^2), k[x,y]/(x^2 - y^3, xy) and k[x,y]/(x^4, y^4):
-    relations with nonzero constant entries, and non-empty submodules.
-    Over (x^4, y^4) the kernel is nonzero up to level 3."""
+    k[x,y]/(x^2, y^2), k[x,y]/(x^2 - y^3, xy), k[x,y]/(x^4, y^4),
+    k[x,y]/(x^3, y^2) and k[x,y]/(x^3, xy, y^3): relations with nonzero
+    constant entries, and non-empty submodules.  Over (x^4, y^4) the
+    kernel is nonzero up to level 3; the last two have a level-1 kernel
+    vector with two terms (``test_module_kernel_vectors_with_two_terms``)."""
     RX1, RXY1 = ring(["x"], field), ring(["x", "y"], field)
     cube = LocalAlgebraPresentation(RX1, ideal(RX1, "x^3"))
     quartic = LocalAlgebraPresentation(RX1, ideal(RX1, "x^4"))
@@ -676,6 +677,14 @@ def _module_cases(field):
     yield ModulePresentation(box, 1, [], [_vec(RXY1, "x^2 + 2*y^3")])
     yield ModulePresentation(box, 2, [_vec(RXY1, "y", "1")], [_vec(RXY1, "x^2 + 2*y^3", "0")])
     yield ModulePresentation(box, 2, [_vec(RXY1, "x^2*y + y^2", "0")], [_vec(RXY1, "0", "x*y^2 + x^2")])
+    yield from _two_term_kernel_cases(RXY1)
+
+
+def _two_term_kernel_cases(R):
+    cusp = LocalAlgebraPresentation(R, ideal(R, "x^3", "y^2"))
+    cube = LocalAlgebraPresentation(R, ideal(R, "x^3", "x*y", "y^3"))
+    yield ModulePresentation(cusp, 2, [], [_vec(R, "x^2 + y", "y^2 + x")])
+    yield ModulePresentation(cube, 2, [_vec(R, "x^2", "x - y")], [_vec(R, "y^2", "x - y")])
 
 
 def test_module_jet_closure_matches_reference():
@@ -685,6 +694,21 @@ def test_module_jet_closure_matches_reference():
                 rep = module_jet_closure(MP, level)
                 assert rep.kernel_basis == reference_module_jet_closure(MP, level)
                 assert rep.dim_kernel == len(rep.kernel_basis)
+
+
+def test_module_kernel_vectors_with_two_terms():
+    # a kernel vector shows the sign of its entries only when it has two
+    # or more terms; the reference reads its kernel off the dense oracle
+    for field in SHORTCUT_FIELDS:
+        R = ring(["x", "y"], field)
+        cusp, cube = _two_term_kernel_cases(R)
+        expected = (
+            (cusp, [_vec(R, "0", "x^2"), _vec(R, "y", "x")]),
+            (cube, [_vec(R, "0", "y - x")]),
+        )
+        for MP, kernel in expected:
+            assert module_jet_closure(MP, 1).kernel_basis == kernel
+            assert reference_module_jet_closure(MP, 1) == kernel
 
 
 def test_level_zero_runs_in_the_pointed_ring_with_no_variables():

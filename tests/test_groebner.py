@@ -1,12 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from oracles import (
+    LEX,
     box_standard_monomials,
     brute_force_colength,
     brute_force_member,
+    eliminate_variables,
     monomial_ideal_intersection,
+    reference_intersect_ideals,
     truncated_module_member,
 )
 
@@ -17,21 +21,16 @@ from jetclosure.groebner import (
     Ideal,
     SubmodulePresentation,
     colon_ideal,
-    eliminate_variables,
     ideal_member,
     ideals_equal,
     intersect_ideals,
     module_standard_monomials,
-    normal_form,
     radical_member,
-    reduced_groebner_basis,
     standard_monomial_basis,
-    submodule_groebner_basis,
 )
-from jetclosure.poly import FieldSpec, MonomialOrder, RingContext, parse_polynomial
+from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
 
 Q = FieldSpec.rationals()
-LEX = MonomialOrder.lex()
 
 
 def ring(names, field=Q):
@@ -51,26 +50,26 @@ def pp(text, R):
 
 def test_basis_monomial_pair_is_already_reduced():
     R = ring(["x", "y"])
-    G = reduced_groebner_basis(ideal(R, "x^2", "x*y"))
+    G = ideal(R, "x^2", "x*y").groebner_basis()
     assert {str(g) for g in G} == {"x^2", "x*y"}
 
 
 def test_basis_lex_reduction_example():
     R = ring(["x", "y"])
-    G = reduced_groebner_basis(ideal(R, "x^2 - y", "y - 1"), LEX)
+    G = ideal(R, "x^2 - y", "y - 1").groebner_basis(LEX)
     assert {str(g) for g in G} == {"x^2 - 1", "y - 1"}
 
 
 def test_basis_of_zero_ideal_is_empty():
     R = ring(["x", "y"])
-    assert len(reduced_groebner_basis(Ideal(R, []))) == 0
+    assert len(Ideal(R, []).groebner_basis()) == 0
 
 
 def test_basis_canonical_under_generator_permutation_and_mixing():
     rng = random.Random(17)
     R = ring(["x", "y", "z"])
     gens = [pp("x^2 - y*z", R), pp("x*y - z", R), pp("y^3 - x", R)]
-    reference = [g.terms for g in reduced_groebner_basis(Ideal(R, gens))]
+    reference = [g.terms for g in Ideal(R, gens).groebner_basis()]
     for _ in range(6):
         shuffled = gens[:]
         rng.shuffle(shuffled)
@@ -78,7 +77,7 @@ def test_basis_canonical_under_generator_permutation_and_mixing():
         i, j = rng.sample(range(3), 2)
         mixer = R.monomial((rng.randrange(2), rng.randrange(2), 0), rng.randrange(1, 4))
         shuffled[i] = shuffled[i] + mixer * shuffled[j]
-        again = [g.terms for g in reduced_groebner_basis(Ideal(R, shuffled))]
+        again = [g.terms for g in Ideal(R, shuffled).groebner_basis()]
         assert again == reference
 
 
@@ -87,28 +86,28 @@ def test_basis_canonical_under_generator_permutation_and_mixing():
 
 def test_normal_form_single_division():
     R = ring(["x", "y"])
-    G = reduced_groebner_basis(ideal(R, "x^2 - y"), LEX)
-    assert normal_form(pp("x^2 + y", R), G) == pp("2*y", R)
+    G = ideal(R, "x^2 - y").groebner_basis(LEX)
+    assert G.normal_form(pp("x^2 + y", R)) == pp("2*y", R)
 
 
 def test_normal_form_of_member_is_zero():
     R = ring(["x", "y"])
     I = ideal(R, "x^2 - y", "y^2")
-    G = reduced_groebner_basis(I)
-    assert normal_form(pp("x^2 - y", R) * pp("x + y", R), G).is_zero()
+    G = I.groebner_basis()
+    assert G.normal_form(pp("x^2 - y", R) * pp("x + y", R)).is_zero()
 
 
 def test_normal_form_no_divisible_leading_term():
     R = ring(["x", "y"])
-    G = reduced_groebner_basis(ideal(R, "x^2"))
-    assert normal_form(pp("y", R), G) == pp("y", R)
+    G = ideal(R, "x^2").groebner_basis()
+    assert G.normal_form(pp("y", R)) == pp("y", R)
 
 
 def test_normal_form_is_linear_and_idempotent():
     rng = random.Random(23)
     R = ring(["x", "y"])
     I = ideal(R, "x^2 - y", "y^3")
-    G = reduced_groebner_basis(I)
+    G = I.groebner_basis()
 
     def rand_poly():
         p = R.zero()
@@ -119,10 +118,10 @@ def test_normal_form_is_linear_and_idempotent():
 
     for _ in range(40):
         f, g = rand_poly(), rand_poly()
-        nf_f, nf_g = normal_form(f, G), normal_form(g, G)
-        assert normal_form(f + g, G) == nf_f + nf_g
-        assert normal_form(nf_f, G) == nf_f
-        assert (normal_form(f - g, G).is_zero()) == ideal_member(f - g, I)
+        nf_f, nf_g = G.normal_form(f), G.normal_form(g)
+        assert G.normal_form(f + g) == nf_f + nf_g
+        assert G.normal_form(nf_f) == nf_f
+        assert (G.normal_form(f - g).is_zero()) == ideal_member(f - g, I)
 
 
 # --- membership -------------------------------------------------------
@@ -204,7 +203,7 @@ def test_eliminate_zero_variables_gives_reduced_basis():
     I = ideal(R, "y - x^2", "x^2")
     E = eliminate_variables(I, 0)
     assert [g.terms for g in E.generators] == [
-        g.terms for g in reduced_groebner_basis(I)
+        g.terms for g in I.groebner_basis()
     ]
 
 
@@ -350,7 +349,7 @@ def test_module_standard_monomials_match_box_scan_of_leading_terms():
                     for _ in range(rng.randrange(3))
                 ]
                 S = SubmodulePresentation(R, rank, gens)
-                lts = submodule_groebner_basis(S).leading_positions()
+                lts = S.groebner_basis().leading_positions()
                 expected = []
                 for c in range(rank):
                     comp_lts = [u for d, u in lts if d == c]
@@ -383,7 +382,7 @@ def test_submodule_membership_multiples():
     R = ring(["x", "y"])
     gen = FreeModuleElement(R, [pp("x", R), pp("y", R)])
     S = SubmodulePresentation(R, 2, [gen])
-    gb = submodule_groebner_basis(S)
+    gb = S.groebner_basis()
     assert gb.contains(FreeModuleElement(R, [pp("x^2", R), pp("x*y", R)]))
     assert not gb.contains(FreeModuleElement(R, [pp("y", R), pp("x", R)]))
 
@@ -391,7 +390,7 @@ def test_submodule_membership_multiples():
 def test_submodule_rank_one_matches_ideal_membership():
     R = ring(["x", "y"])
     S = SubmodulePresentation(R, 1, [FreeModuleElement(R, [pp("x", R)])])
-    gb = submodule_groebner_basis(S)
+    gb = S.groebner_basis()
     assert gb.contains(FreeModuleElement(R, [pp("x^2", R)]))
     assert not gb.contains(FreeModuleElement(R, [pp("y", R)]))
 
@@ -403,7 +402,7 @@ def test_submodule_normal_form_linear():
         FreeModuleElement(R, [pp("x", R), pp("y", R)]),
         FreeModuleElement(R, [pp("y^2", R), R.zero()]),
     ]
-    gb = submodule_groebner_basis(SubmodulePresentation(R, 2, gens))
+    gb = SubmodulePresentation(R, 2, gens).groebner_basis()
 
     def rand_vec():
         return FreeModuleElement(
@@ -447,7 +446,7 @@ def test_submodule_membership_matches_truncated_oracle():
                         comps = [R.zero()] * rank
                         comps[c] = R.monomial((e, degree - e))
                         powers.append(FreeModuleElement(R, comps))
-                gb = submodule_groebner_basis(SubmodulePresentation(R, rank, gens + powers))
+                gb = SubmodulePresentation(R, rank, gens + powers).groebner_basis()
                 for _ in range(10):
                     v = FreeModuleElement(R, [rand_poly(3) for _ in range(rank)])
                     if rng.randrange(2):
@@ -511,6 +510,34 @@ def test_intersection_dimension_inclusion_exclusion():
             assert lhs == rhs
 
 
+def _random_ideal(rng, R, max_deg):
+    """0 to 3 generators (the zero ideal one draw in five) of 1 to 3
+    terms of degree at most ``max_deg``, with nonzero coefficients."""
+    fld = R.field_spec
+    coeffs = [c for c in range(-3, 4) if not fld.is_zero(fld.of_int(c))]
+    monomials = [u for u in itertools.product(range(max_deg + 1), repeat=R.nvars) if sum(u) <= max_deg]
+    gens = []
+    for _ in range(rng.choice((0, 1, 2, 2, 3))):
+        terms = rng.sample(monomials, rng.randrange(1, 4))
+        gens.append(sum((R.monomial(u, rng.choice(coeffs)) for u in terms), R.zero()))
+    return Ideal(R, gens)
+
+
+def test_intersection_matches_the_tag_variable_reference():
+    # one module basis against eliminating t from t*I + (1-t)*J; the
+    # draws include the zero ideal, constants and the unit ideal
+    rng = random.Random(89)
+    for field in (Q, FieldSpec.prime_field(2), FieldSpec.prime_field(5)):
+        for names, max_deg in ((("x",), 4), (("x", "y"), 3), (("x", "y", "z"), 2)):
+            R = ring(names, field)
+            for _ in range(10):
+                I = _random_ideal(rng, R, max_deg)
+                J = _random_ideal(rng, R, max_deg)
+                got = intersect_ideals(I, J)
+                want = reference_intersect_ideals(I, J)
+                assert got.groebner_basis().elements == want.groebner_basis().elements
+
+
 def test_colon_dimension_from_multiplication_sequence():
     # multiplication by g gives dim S/(I : g) = dim S/I - dim S/(I + (g))
     rng = random.Random(67)
@@ -563,14 +590,14 @@ def test_rank_one_normal_forms_match_ideal_normal_forms():
     R = ring(["x", "y"])
     gens = [pp("x^2 - y", R), pp("y^3", R)]
     I = Ideal(R, gens)
-    G = reduced_groebner_basis(I)
+    G = I.groebner_basis()
     S = SubmodulePresentation(R, 1, [FreeModuleElement(R, [g]) for g in gens])
-    gb = submodule_groebner_basis(S)
+    gb = S.groebner_basis()
     for _ in range(20):
         f = R.zero()
         for _ in range(4):
             f = f + R.monomial((rng.randrange(4), rng.randrange(4)), rng.randrange(-3, 4))
-        assert gb.normal_form(FreeModuleElement(R, [f])).components[0] == normal_form(f, G)
+        assert gb.normal_form(FreeModuleElement(R, [f])).components[0] == G.normal_form(f)
 
 
 def test_basis_cache_is_shared_across_threads():
@@ -581,7 +608,7 @@ def test_basis_cache_is_shared_across_threads():
     results = [None] * 8
 
     def fetch(slot):
-        results[slot] = reduced_groebner_basis(I)
+        results[slot] = I.groebner_basis()
 
     threads = [threading.Thread(target=fetch, args=(k,)) for k in range(8)]
     for t in threads:

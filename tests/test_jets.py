@@ -4,13 +4,12 @@ import random
 from oracles import FIBER_SHORTCUT_CASES, drop_base_point, reference_fiber_ideal, reference_hs_derivations
 
 from jetclosure.closures import LocalAlgebraPresentation
-from jetclosure.groebner import Ideal, ideal_member, ideal_sum, reduced_groebner_basis, ideals_equal
+from jetclosure.groebner import Ideal, ideal_member, ideal_sum, ideals_equal
 from jetclosure.jets import (
     JetRing,
     fiber_ideal,
     hs_derivations,
     jet_ideal,
-    monomial_jets,
     pointed_derivations,
     pointed_fiber_ideal,
     pointed_jets,
@@ -113,7 +112,7 @@ def test_fiber_ideal_of_zero_is_origin():
 def test_fiber_ideal_square_level_two_reduces():
     R = ring(["x"])
     fi = fiber_ideal(Ideal(R, [pp("x^2", R)]), 2)
-    basis = reduced_groebner_basis(fi)
+    basis = fi.groebner_basis()
     assert [str(g) for g in basis] == ["x@0", "x@1^2"]
 
 
@@ -309,24 +308,30 @@ def test_high_order_vanishing_into_origin_ideal():
 SHORTCUT_FIELDS = (Q, FieldSpec.prime_field(2), FieldSpec.prime_field(3))
 
 
-def test_monomial_jets_match_hs_derivations_on_a_box():
+def test_pointed_jets_match_the_per_term_reference_on_a_box():
+    # the boxes hold monomials of degree above the level, whose series
+    # the walk returns as zeros without walking
     for field in SHORTCUT_FIELDS:
         for names, side in ((("x", "y"), 6), (("x", "y", "z"), 4)):
             R = ring(names, field)
             box = list(itertools.product(range(side), repeat=len(names)))
             for level in range(6):
-                jets = monomial_jets(R, box, level)
+                jets = pointed_jets(R, box, level)
                 assert sorted(jets) == sorted(box)
                 for u in box:
-                    assert jets[u] == reference_hs_derivations(R.monomial(u), level)
+                    full = reference_hs_derivations(R.monomial(u), level)
+                    assert jets[u] == [drop_base_point(d, level) for d in full]
 
 
-def test_monomial_jets_fill_in_missing_divisors():
+def test_pointed_jets_fill_in_missing_divisors():
+    # both monomials have degree 5: zero at level 4, walked at 5 and 6
     R = ring(["x", "y", "z"], FieldSpec.prime_field(3))
-    jets = monomial_jets(R, [(3, 0, 2), (0, 4, 1)], 4)
-    assert sorted(jets) == [(0, 4, 1), (3, 0, 2)]
-    for u, ds in jets.items():
-        assert ds == reference_hs_derivations(R.monomial(u), 4)
+    for level in (4, 5, 6):
+        jets = pointed_jets(R, [(3, 0, 2), (0, 4, 1)], level)
+        assert sorted(jets) == [(0, 4, 1), (3, 0, 2)]
+        for u, ds in jets.items():
+            full = reference_hs_derivations(R.monomial(u), level)
+            assert ds == [drop_base_point(d, level) for d in full]
 
 
 def test_hs_derivations_match_the_per_term_reference():
