@@ -19,18 +19,24 @@ of a + I, which is that of a' (see ``jet_closure``).  So the
 m^(level+1) generators, most of a' at high levels, never reach
 Buchberger, and neither do the n base-point variables; the column jets
 grow along the staircase of a', one truncated series multiplication per
-monomial (``pointed_jets``).  Module closures and jet-support
+monomial (``jets.Series``).  Module closures and jet-support
 membership work in the pointed jet ring too.
 
 Jet closures descend with the level, so the closure chain C_l and the
 arc-closedness certificate are the level-by-level closures themselves,
 with no ideal intersection (proof in ``cumulative_closure_chain``).
+A certificate or a chain climbs them on one ``_Ladder``: the series
+memo, the basis of J' and the reduced kernel rows of level l - 1 are
+extended to level l, not rebuilt, so the whole climb runs one J'
+engine, truncated at each level's weight, and reduces each row once;
+only the a' echelon, the kernel and the closure echelon are built per
+level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 
 from .errors import (
     InfiniteDimensionalError,
@@ -43,7 +49,9 @@ from .errors import (
 )
 from .groebner import (
     DEGREVLEX,
+    BuchbergerRun,
     FreeModuleElement,
+    GroebnerBasis,
     Ideal,
     SubmodulePresentation,
     colon_ideal,
@@ -54,7 +62,7 @@ from .groebner import (
     radical_member,
     standard_monomial_basis,
 )
-from .jets import pointed_derivations, pointed_fiber_ideal, pointed_jets
+from .jets import JetRing, Series, pointed_derivations, pointed_fiber_ideal, pointed_jets
 from .linalg import nullspace_basis, rref
 from .poly import Polynomial, RingContext, walk_order_ideal
 
@@ -163,6 +171,101 @@ def _truncated_ideal(ring: RingContext, monomials: list, echelon: dict, level: i
     return Ideal.with_reduced_basis(ring, basis), standard
 
 
+class _Ladder:
+    """The jet closures of a + I, climbed one level at a time.
+
+    One ``certify_arc_closed`` or ``cumulative_closure_chain`` run owns
+    one ladder and hands it to ``jet_closure`` at every level; the
+    ``closure`` command climbs a fresh one straight to its level.  The
+    ladder keeps what level l - 1 computed and level l extends:
+
+    * the pointed series memo (``Series``), one t-power more per level;
+    * the basis of J'_l, one resumable ``BuchbergerRun`` that takes in
+      the generators phi(D_l g) of weight l at level l and reduces the
+      S-pairs of weight at most l, leaving the heavier ones for later;
+    * the rows NF(phi(D_i x^u)) of the kernel matrix, one per column u
+      and weight i, each reduced once.
+
+    The a' echelon, the kernel and the closure echelon are built afresh
+    at every level (``jet_closure``).
+
+    The ring grows by a suffix.  The pointed ring is level-major, so
+    k[x@1, ..., x@(l-1)] is a prefix of k[x@1, ..., x@l]: an old monomial
+    is a new one padded with zeros (``BuchbergerRun.grow``).  degrevlex
+    compares two monomials by degree, then at the last variable where
+    they differ, which for two padded monomials is an old one; so the
+    order on old monomials, and with it every leading term, S-pair and
+    reduction of the run so far, is that of level l.  The run after
+    level l - 1 is thus a level-l run that has not yet taken in the
+    phi(D_l g), and taking them in resumes it.
+
+    Weights.  Give x@k weight k.  phi(D_k g) is weighted-homogeneous of
+    weight k, so J'_l is weighted-homogeneous, and its weight-<=i part
+    is that of J'_i for every i <= l (``cumulative_closure_chain``: a
+    weight-i element of J'_l is sum_k r_k phi(D_k g) with k <= i and r_k
+    in the variables of order <= i - k).  At level l the run holds every
+    generator of J'_l, all of weight <= l, and has reduced every pair of
+    weight <= l: a truncated basis, which gives every element of weight
+    <= l its normal form modulo J'_l (``BuchbergerRun``).
+
+    A row does not depend on the level.  f = phi(D_i x^u) has weight
+    i <= l, and its normal form modulo J'_l is f - g with g in J'_l of
+    weight i, as reduction keeps f homogeneous, and no term in LT(J'_l).
+    g lies in J'_i by the weights.  A weight-i monomial m in LT(J'_l) is
+    the leading monomial of the weight-i part of an element h of
+    J'_l with LT(h) = m, which lies in J'_i, so m is in LT(J'_i); the
+    converse is clear.  So f - g is the normal form modulo J'_i, at
+    every level l >= i; it has weight i and uses only the variables of
+    order <= i, which it is stored over.  The row of (u, i) is reduced
+    at the first level that asks for it and read from the cache after.
+
+    Columns only grow.  a'_l = a + I + m^(l+1) lies in a'_(l-1), so
+    LT(a'_l) lies in LT(a'_(l-1)) and std(a'_(l-1)) lies in std(a'_l):
+    every level keeps the old columns, with their rows, and adds new
+    ones.  The series of x^u starts at t^(deg u), so a new column of
+    degree l has only a weight-l row.
+    """
+
+    def __init__(self, P: LocalAlgebraPresentation, a: Ideal):
+        self.ring, self.n, self.fld = P.ring, P.ring.nvars, P.ring.field_spec
+        self.generators = [g.terms for g in a.generators + P.modulus.generators]
+        self.series = Series(self.n, 1, self.fld)
+        self.weights: list = []  # the weight of each jet variable: k for x@k
+        self.engine = BuchbergerRun(DEGREVLEX.key, self.fld, weight=lambda u: sum(map(mul, u, self.weights)))
+        self.level = 0  # J'_0 = 0: phi(D_0 g) = g(0) = 0
+        self.basis = GroebnerBasis(JetRing(self.ring, 0, pointed=True).context, DEGREVLEX, [])
+        self.rows: dict = {}  # (u, i) -> {(i, w): c}
+
+    def climb(self, level: int) -> None:
+        """Extend the series, J' and its reduced basis up to ``level``."""
+        if self.level >= level:
+            return
+        while self.level < level:
+            self.level += 1
+            self.series.extend()
+            self.weights += [self.level] * self.n
+            self.engine.grow(self.n)
+            width = self.series.width(self.level)
+            for g in self.generators:
+                self.engine.add(self.series.coefficient(g, self.level, width))
+            self.engine.run(self.level)
+        jets = JetRing(self.ring, level, pointed=True).context
+        self.basis = GroebnerBasis(jets, DEGREVLEX, [Polynomial(jets, t) for t in self.engine.reduced()])
+
+    def row(self, u: tuple, i: int) -> dict:
+        """{(i, w): c} for the terms c x^w of NF(phi(D_i x^u)) modulo J'_i."""
+        row = self.rows.get((u, i))
+        if row is None:
+            row = self.rows[u, i] = self._reduce_row(u, i)
+        return row
+
+    def _reduce_row(self, u: tuple, i: int) -> dict:
+        series, basis = self.series, self.basis
+        jet = Polynomial(basis.ring, series.coefficient({u: self.fld.one()}, i, series.width(self.level)))
+        cut = series.width(i)
+        return {(i, w[:cut]): c for w, c in basis.normal_form(jet).terms.items()}
+
+
 @dataclass
 class ClosureReport:
     """The level-``level`` jet closure of ``ideal`` in the presentation."""
@@ -178,7 +281,7 @@ class ClosureReport:
     dim_closure: int  # k-dimension of the closure's image mod a'
 
 
-def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int) -> ClosureReport:
+def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int, ladder: _Ladder = None) -> ClosureReport:
     """Compute the level-``level`` jet closure of a (with the modulus folded in).
 
     The kernel condition is linear over the coefficient field: f (taken
@@ -213,11 +316,17 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int) -> ClosureRep
     = 0 because a + I is proper (``_check_proper``).  The kernel (x@0)
     lies in F_l, so phi induces R_jet/F_l = k[x@1, ..., x@l]/J'_l: D lies
     in F_l iff phi(D) lies in J'_l.  The columns are therefore reduced
-    as phi(D_i x^u) (``pointed_jets``) modulo J'_l.  A combination of
-    columns is in the kernel of the one map iff it is in the kernel of
-    the other, so the kernel subspace is the same; ``nullspace_basis``
-    returns its canonical basis for the fixed column order, and the
-    report does not change.
+    as phi(D_i x^u) modulo J'_l.  A combination of columns is in the
+    kernel of the one map iff it is in the kernel of the other, so the
+    kernel subspace is the same; ``nullspace_basis`` returns its
+    canonical basis for the fixed column order, and the report does not
+    change.
+
+    The rows come from ``ladder``, a ``_Ladder`` of (P, a) climbed to
+    ``level`` here; a fresh one climbs straight to ``level`` when it is
+    None.  A row key (i, w) writes w over the jet variables of order
+    <= i only, the ones that a weight-i term can use; that renames the
+    rows of the matrix one to one, and leaves its kernel alone.
 
     The closure is a' + span(kernel) (``cumulative_closure_chain``), an
     ideal that contains m^(level+1), so it is read off the echelon of
@@ -242,15 +351,12 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int) -> ClosureRep
                 rows.append(row)
     aprime = rref(rows, fld)
     replacement, columns = _truncated_ideal(ring, monomials, aprime, level)
-    basis = pointed_fiber_ideal(ideal_sum(a, P.modulus), level).groebner_basis(DEGREVLEX)
-    jets = pointed_jets(ring, columns, level)
+    if ladder is None:
+        ladder = _Ladder(P, a)
+    ladder.climb(level)
 
     def image(u):
-        return {
-            (i, w): c
-            for i, d in enumerate(jets[u])
-            for w, c in basis.normal_form(d).terms.items()
-        }
+        return {k: c for i in range(level + 1) for k, c in ladder.row(u, i).items()}
 
     kernel = _kernel(columns, image, fld)
     closure = replacement
@@ -303,7 +409,8 @@ def cumulative_closure_chain(P: LocalAlgebraPresentation, a: Ideal, max_level: i
     C_l = T_0 ∩ ... ∩ T_l = T_l.  Nothing here divides by an integer, so
     the argument holds in every characteristic.
     """
-    return [jet_closure(P, a, level).closure for level in range(max_level + 1)]
+    ladder = _Ladder(P, a)
+    return [jet_closure(P, a, level, ladder).closure for level in range(max_level + 1)]
 
 
 @dataclass
@@ -342,8 +449,9 @@ def certify_arc_closed(P: LocalAlgebraPresentation, a: Ideal, max_level: int) ->
     _check_proper(P, a)
     target = ideal_sum(a, P.modulus)
     chain = []
+    ladder = _Ladder(P, a)
     for level in range(max_level + 1):
-        chain.append(jet_closure(P, a, level).closure)
+        chain.append(jet_closure(P, a, level, ladder).closure)
         if ideal_contains(target, chain[-1]):
             return CertificateResult(True, level, max_level, chain)
     return CertificateResult(False, None, max_level, chain)

@@ -1,7 +1,9 @@
 """Buchberger-based ideal and submodule arithmetic.
 
-One Buchberger engine computes reduced Groebner bases of ideals
-(degrevlex) and of submodules of free modules (position over term).
+One Buchberger engine, ``BuchbergerRun``, computes reduced Groebner
+bases of ideals (degrevlex) and of submodules of free modules (position
+over term), run to completion (``_buchberger``) or, for the jet
+closures, resumed one weight at a time.
 They are the canonical normal-form oracle behind membership, colon
 ideals and intersections (both read off one submodule basis), radical
 membership (via the extra-variable trick) and standard-monomial
@@ -99,14 +101,37 @@ def _interreduce(term_dicts: list, key, fld: FieldSpec) -> list:
     return polys
 
 
-def _buchberger(term_dicts: list, key, fld: FieldSpec, tagged: bool = False) -> list:
-    """Reduced Groebner basis of the ideal or submodule generated by ``term_dicts``.
+class BuchbergerRun:
+    """The one Buchberger engine: a run that can stop and resume.
 
-    Normal selection strategy (smallest lcm degree first, ties by
-    generator index) with the coprime and chain criteria for pair
-    pruning; the returned basis is monic, fully reduced, and sorted by
-    increasing ``key`` of the leading term, hence canonical for
-    (ideal, order).
+    ``add`` takes in generators, ``run`` reduces S-pairs, and
+    ``reduced`` reads off the reduced basis of everything taken in so
+    far.  Normal selection (least pair ``weight`` first, ties by
+    generator index) with the coprime and chain criteria prunes pairs;
+    ``weight`` is the total degree unless the caller grades the ring
+    otherwise.  ``_buchberger`` is the run to completion.
+
+    Stopping early.  ``run(bound)`` leaves every pair whose lcm weighs
+    more than ``bound`` on the heap, and a later ``run`` takes it up.
+    Let the variables carry positive weights, ``weight`` the weight of
+    a monomial, and every generator taken in be homogeneous for them.
+    Then the basis after ``run(bound)``, once every generator of weight
+    at most ``bound`` is in, is a truncated Groebner basis: every
+    homogeneous element of the ideal of weight w <= ``bound`` reduces
+    to zero on it, so it gives every element of weight at most
+    ``bound`` its normal form, whatever the term order
+    (Kreuzer-Robbiano, Computational Commutative Algebra 2, 4.5).
+    Buchberger's proof goes through with every degree replaced by a
+    weight: the S-polynomial of homogeneous f and g is homogeneous of
+    the weight of their lcm, a reduction step keeps a homogeneous
+    polynomial homogeneous of its weight, and a representation of a
+    weight-w element only ever needs the S-pairs whose lcm divides a
+    monomial of weight w, so of weight at most w.  The chain criterion
+    looks at pairs (i, t), (j, t) whose lcm divides that of (i, j) and
+    so weighs no more; a pair left on the heap stays pending, so no
+    pair is skipped on the strength of one that was not reduced.
+    Generators taken in after a ``run`` only add pairs, as in the
+    incremental pair update of Gebauer and Moeller (1988).
 
     Submodules run through the same code with ``tagged`` set: a term at
     position p carries the exponent prefix (p, -p), p >= 1, and ``key``
@@ -122,82 +147,112 @@ def _buchberger(term_dicts: list, key, fld: FieldSpec, tagged: bool = False) -> 
     * the coprime test never fires within one position: the tag of a
       sum is (2p, -2p), while the tag of an lcm is (p, -p).
     """
-    G = _interreduce(term_dicts, key, fld)
-    if not G:
-        return []
-    lts = [max(g, key=key) for g in G]
-    data = _basis_data(G, key)
-    pending: set = set()
-    heap: list = []
 
-    def push_pairs(t: int) -> None:
+    def __init__(self, key, fld: FieldSpec, tagged: bool = False, weight=sum):
+        self.key, self.fld, self.tagged, self.weight = key, fld, tagged, weight
+        self.G: list = []  # monic elements, in the order found
+        self.lts: list = []
+        self.data: list = []  # _basis_data(G)
+        self.pending: set = set()  # pairs (i, j), i < j, not yet reduced or pruned
+        self.heap: list = []
+
+    def add(self, terms: dict) -> None:
+        """Take in one generator, reduced on the basis so far."""
+        r = _nf_terms(terms, self.data, self.key, self.fld) if self.data else terms
+        if r:
+            self._append(_monic_terms(r, self.key, self.fld))
+
+    def _append(self, r: dict) -> None:
+        lts = self.lts
+        t = len(self.G)
+        lt = max(r, key=self.key)
+        self.G.append(r)
+        lts.append(lt)
+        self.data.append((lt, [(v, c) for v, c in r.items() if v != lt]))
         for i in range(t):
-            if tagged and lts[i][0] != lts[t][0]:
+            if self.tagged and lts[i][0] != lt[0]:
                 continue  # S-pairs require a common leading position
-            lcm = monomial_lcm(lts[i], lts[t])
-            if lcm == tuple(a + b for a, b in zip(lts[i], lts[t])):
+            lcm = monomial_lcm(lts[i], lt)
+            if lcm == tuple(a + b for a, b in zip(lts[i], lt)):
                 continue  # coprime leading terms: S-poly always reduces to 0
-            pending.add((i, t))
-            heappush(heap, (sum(lcm), i, t))
+            self.pending.add((i, t))
+            heappush(self.heap, (self.weight(lcm), i, t))
 
-    for t in range(len(G)):
-        push_pairs(t)
-
-    while heap:
-        _, i, j = heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        lcm = monomial_lcm(lts[i], lts[j])
-        chained = False
-        for t in range(len(G)):
-            if t in (i, j):
+    def run(self, bound=None) -> None:
+        """Reduce the S-pairs of weight at most ``bound``; all when None."""
+        G, lts, pending, heap = self.G, self.lts, self.pending, self.heap
+        while heap and (bound is None or heap[0][0] <= bound):
+            _, i, j = heappop(heap)
+            if (i, j) not in pending:
                 continue
-            if monomial_divides(lts[t], lcm):
-                a = (i, t) if i < t else (t, i)
-                b = (j, t) if j < t else (t, j)
-                if a not in pending and b not in pending:
-                    chained = True
-                    break
-        if chained:
-            continue
-        # S-polynomial of monic G[i], G[j]
-        qi = tuple(a - b for a, b in zip(lcm, lts[i]))
-        qj = tuple(a - b for a, b in zip(lcm, lts[j]))
-        s: dict = {}
-        for v, c in G[i].items():
-            w = tuple(q + e for q, e in zip(qi, v))
-            s[w] = c
-        for v, c in G[j].items():
+            pending.discard((i, j))
+            lcm = monomial_lcm(lts[i], lts[j])
+            chained = False
+            for t in range(len(G)):
+                if t in (i, j):
+                    continue
+                if monomial_divides(lts[t], lcm):
+                    a = (i, t) if i < t else (t, i)
+                    b = (j, t) if j < t else (t, j)
+                    if a not in pending and b not in pending:
+                        chained = True
+                        break
+            if chained:
+                continue
+            r = _nf_terms(self._s_polynomial(i, j, lcm), self.data, self.key, self.fld)
+            if r:
+                self._append(_monic_terms(r, self.key, self.fld))
+
+    def _s_polynomial(self, i: int, j: int, lcm: tuple) -> dict:
+        """(lcm/lt_i)*G[i] - (lcm/lt_j)*G[j], for monic G[i] and G[j]."""
+        fld = self.fld
+        qi = tuple(a - b for a, b in zip(lcm, self.lts[i]))
+        qj = tuple(a - b for a, b in zip(lcm, self.lts[j]))
+        s = {tuple(q + e for q, e in zip(qi, v)): c for v, c in self.G[i].items()}
+        for v, c in self.G[j].items():
             w = tuple(q + e for q, e in zip(qj, v))
             d = fld.sub(s.get(w, 0), c)
             if fld.is_zero(d):
                 s.pop(w, None)
             else:
                 s[w] = d
-        r = _nf_terms(s, data, key, fld)
-        if r:
-            r = _monic_terms(r, key, fld)
-            G.append(r)
-            lt = max(r, key=key)
-            lts.append(lt)
-            data.append((lt, [(v, c) for v, c in r.items() if v != lt]))
-            push_pairs(len(G) - 1)
+        return s
 
-    # minimalize, then tail-reduce against the minimal set
-    order_idx = sorted(range(len(G)), key=lambda i: key(lts[i]))
-    minimal: list = []
-    for i in order_idx:
-        if not any(monomial_divides(lts[k], lts[i]) for k in minimal):
-            minimal.append(i)
-    kept = [data[i] for i in minimal]
-    reduced = []
-    for i, k in enumerate(minimal):
-        others = kept[:i] + kept[i + 1 :]
-        r = _nf_terms(G[k], others, key, fld) if others else G[k]
-        reduced.append(_monic_terms(r, key, fld))
-    reduced.sort(key=lambda t: key(max(t, key=key)))
-    return reduced
+    def grow(self, width: int) -> None:
+        """Append ``width`` variables to the ring, after the old ones."""
+        pad = (0,) * width
+        self.G = [{u + pad: c for u, c in g.items()} for g in self.G]
+        self.lts = [lt + pad for lt in self.lts]
+        self.data = [(lt + pad, [(v + pad, c) for v, c in tail]) for lt, tail in self.data]
+
+    def reduced(self) -> list:
+        """The reduced basis of what the run holds: monic, fully reduced,
+        sorted by increasing ``key`` of the leading term; after a run to
+        completion, canonical for (ideal, order)."""
+        key, lts = self.key, self.lts
+        minimal: list = []
+        for i in sorted(range(len(self.G)), key=lambda i: key(lts[i])):
+            if not any(monomial_divides(lts[k], lts[i]) for k in minimal):
+                minimal.append(i)
+        kept = [self.data[i] for i in minimal]
+        reduced = []
+        for i, k in enumerate(minimal):
+            others = kept[:i] + kept[i + 1 :]
+            r = _nf_terms(self.G[k], others, key, self.fld) if others else self.G[k]
+            reduced.append(_monic_terms(r, key, self.fld))
+        reduced.sort(key=lambda t: key(max(t, key=key)))
+        return reduced
+
+
+def _buchberger(term_dicts: list, key, fld: FieldSpec, tagged: bool = False) -> list:
+    """Reduced Groebner basis of the ideal or submodule generated by
+    ``term_dicts``: a ``BuchbergerRun`` on the interreduced generators,
+    run to completion."""
+    engine = BuchbergerRun(key, fld, tagged)
+    for g in _interreduce(term_dicts, key, fld):
+        engine._append(g)  # monic, and reduced on the others already
+    engine.run()
+    return engine.reduced()
 
 
 # ---------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 
 from jetclosure.cli import Session, UsageError, build_parser, main, parse_session, run_command
 from jetclosure.errors import ParseError
-from jetclosure.poly import parse_polynomial
+from jetclosure.jets import JetRing
+from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
 
 SESSION = """# toy session
 field Q
@@ -291,6 +292,40 @@ def test_huge_exponent_certify_answers_at_once(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "certified: false" in proc.stdout
     assert float(proc.stderr.strip().splitlines()[-1]) < 0.25
+
+
+def test_huge_exponent_in_the_full_jet_ring_answers_at_once(tmp_path):
+    # in the full jet ring x^N has a nonzero series at every level; the
+    # walk reaches it by square-and-multiply, not one degree at a time
+    N = 99999999
+    path = tmp_path / "huge.session"
+    path.write_text(f"field Q\nvars x y\nideal h: x^{N}, y\n", encoding="utf-8")
+    runs = {
+        "derive": ["derive", "--session", str(path), "--poly", f"x^{N}", "--level", "1", "--json"],
+        "fiber-ideal": ["fiber-ideal", "--session", str(path), "--ideal", "h", "--level", "1", "--json"],
+    }
+    out = {}
+    for name, argv in runs.items():
+        proc = subprocess.run([sys.executable, "-m", "jetclosure.cli", *argv],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        out[name] = json.loads(proc.stdout)["generators"]
+    jets = JetRing(RingContext(FieldSpec.rationals(), ("x", "y")), 1).context
+    d0, d1 = (parse_polynomial(t, jets) for t in out["derive"])
+    assert d0 == jets.monomial((N, 0, 0, 0))
+    assert d1 == jets.monomial((N - 1, 0, 1, 0), N)
+    assert out["fiber-ideal"][:2] == out["derive"]
+
+
+def test_chain_to_level_ten_answers_at_once(tmp_path):
+    # J' Buchberger truncated at each level's weight: rebuilt in full at
+    # every level, this chain did not reach level 10 in 30 s
+    path = tmp_path / "chain.session"
+    path.write_text("field Q\nvars x y z\nideal a: x^2, y*z\nideal i: x*z - y^2\n", encoding="utf-8")
+    argv = ["chain", "--session", str(path), "--ideal", "a", "--modulus", "i", "--max-level", "10", "--json"]
+    proc = subprocess.run([sys.executable, "-m", "jetclosure.cli", *argv], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["outputs"]["chain"]) == 11
 
 
 def test_output_independent_of_hash_seed(tmp_path):

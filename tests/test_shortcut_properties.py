@@ -17,6 +17,8 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 * each jet closure contains a' and the cumulative chain descends;
 * a' read off its truncated echelon against Buchberger on its
   generators, in 0 to 3 variables at levels 0 to 6;
+* one level ladder climbed through every level against fresh closures,
+  the running-intersection chain and untruncated J' normal forms;
 * print -> parse -> print is a fixed point.
 """
 
@@ -33,6 +35,7 @@ from oracles import (
     LEX,
     _primary_replacement,
     box_standard_monomials,
+    reference_closure_chain,
     reference_colon_ideal,
     reference_fiber_ideal,
     reference_integral_closure,
@@ -40,6 +43,7 @@ from oracles import (
     reference_newton_membership,
 )
 
+from jetclosure import closures
 from jetclosure.closures import (
     LocalAlgebraPresentation,
     certify_arc_closed,
@@ -47,6 +51,7 @@ from jetclosure.closures import (
     jet_closure,
 )
 from jetclosure.groebner import (
+    BuchbergerRun,
     Ideal,
     _standard_monomials,
     colon_ideal,
@@ -54,7 +59,7 @@ from jetclosure.groebner import (
     ideal_sum,
     standard_monomial_basis,
 )
-from jetclosure.jets import fiber_ideal
+from jetclosure.jets import fiber_ideal, pointed_fiber_ideal, pointed_jets
 from jetclosure.newton import (
     MonomialIdealData,
     monomial_integral_closure,
@@ -366,28 +371,114 @@ def _computed_bases(monkeypatch) -> list:
     return computed
 
 
+def _engine_runs(monkeypatch) -> list:
+    """Every ``BuchbergerRun`` started from now on: each is one run of
+    the Buchberger engine, whether run to completion or resumed."""
+    runs = []
+    raw = BuchbergerRun.__init__
+
+    def recording(run, *args, **kwargs):
+        runs.append(run)
+        raw(run, *args, **kwargs)
+
+    monkeypatch.setattr(BuchbergerRun, "__init__", recording)
+    return runs
+
+
 def test_jet_closure_runs_no_buchberger_on_the_base_ring(monkeypatch):
-    """Only J'_l, in the pointed jet ring, reaches Buchberger: a' and
-    the closure come with their bases."""
+    """Each ``jet_closure`` call runs one engine, its J' ladder's, and
+    no ideal basis: a' and the closure come with their bases."""
     computed = _computed_bases(monkeypatch)
+    runs = _engine_runs(monkeypatch)
     R = RingContext(FieldSpec.rationals(), ("x", "y"))
     P = LocalAlgebraPresentation(R, Ideal(R, [R.monomial((0, 2)) - R.monomial((3, 0))]))
     for level in range(6):
         rep = jet_closure(P, Ideal(R, [R.monomial((1, 1))]), level)
         rep.closure.groebner_basis()
         rep.replacement.groebner_basis()
-    assert len(computed) == 6 and R not in computed
+    assert computed == [] and len(runs) == 6
 
 
 def test_certify_runs_buchberger_on_the_base_ring_once(monkeypatch):
-    """The certificate's containment test needs the basis of a + I, once
-    per run; every other basis is of a J'_l."""
+    """One certificate runs two engines: the basis of a + I for the
+    containment test, and one J' engine climbed through every level."""
     computed = _computed_bases(monkeypatch)
+    runs = _engine_runs(monkeypatch)
     R = RingContext(FieldSpec.prime_field(3), ("x", "y"))
     a = Ideal(R, [R.monomial((2, 0)), R.monomial((0, 2))])
     cert = certify_arc_closed(LocalAlgebraPresentation(R), a, 6)
     assert cert.certified and cert.level == 2
-    assert computed.count(R) == 1 and len(computed) == 4
+    assert computed == [R] and len(runs) == 2
+
+
+def _support(terms: dict) -> frozenset:
+    """A term dict with each exponent tuple written as its nonzero
+    (index, exponent) pairs, so that padding a ring with new variables
+    does not change it."""
+    return frozenset((tuple((k, e) for k, e in enumerate(u) if e), c) for u, c in terms.items())
+
+
+def test_certify_reduces_each_row_and_s_pair_once(monkeypatch):
+    """A certificate that never certifies climbs every level, and its
+    ladder reduces each row NF(phi(D_i x^u)) and each S-pair of its J'
+    engine once over the whole climb."""
+    ladders, rows, pairs = [], Counter(), Counter()
+    raw_init, raw_row = closures._Ladder.__init__, closures._Ladder._reduce_row
+    raw_pair = BuchbergerRun._s_polynomial
+
+    def init(ladder, *args):
+        raw_init(ladder, *args)
+        ladders.append(ladder)
+
+    def row(ladder, u, i):
+        rows[u, i] += 1
+        return raw_row(ladder, u, i)
+
+    def pair(run, i, j, lcm):
+        if any(run is ladder.engine for ladder in ladders):
+            pairs[_support(run.G[i]), _support(run.G[j])] += 1
+        return raw_pair(run, i, j, lcm)
+
+    monkeypatch.setattr(closures._Ladder, "__init__", init)
+    monkeypatch.setattr(closures._Ladder, "_reduce_row", row)
+    monkeypatch.setattr(BuchbergerRun, "_s_polynomial", pair)
+    for fld in FIELDS:
+        rows.clear()
+        pairs.clear()
+        R = RingContext(fld, ("x", "y", "z"))
+        a = Ideal(R, [parse_polynomial(t, R) for t in ("x*y", "z^3", "x^2 + 2*x*z")])
+        cert = certify_arc_closed(LocalAlgebraPresentation(R), a, 5)
+        assert not cert.certified and len(cert.chain) == 6
+        assert rows and max(rows.values()) == 1
+        assert pairs and max(pairs.values()) == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pointed_inputs())
+def test_ladder_matches_fresh_levels_and_reference_chain(inputs):
+    """One ladder climbed through every level gives each level the report
+    of a fresh ``jet_closure``, and the chain of the running
+    intersections; each cached row is the normal form modulo the
+    untruncated basis of J' at the top level."""
+    P, a, top = inputs
+    ladder = closures._Ladder(P, a)
+    reports = [jet_closure(P, a, level, ladder) for level in range(top + 1)]
+    for level, rep in enumerate(reports):
+        fresh = jet_closure(P, a, level)
+        assert rep.kernel_basis == fresh.kernel_basis
+        assert (rep.dim_quotient, rep.dim_closure) == (fresh.dim_quotient, fresh.dim_closure)
+        assert rep.replacement.generators == fresh.replacement.generators
+        assert rep.closure_generators == fresh.closure_generators
+    chain = [c.groebner_basis().elements for c in cumulative_closure_chain(P, a, top)]
+    assert chain == [c.groebner_basis().elements for c in reference_closure_chain(P, a, top)]
+    assert [rep.closure_generators for rep in reports] == chain
+    full = pointed_fiber_ideal(ideal_sum(a, P.modulus), top).groebner_basis()
+    jets = pointed_jets(P.ring, {u for u, _ in ladder.rows}, top)
+    n = P.ring.nvars
+    for (u, i), row in ladder.rows.items():
+        expected = full.normal_form(jets[u][i]).terms
+        assert all(not any(w[n * i:]) for w in expected)
+        assert row == {(i, w[: n * i]): c for w, c in expected.items()}
 
 
 def jet_names(n):
