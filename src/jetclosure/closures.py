@@ -20,7 +20,8 @@ m^(level+1) generators, most of a' at high levels, never reach
 Buchberger, and neither do the n base-point variables; the column jets
 grow along the staircase of a', one truncated series multiplication per
 monomial (``jets.Series``).  Module closures and jet-support
-membership work in the pointed jet ring too.
+membership work in the pointed jet ring too, on the same series and J'
+(``_Ladder``).
 
 Jet closures descend with the level, so the closure chain C_l and the
 arc-closedness certificate are the level-by-level closures themselves,
@@ -30,7 +31,9 @@ memo, the basis of J' and the reduced kernel rows of level l - 1 are
 extended to level l, not rebuilt, so the whole climb runs one J'
 engine, truncated at each level's weight, and reduces each row once;
 only the a' echelon, the kernel and the closure echelon are built per
-level.
+level.  ``module_jet_closure`` and ``jsc_membership`` each climb one
+fresh ladder to their level and read every pointed jet and the
+generators of J' off it.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .groebner import (
     radical_member,
     standard_monomial_basis,
 )
-from .jets import JetRing, Series, pointed_derivations, pointed_fiber_ideal, pointed_jets
+from .jets import JetRing, Series
 from .linalg import nullspace_basis, rref
 from .poly import Polynomial, RingContext, walk_order_ideal
 
@@ -172,14 +175,17 @@ def _truncated_ideal(ring: RingContext, monomials: list, echelon: dict, level: i
 
 
 class _Ladder:
-    """The jet closures of a + I, climbed one level at a time.
+    """The pointed jets of a + I, and its jet closures, climbed one level
+    at a time.
 
     One ``certify_arc_closed`` or ``cumulative_closure_chain`` run owns
     one ladder and hands it to ``jet_closure`` at every level; the
-    ``closure`` command climbs a fresh one straight to its level.  The
-    ladder keeps what level l - 1 computed and level l extends:
+    ``closure`` command, ``module_jet_closure`` and ``jsc_membership``
+    each climb a fresh one straight to their level.  The ladder keeps
+    what level l - 1 computed and level l extends:
 
-    * the pointed series memo (``Series``), one t-power more per level;
+    * the pointed series memo (``Series``), one t-power more per level,
+      which ``jet`` reads phi(D_i f) off;
     * the basis of J'_l, one resumable ``BuchbergerRun`` that takes in
       the generators phi(D_l g) of weight l at level l and reduces the
       S-pairs of weight at most l, leaving the heavier ones for later;
@@ -188,6 +194,17 @@ class _Ladder:
 
     The a' echelon, the kernel and the closure echelon are built afresh
     at every level (``jet_closure``).
+
+    J'_l is the fiber ideal without the base point.  Let phi set every
+    x@0 to 0, a map of the jet ring R_jet onto k[x@1, ..., x@l] (it
+    fixes every x@k, k >= 1), with kernel (x@0).  The level-l fiber ideal
+    F_l of a + I is generated by (x@0) and the D_k(g), g a generator of
+    a + I and 0 <= k <= l, so J'_l = phi(F_l) is generated by the
+    phi(D_k g); phi(D_0 g) = g(0) is zero because a + I is proper, which
+    leaves 1 <= k <= l.  The kernel (x@0) lies in F_l, so phi induces
+    R_jet/F_l = k[x@1, ..., x@l]/J'_l: D lies in F_l iff phi(D) lies in
+    J'_l, and D^m lies in F_l iff phi(D)^m = phi(D^m) lies in J'_l, so
+    radicals correspond as well.
 
     The ring grows by a suffix.  The pointed ring is level-major, so
     k[x@1, ..., x@(l-1)] is a prefix of k[x@1, ..., x@l]: an old monomial
@@ -207,6 +224,17 @@ class _Ladder:
     generator of J'_l, all of weight <= l, and has reduced every pair of
     weight <= l: a truncated basis, which gives every element of weight
     <= l its normal form modulo J'_l (``BuchbergerRun``).
+
+    The basis generates J'_l.  ``basis`` is the reduced basis of the
+    truncated run: it lies in J'_l, and its leading terms generate those
+    of every element of J'_l of weight <= l (above; minimalizing and
+    interreducing keep the leading-term ideal).  Every generator
+    phi(D_k g) has weight k <= l, so it reduces to zero on ``basis`` and
+    lies in the ideal ``basis`` generates, which is therefore J'_l.  It
+    is a Groebner basis only up to weight l: a caller that asks for
+    normal forms of heavier elements, as the module Buchberger of
+    ``module_jet_closure`` and the one of ``radical_member`` do,
+    completes it from these generators first.
 
     A row does not depend on the level.  f = phi(D_i x^u) has weight
     i <= l, and its normal form modulo J'_l is f - g with g in J'_l of
@@ -259,11 +287,14 @@ class _Ladder:
             row = self.rows[u, i] = self._reduce_row(u, i)
         return row
 
+    def jet(self, f: dict, i: int) -> Polynomial:
+        """phi(D_i f) for the polynomial with terms ``f``, in k[x@1, ..., x@level]."""
+        return Polynomial(self.basis.ring, self.series.coefficient(f, i, self.series.width(self.level)))
+
     def _reduce_row(self, u: tuple, i: int) -> dict:
-        series, basis = self.series, self.basis
-        jet = Polynomial(basis.ring, series.coefficient({u: self.fld.one()}, i, series.width(self.level)))
-        cut = series.width(i)
-        return {(i, w[:cut]): c for w, c in basis.normal_form(jet).terms.items()}
+        cut = self.series.width(i)
+        nf = self.basis.normal_form(self.jet({u: self.fld.one()}, i))
+        return {(i, w[:cut]): c for w, c in nf.terms.items()}
 
 
 @dataclass
@@ -309,18 +340,13 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int, ladder: _Ladd
     ``replacement``.
 
     The test runs without the base point.  Let phi set every x@0 to 0,
-    a map of the jet ring R_jet onto k[x@1, ..., x@l] with kernel
-    (x@0), and let F_l be the fiber ideal of a + I and
-    J'_l = phi(F_l), generated by phi(D_k g) for the generators g of
-    a + I and 1 <= k <= l (``pointed_fiber_ideal``); phi(D_0 g) = g(0)
-    = 0 because a + I is proper (``_check_proper``).  The kernel (x@0)
-    lies in F_l, so phi induces R_jet/F_l = k[x@1, ..., x@l]/J'_l: D lies
-    in F_l iff phi(D) lies in J'_l.  The columns are therefore reduced
-    as phi(D_i x^u) modulo J'_l.  A combination of columns is in the
-    kernel of the one map iff it is in the kernel of the other, so the
-    kernel subspace is the same; ``nullspace_basis`` returns its
-    canonical basis for the fixed column order, and the report does not
-    change.
+    F_l be the fiber ideal of a + I, proper by ``_check_proper``, and
+    J'_l = phi(F_l): D lies in F_l iff phi(D) lies in J'_l (proof in
+    ``_Ladder``).  The columns are therefore reduced as phi(D_i x^u)
+    modulo J'_l.  A combination of columns is in the kernel of the one
+    map iff it is in the kernel of the other, so the kernel subspace is
+    the same; ``nullspace_basis`` returns its canonical basis for the
+    fixed column order, and the report does not change.
 
     The rows come from ``ladder``, a ``_Ladder`` of (P, a) climbed to
     ``level`` here; a fresh one climbs straight to ``level`` when it is
@@ -392,11 +418,10 @@ def cumulative_closure_chain(P: LocalAlgebraPresentation, a: Ideal, max_level: i
     part is the kernel ``jet_closure`` computes, so its ``closure`` is
     T_l.
 
-    Drop the base point.  Let phi set every x@0 to 0.  F_l contains
-    (x@0), so D lies in F_l iff phi(D) lies in J'_l, the ideal of
-    k[x@1, ..., x@l] generated by phi(D_k g) for the generators g of
-    a + I and 1 <= k <= l; phi(D_0 g) = g(0) = 0 because a + I is proper
-    (``_check_proper``).
+    Drop the base point.  Let phi set every x@0 to 0.  D lies in F_l iff
+    phi(D) lies in J'_l = phi(F_l), the ideal of k[x@1, ..., x@l]
+    generated by phi(D_k g) for the generators g of a + I and
+    1 <= k <= l (``_Ladder``).
 
     Grade and conclude.  Give x@k weight k.  Each term of D_k(x^u) is a
     product of jet variables whose orders sum to k, so phi(D_k g) is
@@ -469,17 +494,19 @@ def jsc_membership(P: LocalAlgebraPresentation, a: Ideal, f: Polynomial, level: 
 
     The test runs in k[x@1, ..., x@level].  Let phi set every x@0 to 0.
     Its kernel (x@0) lies in F, so phi induces R_jet/F = k[x@1, ...]/J'
-    with J' = phi(F) (``pointed_fiber_ideal``; ``jet_closure`` has the
-    proof).  Radicals correspond under that isomorphism: D^m lies in F
-    iff phi(D)^m = phi(D^m) lies in J'.  So D_i f lies in the radical
-    of F iff phi(D_i f) lies in the radical of J', and the Buchberger
-    runs of ``radical_member`` go without the n base-point variables.
+    with J' = phi(F), and radicals correspond under that isomorphism:
+    D_i f lies in the radical of F iff phi(D_i f) lies in the radical of
+    J' (proofs in ``_Ladder``).  One ladder climbed to the level gives
+    both the phi(D_i f) and generators of J', and the Buchberger runs of
+    ``radical_member`` go without the n base-point variables.
     """
     _check_proper(P, a)
     if f.ring != P.ring:
         raise RingMismatchError("element does not live in the presentation ring")
-    J = pointed_fiber_ideal(ideal_sum(a, P.modulus), level)
-    return all(radical_member(d, J) for d in pointed_derivations(f, level))
+    ladder = _Ladder(P, a)
+    ladder.climb(level)
+    J = Ideal(ladder.basis.ring, ladder.basis)
+    return all(radical_member(ladder.jet(f.terms, i), J) for i in range(level + 1))
 
 
 # ---------------------------------------------------------------------
@@ -576,13 +603,22 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
 
 
 def smallest_containing_power(P: LocalAlgebraPresentation) -> int:
-    """Least N with every pure power x_j^N inside the modulus."""
+    """Least N with every pure power x_j^N inside the modulus.
+
+    An m-primary I of colength L has m^L ⊆ I: the ideals (m^k + I)/I,
+    k = 0, 1, ..., of the local ring S/I descend strictly until they
+    reach 0 (Nakayama), and S/I has length L.  So every x_j^L lies in
+    I, and finding no N <= L + 1 proves that I is not m-primary.  The colength
+    counted here is that of S/I over the whole affine space, which is L
+    when I is m-primary; a modulus of finite colength with zeros away
+    from the origin reaches this point and is rejected.
+    """
     basis = P.modulus.groebner_basis(DEGREVLEX)
     bound = _artinian_standard_basis(P.modulus).colength + 1
     for n in range(1, bound + 1):
         if all(basis.contains(P.ring.variable(j) ** n) for j in range(P.ring.nvars)):
             return n
-    raise InternalError("no pure power bound found below the length bound")
+    raise NotArtinianError("the modulus is not m-primary")
 
 
 @dataclass
@@ -704,11 +740,12 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     The presentation is taken over the pointed jet ring
     k[x@1, ..., x@level].  Over R_jet its relations are F e_k for every
     coordinate k, F the fiber ideal of the base modulus I, and the
-    t-shifted jets of the relations of M/N.  Let phi set every x@0 to 0;
-    J' = phi(F) is generated by phi(D_k g), g a generator of I and
-    1 <= k <= level, as phi(D_0 g) = g(0) = 0 (``LocalAlgebraPresentation``
-    rejects an improper modulus).  A column combination v vanishes in
-    the quotient iff v = f + r with f in F^big and r a combination of
+    t-shifted jets of the relations of M/N.  Let phi set every x@0 to 0
+    and J' = phi(F).  The ``_Ladder`` of I (proper, by
+    ``LocalAlgebraPresentation``), climbed to the level, gives generators
+    of J' (its truncated basis, which the module Buchberger completes)
+    and every phi(D_i h) below.  A column combination v vanishes in the
+    quotient iff v = f + r with f in F^big and r a combination of
     the relation jets.  Then phi(v) = phi(f) + phi(r) with phi(f) in
     J'^big; conversely, let phi(v) = j + phi(r) with j in J'^big.  Each
     phi(D) differs from D by an element of (x@0), so J' lies in F and j
@@ -728,8 +765,9 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     pres = SubmodulePresentation(ring, rank, rels)
     sm = module_standard_monomials(pres)
 
-    J = pointed_fiber_ideal(MP.base.modulus, level)
-    jet_ctx = J.ring
+    ladder = _Ladder(MP.base, Ideal(ring))
+    ladder.climb(level)
+    jet_ctx = ladder.basis.ring
     big_rank = rank * (level + 1)
 
     def big_index(component: int, t_power: int) -> int:
@@ -737,14 +775,14 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
 
     zero_vec = [jet_ctx.zero()] * big_rank
     big_rels = []
-    for g in J.groebner_basis(DEGREVLEX):
+    for g in ladder.basis:
         for idx in range(big_rank):
             comps = list(zero_vec)
             comps[idx] = g
             big_rels.append(FreeModuleElement(jet_ctx, comps))
     module_rels = list(MP.relations) + list(MP.submodule)
     for v in module_rels:
-        jets = [pointed_derivations(comp, level) for comp in v.components]
+        jets = [[ladder.jet(comp.terms, i) for i in range(level + 1)] for comp in v.components]
         for shift in range(level + 1):
             comps = list(zero_vec)
             for c in range(rank):
@@ -756,13 +794,12 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     big_gb = SubmodulePresentation(jet_ctx, big_rank, big_rels).groebner_basis()
 
     columns = sorted(sm, key=_block_key, reverse=True)
-    column_jets = pointed_jets(ring, {u for _, u in sm}, level)
 
     def image(cu):
         comp, u = cu
         comps = list(zero_vec)
-        for j, d in enumerate(column_jets[u]):
-            comps[big_index(comp, j)] = d
+        for j in range(level + 1):
+            comps[big_index(comp, j)] = ladder.jet({u: fld.one()}, j)
         return big_gb.normal_form(FreeModuleElement(jet_ctx, comps))._terms()
 
     kernel = [

@@ -6,8 +6,10 @@ t^(l+1).  That divided-power convention satisfies
 D_m(fg) = sum_{i+j=m} D_i(f) D_j(g) in every characteristic.
 
 Pointed jets set the base point to 0: phi(x_j@0) = 0, in the ring
-k[x@1, ..., x@l].  Closures only ask questions modulo fiber ideals,
-which contain every x_j@0, so they work there (``pointed_fiber_ideal``).
+k[x@1, ..., x@l] (``JetRing`` with ``pointed``, ``Series`` with
+first = 1).  Closures only ask questions modulo fiber ideals, which
+contain every x_j@0, so they work there, on the series and the fiber
+ideal image of ``closures._Ladder``.
 """
 
 from __future__ import annotations
@@ -48,15 +50,6 @@ class JetRing:
 
     def variable(self, base_index: int, order: int) -> Polynomial:
         return self.context.variable(self.variable_index(base_index, order))
-
-    def variable_series(self) -> list:
-        """[x_j@0, x_j@1, ..., x_j@l] for each base variable x_j, with
-        x_j@0 = 0 in the pointed ring: the series substituted for x_j."""
-        zero = self.context.zero()
-        return [
-            [self.variable(j, i) if i >= self.first else zero for i in range(self.level + 1)]
-            for j in range(self.base.nvars)
-        ]
 
     def origin_fiber_generators(self) -> list:
         """The expansion of the base maximal ideal: x_1@0, ..., x_n@0."""
@@ -244,48 +237,6 @@ def hs_derivations(f: Polynomial, level: int) -> list:
     """[D_0 f, ..., D_level f] in the level-``level`` jet ring of f's ring,
     on the series walk of ``Series``."""
     return _derivations([f], JetRing(f.ring, level))[0]
-
-
-# ---------------------------------------------------------------------
-# pointed jets: the base point x@0 set to 0
-# ---------------------------------------------------------------------
-
-
-def pointed_jets(ring: RingContext, monomials, level: int) -> dict:
-    """{u: [phi(D_0 x^u), ..., phi(D_level x^u)]} in the pointed jet ring.
-
-    phi sets every x_j@0 to 0, so the walk of ``Series`` runs on the
-    series x_j -> x_j@1 t + ... + x_j@level t^level.  A monomial of
-    degree d then starts at t^d, and its series is zero, returned
-    without a walk, when d > level.
-    """
-    jr = JetRing(ring, level, pointed=True)
-    series = Series(ring.nvars, 1, ring.field_spec, level)
-    one, width = ring.field_spec.one(), jr.context.nvars
-    return {
-        u: [Polynomial(jr.context, series.coefficient({u: one}, i, width)) for i in range(level + 1)]
-        for u in sorted(monomials, key=sum)
-    }
-
-
-def pointed_derivations(f: Polynomial, level: int) -> list:
-    """[phi(D_0 f), ..., phi(D_level f)] in the pointed jet ring."""
-    return _derivations([f], JetRing(f.ring, level, pointed=True))[0]
-
-
-def pointed_fiber_ideal(I: Ideal, level: int) -> Ideal:
-    """phi(F), for F the level-``level`` fiber ideal of I, in k[x@1, ..., x@level].
-
-    phi is onto, and F is generated by (x@0) and the D_k(g), g a
-    generator of I, so phi(F) is generated by the phi(D_k g),
-    0 <= k <= level.  phi(D_0 g) = g(0) is zero when I is proper.  The
-    kernel (x@0) of phi lies in F, so phi induces
-    R_jet/F = k[x@1, ..., x@level]/phi(F): D lies in F iff phi(D) lies
-    in phi(F), and D^m in F iff phi(D)^m in phi(F), so radicals
-    correspond as well.
-    """
-    jr = JetRing(I.ring, level, pointed=True)
-    return Ideal(jr.context, [d for ds in _derivations(I.generators, jr) for d in ds])
 
 
 @dataclass

@@ -362,6 +362,17 @@ def test_main_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert captured.err == "internal error: no single witness generates the colon ideal modulo the powers\n"
 
 
+def test_walkthrough_of_a_modulus_with_zeros_away_from_the_origin_exits_1(tmp_path, capsys):
+    # finite colength but not m-primary: a domain error, not an internal one
+    for modulus in ("x^2 - x, y", "x^3 - x^2, y^2, x*y"):
+        path = tmp_path / "far.session"
+        path.write_text(f"field Q\nvars x y\nideal i: {modulus}\n", encoding="utf-8")
+        assert _main(["walkthrough", "--session", str(path), "--modulus", "i", "--max-level", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: NotArtinian: the modulus is not m-primary\n"
+
+
 def test_text_report_keeps_nested_lists_apart(tmp_path, capsys):
     path = tmp_path / "s.session"
     path.write_text(SESSION, encoding="utf-8")

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from jetclosure import closures, jets
 from jetclosure.closures import (
     LocalAlgebraPresentation,
     ModulePresentation,
@@ -459,6 +460,19 @@ def test_matlis_requires_gorenstein():
         )
 
 
+def test_smallest_containing_power_rejects_zeros_away_from_the_origin():
+    # finite colength, but not m-primary: no pure power of x lies in the
+    # modulus, and the walkthrough stops at the embedding with exit 1
+    for texts in (("x^2 - x", "y"), ("x^3 - x^2", "y^2", "x*y")):
+        P = LocalAlgebraPresentation(RXY, ideal(RXY, *texts))
+        with pytest.raises(NotArtinianError, match="the modulus is not m-primary"):
+            smallest_containing_power(P)
+        with pytest.raises(NotArtinianError, match="the modulus is not m-primary"):
+            gorenstein_walkthrough(P, 1)
+    P = LocalAlgebraPresentation(RXY, ideal(RXY, "x^2 - y^3", "y^4"))
+    assert smallest_containing_power(P) == 4
+
+
 def test_matlis_embedding_is_injective_on_standard_basis():
     P = LocalAlgebraPresentation(RXY, ideal(RXY, "x^2 - y^3", "y^4"))
     emb = matlis_embedding(P, smallest_containing_power(P))
@@ -687,13 +701,52 @@ def _two_term_kernel_cases(R):
     yield ModulePresentation(cube, 2, [_vec(R, "x^2", "x - y")], [_vec(R, "y^2", "x - y")])
 
 
-def test_module_jet_closure_matches_reference():
+def _record_ladders(monkeypatch) -> tuple:
+    """(ladders, series): every ``_Ladder`` and every ``Series`` built from now on."""
+    ladders, series = [], []
+    raw_ladder, raw_series = closures._Ladder.__init__, jets.Series.__init__
+
+    def ladder(self, *args):
+        raw_ladder(self, *args)
+        ladders.append(self)
+
+    def walk(self, *args):
+        raw_series(self, *args)
+        series.append(self)
+
+    monkeypatch.setattr(closures._Ladder, "__init__", ladder)
+    monkeypatch.setattr(jets.Series, "__init__", walk)
+    return ladders, series
+
+
+def test_module_jet_closure_matches_reference(monkeypatch):
     for field in SHORTCUT_FIELDS:
         for MP in _module_cases(field):
             for level in range(5):
                 rep = module_jet_closure(MP, level)
                 assert rep.kernel_basis == reference_module_jet_closure(MP, level)
                 assert rep.dim_kernel == len(rep.kernel_basis)
+    # the plane modulus at level 3: the module Buchberger takes in the
+    # ladder's truncated basis of J', strictly smaller than its completion
+    ladders, _ = _record_ladders(monkeypatch)
+    plane = LocalAlgebraPresentation(RXY, ideal(RXY, "x^2 - y^3", "x*y"))
+    module_jet_closure(ModulePresentation(plane, 2, [], [_vec(RXY, "x", "y")]), 3)
+    (ladder,) = ladders
+    completed = Ideal(ladder.basis.ring, ladder.basis).groebner_basis()
+    assert len(ladder.basis) < len(completed)
+
+
+def test_module_closure_and_jsc_climb_one_ladder(monkeypatch):
+    # every pointed jet and the generators of J' come off one ladder
+    ladders, series = _record_ladders(monkeypatch)
+    runs = [lambda MP=MP, level=level: module_jet_closure(MP, level)
+            for MP in _module_cases(Q) for level in (0, 2)]
+    runs += [lambda P=P, a=a, R=R: jsc_membership(P, a, pp("x*y", R), 2) for R, P, a, _ in _shortcut_cases()]
+    for run in runs:
+        ladders.clear()
+        series.clear()
+        run()
+        assert len(ladders) == 1 and series == [ladders[0].series]
 
 
 def test_module_kernel_vectors_with_two_terms():

@@ -3,19 +3,17 @@ import random
 
 from oracles import FIBER_SHORTCUT_CASES, drop_base_point, reference_fiber_ideal, reference_hs_derivations
 
-from jetclosure.closures import LocalAlgebraPresentation
+from jetclosure.closures import LocalAlgebraPresentation, _Ladder
 from jetclosure.groebner import Ideal, ideal_member, ideal_sum, ideals_equal
 from jetclosure.jets import (
     JetRing,
+    Series,
     fiber_ideal,
     hs_derivations,
     jet_ideal,
-    pointed_derivations,
-    pointed_fiber_ideal,
-    pointed_jets,
     universal_jet_image,
 )
-from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
+from jetclosure.poly import FieldSpec, Polynomial, RingContext, parse_polynomial
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime_field(5)
@@ -308,6 +306,18 @@ def test_high_order_vanishing_into_origin_ideal():
 SHORTCUT_FIELDS = (Q, FieldSpec.prime_field(2), FieldSpec.prime_field(3))
 
 
+def pointed_series(R, monomials, level):
+    """{u: [phi(D_0 x^u), ..., phi(D_level x^u)]} in the pointed jet ring,
+    walked in increasing degree on one pointed ``Series`` at ``level``."""
+    series = Series(R.nvars, 1, R.field_spec, level)
+    ctx = JetRing(R, level, pointed=True).context
+    one = R.field_spec.one()
+    return {
+        u: [Polynomial(ctx, series.coefficient({u: one}, i, ctx.nvars)) for i in range(level + 1)]
+        for u in sorted(monomials, key=sum)
+    }
+
+
 def test_pointed_jets_match_the_per_term_reference_on_a_box():
     # the boxes hold monomials of degree above the level, whose series
     # the walk returns as zeros without walking
@@ -316,7 +326,7 @@ def test_pointed_jets_match_the_per_term_reference_on_a_box():
             R = ring(names, field)
             box = list(itertools.product(range(side), repeat=len(names)))
             for level in range(6):
-                jets = pointed_jets(R, box, level)
+                jets = pointed_series(R, box, level)
                 assert sorted(jets) == sorted(box)
                 for u in box:
                     full = reference_hs_derivations(R.monomial(u), level)
@@ -327,7 +337,7 @@ def test_pointed_jets_fill_in_missing_divisors():
     # both monomials have degree 5: zero at level 4, walked at 5 and 6
     R = ring(["x", "y", "z"], FieldSpec.prime_field(3))
     for level in (4, 5, 6):
-        jets = pointed_jets(R, [(3, 0, 2), (0, 4, 1)], level)
+        jets = pointed_series(R, [(3, 0, 2), (0, 4, 1)], level)
         assert sorted(jets) == [(0, 4, 1), (3, 0, 2)]
         for u, ds in jets.items():
             full = reference_hs_derivations(R.monomial(u), level)
@@ -370,7 +380,7 @@ def test_pointed_jet_ring_variable_layout():
     assert JetRing(R, 2, pointed=True).context.variables == ("x@1", "y@1", "x@2", "y@2")
     point = JetRing(R, 0, pointed=True).context
     assert point.variables == ()
-    assert pointed_jets(R, [(0, 0), (1, 0)], 0) == {(0, 0): [point.one()], (1, 0): [point.zero()]}
+    assert pointed_series(R, [(0, 0), (1, 0)], 0) == {(0, 0): [point.one()], (1, 0): [point.zero()]}
 
 
 def test_pointed_jets_drop_the_base_point_from_the_reference():
@@ -379,7 +389,7 @@ def test_pointed_jets_drop_the_base_point_from_the_reference():
             R = ring(names, field)
             box = list(itertools.product(range(side), repeat=len(names)))
             for level in range(6):
-                jets = pointed_jets(R, box, level)
+                jets = pointed_series(R, box, level)
                 assert sorted(jets) == sorted(box)
                 for u in box:
                     full = reference_hs_derivations(R.monomial(u), level)
@@ -387,6 +397,8 @@ def test_pointed_jets_drop_the_base_point_from_the_reference():
 
 
 def test_pointed_derivations_and_fiber_ideal_drop_the_base_point():
+    # the ladder of a proper ideal: its jets of any polynomial, constant
+    # term included, and its basis of J', completed, against the reference
     rng = random.Random(17)
     for field in SHORTCUT_FIELDS:
         for names in (("x",), ("x", "y"), ("x", "y", "z")):
@@ -394,10 +406,15 @@ def test_pointed_derivations_and_fiber_ideal_drop_the_base_point():
             for _ in range(15):
                 gens = [_random_poly(rng, R, max_deg=3, terms=3) for _ in range(2)]
                 level = rng.randrange(6)
+                proper = [Polynomial(R, {u: c for u, c in g.terms.items() if any(u)}) for g in gens]
+                ladder = _Ladder(LocalAlgebraPresentation(R), Ideal(R, proper))
+                ladder.climb(level)
                 expected = [[drop_base_point(d, level) for d in reference_hs_derivations(g, level)] for g in gens]
-                assert [pointed_derivations(g, level) for g in gens] == expected
-                J = pointed_fiber_ideal(Ideal(R, gens), level)
-                assert list(J.generators) == [d for ds in expected for d in ds if d]
+                assert [[ladder.jet(g.terms, i) for i in range(level + 1)] for g in gens] == expected
+                ctx = ladder.basis.ring
+                jets = [drop_base_point(d, level) for g in proper for d in reference_hs_derivations(g, level)]
+                completed = Ideal(ctx, ladder.basis).groebner_basis()
+                assert completed.elements == Ideal(ctx, jets).groebner_basis().elements
 
 
 def test_pointed_series_vanishes_above_the_level():
@@ -405,11 +422,11 @@ def test_pointed_series_vanishes_above_the_level():
         R = ring(["x", "y", "z"], field)
         for level in range(5):
             high = [u for u in itertools.product(range(level + 2), repeat=3) if sum(u) > level]
-            for u, series in pointed_jets(R, high, level).items():
+            for u, series in pointed_series(R, high, level).items():
                 assert len(series) == level + 1
                 assert all(d.is_zero() for d in series)
             low = [u for u in itertools.product(range(level + 1), repeat=3) if sum(u) <= level]
-            for u, series in pointed_jets(R, low, level).items():
+            for u, series in pointed_series(R, low, level).items():
                 # x^u starts at t^(deg u): x_j@1^(u_j) is its lowest term
                 assert all(d.is_zero() for d in series[: sum(u)])
                 assert not series[sum(u)].is_zero()

@@ -18,7 +18,8 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 * a' read off its truncated echelon against Buchberger on its
   generators, in 0 to 3 variables at levels 0 to 6;
 * one level ladder climbed through every level against fresh closures,
-  the running-intersection chain and untruncated J' normal forms;
+  the running-intersection chain and normal forms modulo the untruncated
+  fiber ideal;
 * print -> parse -> print is a fixed point.
 """
 
@@ -38,6 +39,7 @@ from oracles import (
     reference_closure_chain,
     reference_colon_ideal,
     reference_fiber_ideal,
+    reference_hs_derivations,
     reference_integral_closure,
     reference_jet_closure,
     reference_newton_membership,
@@ -59,7 +61,7 @@ from jetclosure.groebner import (
     ideal_sum,
     standard_monomial_basis,
 )
-from jetclosure.jets import fiber_ideal, pointed_fiber_ideal, pointed_jets
+from jetclosure.jets import fiber_ideal
 from jetclosure.newton import (
     MonomialIdealData,
     monomial_integral_closure,
@@ -458,8 +460,9 @@ def test_certify_reduces_each_row_and_s_pair_once(monkeypatch):
 def test_ladder_matches_fresh_levels_and_reference_chain(inputs):
     """One ladder climbed through every level gives each level the report
     of a fresh ``jet_closure``, and the chain of the running
-    intersections; each cached row is the normal form modulo the
-    untruncated basis of J' at the top level."""
+    intersections; each cached row is the normal form of the reference
+    jet modulo the untruncated fiber ideal in the full jet ring at the
+    top level, which has no x@0 term, with the x@0 positions stripped."""
     P, a, top = inputs
     ladder = closures._Ladder(P, a)
     reports = [jet_closure(P, a, level, ladder) for level in range(top + 1)]
@@ -472,13 +475,13 @@ def test_ladder_matches_fresh_levels_and_reference_chain(inputs):
     chain = [c.groebner_basis().elements for c in cumulative_closure_chain(P, a, top)]
     assert chain == [c.groebner_basis().elements for c in reference_closure_chain(P, a, top)]
     assert [rep.closure_generators for rep in reports] == chain
-    full = pointed_fiber_ideal(ideal_sum(a, P.modulus), top).groebner_basis()
-    jets = pointed_jets(P.ring, {u for u, _ in ladder.rows}, top)
+    full = fiber_ideal(ideal_sum(a, P.modulus), top).groebner_basis()
     n = P.ring.nvars
     for (u, i), row in ladder.rows.items():
-        expected = full.normal_form(jets[u][i]).terms
-        assert all(not any(w[n * i:]) for w in expected)
-        assert row == {(i, w[: n * i]): c for w, c in expected.items()}
+        expected = full.normal_form(reference_hs_derivations(P.ring.monomial(u), top)[i]).terms
+        assert all(not any(w[:n]) for w in expected)
+        assert all(not any(w[n * (i + 1):]) for w in expected)
+        assert row == {(i, w[n : n * (i + 1)]): c for w, c in expected.items()}
 
 
 def jet_names(n):
