@@ -10,7 +10,7 @@ a' and the closure both contain m^(level+1), so each is a subspace of
 S/m^(level+1): a' is the span of the truncated multiples of the
 generators of a + I, the closure adds the kernel vectors, and their
 standard monomials and reduced degrevlex bases are read off one sparse
-exact echelon each (``_truncated_ideal``), with no Buchberger on S.
+exact echelon each (``_echelon_ideal``), with no Buchberger on S.
 
 A column's jets lie in the fiber ideal of a' iff they do after setting
 the base point x@0 to 0, so the normal forms are taken in the pointed
@@ -34,11 +34,22 @@ only the a' echelon, the kernel and the closure echelon are built per
 level.  ``module_jet_closure`` and ``jsc_membership`` each climb one
 fresh ladder to their level and read every pointed jet and the
 generators of J' off it.
+
+The Artinian quotient S/I is a finite-dimensional algebra, and the
+base-ring side of the Gorenstein pipeline runs on its echelons, with
+one Buchberger on S for the input modulus: the Matlis colon
+(m_N : I) is m_N plus the kernel of f -> (f g_k mod m_N)_k, read off by
+the same ``_echelon_ideal`` (``matlis_embedding``); each walkthrough
+stage I + (g) is a rank-one update of I's reduced basis
+(``gorenstein_walkthrough``); and the standard basis of a module
+presentation is the non-pivot set of one echelon of normal forms
+(``module_jet_closure``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from operator import add, mul
 
 from .errors import (
@@ -57,17 +68,14 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     SubmodulePresentation,
-    colon_ideal,
     ideal_contains,
     ideal_sum,
-    ideals_equal,
-    module_standard_monomials,
     radical_member,
     standard_monomial_basis,
 )
 from .jets import JetRing, Series
 from .linalg import nullspace_basis, rref
-from .poly import Polynomial, RingContext, walk_order_ideal
+from .poly import Polynomial, RingContext, monomial_divides, walk_order_ideal
 
 
 class LocalAlgebraPresentation:
@@ -127,47 +135,47 @@ def _kernel(columns: list, image, fld) -> list:
     ]
 
 
-def _truncated_ideal(ring: RingContext, monomials: list, echelon: dict, level: int):
-    """(b, standard monomials of b, largest first) for b = V + m^(level+1),
-    where V is the span of ``echelon``, a reduced echelon form (``rref``)
-    over the columns ``monomials``: every monomial of degree <= level,
-    largest first, so that a row's pivot is its largest monomial.  b
-    carries its reduced degrevlex basis, read off the echelon.
+def _echelon_ideal(ring: RingContext, monomials: list, echelon: dict, bounds: list, outside):
+    """(b, standard monomials of b, largest first) for b = V + M.
 
-    Leading terms.  degrevlex is degree-compatible: the leading monomial
-    of f has the largest degree of f's terms.  So if it has degree
-    <= level, f has no term of degree > level and lies in V (as b
-    contains m^(level+1), b ∩ S_(<=level) is V); the leading monomials
-    of the nonzero elements of V are the pivots, since the echelon rows
-    have distinct pivots and a combination of them is led by the largest
-    pivot it uses.  Hence LT(b) is generated by the pivots and the
-    monomials of degree level+1: its degree-<=level part is the pivots,
-    a set closed upward below degree level+1, and the standard monomials
-    are the non-pivot monomials of degree <= level.
+    M is a monomial ideal: ``outside(u)`` tells whether x^u lies in M,
+    and the box u_j < bounds[j] holds the standard monomials of M and
+    every minimal generator of M.  ``monomials`` lists those standard
+    monomials, largest first in degrevlex, and V is the span of
+    ``echelon``, a reduced echelon form (``rref``) over them as columns,
+    so that a row's pivot is its largest monomial.  b carries its reduced
+    degrevlex basis, read off the echelon.
 
-    Reading off.  ``walk_order_ideal`` over the box u_j <= level+1, with
-    "pivot or of degree > level" as the upward-closed predicate, finds
-    the standard monomials inside and every minimal generator u of
-    LT(b) on its border; a border point is minimal iff every u - e_j is
-    inside.  The reduced basis element at u is the monic element of b
-    led by u whose other terms are all standard.  For a pivot u it is
-    the echelon row at u: monic, in V, and its other entries are at
-    non-pivot columns of degree <= level.  For deg u = level+1 it is x^u
-    itself, which lies in m^(level+1).
+    Leading terms.  Let f = v + h lie in b, v in V and h in M.  As M is a
+    monomial ideal, every term of h lies in M and no term of v does, so
+    the terms of f outside M are exactly the terms of v.  If LT(f) is
+    not in M, it is therefore a term of v, the largest one, and the
+    leading monomial of a nonzero element of V is a pivot: the echelon
+    rows have distinct pivots, and a combination of them is led by the
+    largest pivot it uses.  So LT(b) is M together with the pivots, and
+    the standard monomials of b are the non-pivot columns.  This uses
+    only that degrevlex is a term order, not that it follows the degree.
+
+    Reading off.  ``walk_order_ideal`` over the box, with "in M or a
+    pivot" as the predicate (closed upward, as LT(b) is an ideal), finds
+    the standard monomials inside and every minimal generator u of LT(b)
+    on its border; a border point is minimal iff every u - e_j is inside.
+    The reduced basis element at u is the monic element of b led by u
+    whose other terms are all standard.  For a pivot u it is the echelon
+    row at u: monic, in V, and its other entries are at non-pivot
+    columns.  For u in M it is x^u itself.
     """
     fld = ring.field_spec
     index = {u: c for c, u in enumerate(monomials)}
-    inside, border = walk_order_ideal(
-        [level + 2] * ring.nvars, lambda u: sum(u) > level or index[u] in echelon
-    )
+    inside, border = walk_order_ideal(bounds, lambda u: outside(u) or index[u] in echelon)
     inside = set(inside)
     corners = [
         u for u in border
         if all(u[:j] + (e - 1,) + u[j + 1:] in inside for j, e in enumerate(u) if e)
     ]
     basis = [
-        Polynomial(ring, {monomials[c]: x for c, x in echelon[index[u]].items()})
-        if sum(u) <= level else Polynomial(ring, {u: fld.one()})
+        Polynomial(ring, {u: fld.one()}) if outside(u)
+        else Polynomial(ring, {monomials[c]: x for c, x in echelon[index[u]].items()})
         for u in sorted(corners, key=DEGREVLEX.key)
     ]
     standard = [u for u in monomials if index[u] not in echelon]
@@ -325,9 +333,9 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int, ladder: _Ladd
     congruent mod m^(level+1) to a combination of the truncations
     x^v g mod m^(level+1) with deg v <= level-1, and as a' contains
     m^(level+1), a' ∩ S_(<=level) is the span of those truncated
-    Macaulay rows.  ``_truncated_ideal`` reads a', its reduced basis and
-    its standard monomials off their echelon form; no Buchberger runs
-    on an ideal of S.
+    Macaulay rows.  ``_echelon_ideal``, with M = m^(level+1), reads a',
+    its reduced basis and its standard monomials off their echelon form;
+    no Buchberger runs on an ideal of S.
 
     The fiber ideal of a' equals that of a + I.  The fiber ideal of an
     ideal b at level l is generated by x_1@0, ..., x_n@0 and D_i(g) for
@@ -376,7 +384,12 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int, ladder: _Ladd
                         row[c] = x
                 rows.append(row)
     aprime = rref(rows, fld)
-    replacement, columns = _truncated_ideal(ring, monomials, aprime, level)
+    box = [level + 2] * ring.nvars
+
+    def high(u):
+        return sum(u) > level
+
+    replacement, columns = _echelon_ideal(ring, monomials, aprime, box, high)
     if ladder is None:
         ladder = _Ladder(P, a)
     ladder.climb(level)
@@ -388,7 +401,7 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int, ladder: _Ladd
     closure = replacement
     if kernel:
         kernel_rows = [{index[u]: x for u, x in t.items()} for t in kernel]
-        closure = _truncated_ideal(ring, monomials, rref(list(aprime.values()) + kernel_rows, fld), level)[0]
+        closure = _echelon_ideal(ring, monomials, rref(list(aprime.values()) + kernel_rows, fld), box, high)[0]
     return ClosureReport(
         presentation=P,
         ideal=a,
@@ -558,14 +571,39 @@ class MatlisEmbedding:
     images: list  # (standard monomial, its image in S/m_N) pairs
 
 
+def _generates_colon(w: Polynomial, box: list, truncate, dim: int) -> bool:
+    """Whether (w) + m_N is the colon (m_N : I) = m_N + V, dim V = ``dim``,
+    for w in the colon, by one rank test.
+
+    Both ideals contain m_N, and w lies in the colon, so (w) + m_N lies
+    in it; they are equal iff their images in S/m_N have the same
+    dimension.  The image of (w) + m_N is spanned by the x^v w mod m_N
+    for v in the box of S/m_N, as x^v lies in m_N for every other v.
+    """
+    ring = w.ring
+    rows = [truncate((ring.monomial(v) * w).terms) for v in box]
+    return len(rref(rows, ring.field_spec)) == dim
+
+
 def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding:
     """Embed the Gorenstein quotient S/I into S/(x_1^N, ..., x_n^N).
 
     The witness w generates (m_N : I) modulo m_N; the embedding sends
     the class of f to the class of f*w.  Injectivity is certified by
     the exact count colength(I) = dim (m_N : I)/m_N.
+
+    The colon by linear algebra.  m_N = (x_1^N, ..., x_n^N) lies in I,
+    so (m_N : I) contains m_N and is m_N + V, where V is the set of f on
+    the box basis x^u, u_j < N, of S/m_N with f g_k in m_N for every
+    generator g_k of I: the kernel of f -> (f g_k mod m_N)_k.  The
+    colon and its reduced basis are read off the echelon of V
+    (``_echelon_ideal``), and dim (m_N : I)/m_N is dim V.  The witness
+    is the first element of that basis, by increasing leading term, that
+    is not in m_N (one led by a pivot) and generates the colon modulo
+    m_N (``_generates_colon``).
     """
     ring = P.ring
+    fld = ring.field_spec
     I = P.modulus
     soc = socle_and_gorenstein(P)
     if not soc.gorenstein:
@@ -574,24 +612,36 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
     for j, name in enumerate(ring.variables):
         if not I_basis.contains(ring.variable(j) ** power):
             raise PowersNotContainedError(f"{name}^{power} does not lie in the modulus")
-    m_n = Ideal(ring, [ring.variable(j) ** power for j in range(ring.nvars)])
-    colon = colon_ideal(m_n, I)
-    m_n_basis = m_n.groebner_basis(DEGREVLEX)
-    candidates = [g for g in colon.groebner_basis(DEGREVLEX) if not m_n_basis.contains(g)]
-    witness = None
-    for w in candidates:
-        if ideals_equal(Ideal(ring, (w,) + m_n.generators), colon):
-            witness = w
-            break
+
+    def powers(u):
+        return any(e >= power for e in u)
+
+    def truncate(terms):
+        return {u: c for u, c in terms.items() if not powers(u)}
+
+    box = sorted(product(range(power), repeat=ring.nvars), key=DEGREVLEX.key, reverse=True)
+
+    def image(u):
+        x_u = ring.monomial(u)
+        return {(k, v): c for k, g in enumerate(I.generators) for v, c in truncate((x_u * g).terms).items()}
+
+    index = {u: c for c, u in enumerate(box)}
+    kernel = [{index[u]: x for u, x in t.items()} for t in _kernel(box, image, fld)]
+    colon = _echelon_ideal(ring, box, rref(kernel, fld), [power + 1] * ring.nvars, powers)[0]
+    colon_dim = len(kernel)
+    witness = next(
+        (w for w in colon.generators
+         if not powers(w.leading_term(DEGREVLEX)[0]) and _generates_colon(w, box, truncate, colon_dim)),
+        None,
+    )
     if witness is None:
         raise InternalError("no single witness generates the colon ideal modulo the powers")
-    colon_dim = standard_monomial_basis(m_n).colength - standard_monomial_basis(colon).colength
     if colon_dim != soc.colength:
         raise InternalError("witness verification failed: dimension mismatch")
     images = []
     for u in standard_monomial_basis(I).monomials:
         b = ring.monomial(u)
-        images.append((b, m_n_basis.normal_form(b * witness)))
+        images.append((b, Polynomial(ring, truncate((b * witness).terms))))
     return MatlisEmbedding(
         power=power,
         witness=witness,
@@ -644,8 +694,27 @@ def gorenstein_walkthrough(P: LocalAlgebraPresentation, max_level: int) -> Goren
     the length by exactly one, until the socle is one-dimensional; the
     Gorenstein stage gets its Matlis embedding.  Every stage carries an
     arc-closedness certificate for the zero ideal up to ``max_level``.
+
+    A stage by a rank-one update.  g is a socle element, so x_j g lies
+    in I for every j, and g is in normal form (a combination of standard
+    monomials), so g is not in I: I + (g) = I ⊕ k·g.  Its leading
+    monomials are LT(I) and LT(g): x_j LT(g) = LT(x_j g) lies in LT(I),
+    so the monomial ideal LT(I) + (LT(g)) leaves out exactly one
+    standard monomial of I, LT(g); it lies in LT(I + (g)), whose
+    quotient has the same dimension colength(I) - 1, so they are equal.
+    Its minimal generators are LT(g), whose proper divisors stay
+    standard, and the minimal generators of LT(I) that LT(g) does not
+    divide (the others are x^v LT(g), v != 0).  The reduced basis
+    holds, at LT(g), the monic g, whose other terms are standard
+    monomials of I smaller than LT(g); and at LT(h), for each h of I's
+    reduced basis that LT(g) does not divide, h - c·g with c the
+    coefficient of LT(g) in h (monic g).  That has the leading term of
+    h, which is larger than LT(g) when c is not 0, and its other terms
+    are standard monomials of I other than LT(g).  So the next modulus
+    comes with its reduced basis and runs no Buchberger.
     """
     ring = P.ring
+    fld = ring.field_spec
     stages = []
     current = P
     while True:
@@ -660,11 +729,18 @@ def gorenstein_walkthrough(P: LocalAlgebraPresentation, max_level: int) -> Goren
         stages.append(
             WalkthroughStage(current.modulus, soc.colength, soc.basis, False, g, cert)
         )
-        next_modulus = Ideal(ring, current.modulus.generators + (g,))
-        next_pres = LocalAlgebraPresentation(ring, next_modulus)
+        lt, lc = g.leading_term(DEGREVLEX)
+        monic = g.scale(fld.inv(lc))
+        basis = [monic]
+        I_basis = current.modulus.groebner_basis(DEGREVLEX)
+        for h, u in zip(I_basis, I_basis.leading_exponents()):
+            if not monomial_divides(lt, u):
+                basis.append(h - monic.scale(h.terms[lt]) if lt in h.terms else h)
+        basis.sort(key=lambda h: DEGREVLEX.key(h.leading_term(DEGREVLEX)[0]))
+        next_modulus = Ideal.with_reduced_basis(ring, basis)
         if standard_monomial_basis(next_modulus).colength != soc.colength - 1:
             raise InternalError("socle quotient did not drop the length by one")
-        current = next_pres
+        current = LocalAlgebraPresentation(ring, next_modulus)
     embedding = matlis_embedding(current, smallest_containing_power(current))
     return GorensteinWalkthrough(stages=stages, embedding=embedding)
 
@@ -755,15 +831,37 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     jets, and the kernel is unchanged (proof for ideals in
     ``jet_closure``).  D_0 of a relation is kept: phi(D_0 h) = h(0),
     and an entry of a relation may have a nonzero constant term.
+
+    The standard basis of M/N by linear algebra.  Let U be generated by
+    the relations of M/N and by I e_c, and W be its image in
+    (S/I)^rank, written on the columns (c, u), u a standard monomial of
+    I.  W is spanned by the rows NF_I(x^b r), b standard and r a relation
+    of M/N, as x^a is congruent mod I to a combination of those x^b.
+    Order the columns position over term, largest first.  Let f in U be
+    led by (c, u), u standard.  The normal form keeps a standard leading
+    term, so NF_I(f), which lies in W, is led by (c, u) too, and (c, u)
+    is a pivot of the echelon of W; each row lies in U, and (c, u) lies
+    in LT(U) whenever u is in LT(I).  So the standard monomials of U
+    are the non-pivot columns, the same as those of its module
+    Groebner basis (``module_standard_monomials``), even when I has
+    zeros away from the origin.
     """
     ring = MP.base.ring
     fld = ring.field_spec
     rank = MP.rank
-    _artinian_standard_basis(MP.base.modulus)  # NotArtinian check on the base
+    std = _artinian_standard_basis(MP.base.modulus).monomials
+    I_basis = MP.base.modulus.groebner_basis(DEGREVLEX)
+    module_rels = list(MP.relations) + list(MP.submodule)
 
-    rels = MP.working_relations()
-    pres = SubmodulePresentation(ring, rank, rels)
-    sm = module_standard_monomials(pres)
+    pot = [(c, u) for c in range(rank) for u in reversed(std)]
+    pot_index = {cu: k for k, cu in enumerate(pot)}
+    rows = [
+        {pot_index[c, w]: x for c, comp in enumerate(v.components)
+         for w, x in I_basis.normal_form(ring.monomial(b) * comp).terms.items()}
+        for v in module_rels for b in std
+    ]
+    pivots = rref(rows, fld)
+    sm = sorted((cu for k, cu in enumerate(pot) if k not in pivots), key=_block_key)
 
     ladder = _Ladder(MP.base, Ideal(ring))
     ladder.climb(level)
@@ -780,7 +878,6 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
             comps = list(zero_vec)
             comps[idx] = g
             big_rels.append(FreeModuleElement(jet_ctx, comps))
-    module_rels = list(MP.relations) + list(MP.submodule)
     for v in module_rels:
         jets = [[ladder.jet(comp.terms, i) for i in range(level + 1)] for comp in v.components]
         for shift in range(level + 1):

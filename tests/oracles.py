@@ -17,14 +17,32 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from jetclosure.closures import _artinian_standard_basis, _block_key, jet_closure
-from jetclosure.errors import InternalError, RingMismatchError
+from jetclosure.closures import (
+    GorensteinWalkthrough,
+    LocalAlgebraPresentation,
+    MatlisEmbedding,
+    WalkthroughStage,
+    _artinian_standard_basis,
+    _block_key,
+    certify_arc_closed,
+    jet_closure,
+    smallest_containing_power,
+    socle_and_gorenstein,
+)
+from jetclosure.errors import (
+    InternalError,
+    NotGorensteinError,
+    PowersNotContainedError,
+    RingMismatchError,
+)
 from jetclosure.groebner import (
     DEGREVLEX,
     FreeModuleElement,
     Ideal,
     SubmodulePresentation,
     _fresh_name,
+    colon_ideal,
+    ideals_equal,
     module_standard_monomials,
     radical_member,
     standard_monomial_basis,
@@ -384,6 +402,13 @@ def reference_jsc_membership(P, a, f: Polynomial, level: int) -> bool:
     return all(radical_member(d, J) for d in reference_hs_derivations(f, level))
 
 
+def reference_module_standard_basis(MP) -> list:
+    """The (component, exponents) basis of M/N off the module Buchberger
+    basis of its working relations, the base checked Artinian first."""
+    _artinian_standard_basis(MP.base.modulus)
+    return module_standard_monomials(SubmodulePresentation(MP.base.ring, MP.rank, MP.working_relations()))
+
+
 def reference_module_jet_closure(MP, level: int) -> list:
     """Kernel basis of the level-``level`` module jet closure, in the full
     jet ring: the base modulus's fiber ideal, x@0 included, times every
@@ -393,8 +418,7 @@ def reference_module_jet_closure(MP, level: int) -> list:
     ring = MP.base.ring
     fld = ring.field_spec
     rank = MP.rank
-    _artinian_standard_basis(MP.base.modulus)
-    sm = module_standard_monomials(SubmodulePresentation(ring, rank, MP.working_relations()))
+    sm = reference_module_standard_basis(MP)
 
     jr = JetRing(ring, level)
     jet_ctx = jr.context
@@ -617,3 +641,61 @@ def reference_closure_chain(P, a, max_level: int) -> list:
         closure = jet_closure(P, a, level).closure
         chain.append(reference_intersect_ideals(chain[-1], closure) if chain else closure)
     return chain
+
+
+# ---------------------------------------------------------------------
+# reference paths: the Matlis colon and the walkthrough stages by
+# Buchberger on S, replaced by echelons over S/m_N and rank-one updates
+# ---------------------------------------------------------------------
+
+
+def reference_matlis_embedding(P, power: int) -> MatlisEmbedding:
+    """The Matlis embedding with the colon (m_N : I) from ``colon_ideal``,
+    its dimension from two staircase counts, and the witness found by
+    ``ideals_equal`` on each candidate of the colon's reduced basis."""
+    ring = P.ring
+    I = P.modulus
+    soc = socle_and_gorenstein(P)
+    if not soc.gorenstein:
+        raise NotGorensteinError("the quotient is not Gorenstein")
+    I_basis = I.groebner_basis(DEGREVLEX)
+    for j, name in enumerate(ring.variables):
+        if not I_basis.contains(ring.variable(j) ** power):
+            raise PowersNotContainedError(f"{name}^{power} does not lie in the modulus")
+    m_n = Ideal(ring, [ring.variable(j) ** power for j in range(ring.nvars)])
+    colon = colon_ideal(m_n, I)
+    m_n_basis = m_n.groebner_basis(DEGREVLEX)
+    candidates = [g for g in colon.groebner_basis(DEGREVLEX) if not m_n_basis.contains(g)]
+    witness = next((w for w in candidates if ideals_equal(Ideal(ring, (w,) + m_n.generators), colon)), None)
+    if witness is None:
+        raise InternalError("no single witness generates the colon ideal modulo the powers")
+    colon_dim = standard_monomial_basis(m_n).colength - standard_monomial_basis(colon).colength
+    if colon_dim != soc.colength:
+        raise InternalError("witness verification failed: dimension mismatch")
+    images = [
+        (ring.monomial(u), m_n_basis.normal_form(ring.monomial(u) * witness))
+        for u in standard_monomial_basis(I).monomials
+    ]
+    return MatlisEmbedding(power, witness, colon, soc.colength, colon_dim, images)
+
+
+def reference_gorenstein_walkthrough(P, max_level: int) -> GorensteinWalkthrough:
+    """The walkthrough with each next modulus I + (g) generated by I's
+    generators and g, its basis left to Buchberger, and the embedding
+    from ``reference_matlis_embedding``."""
+    ring = P.ring
+    stages = []
+    current = P
+    while True:
+        soc = socle_and_gorenstein(current)
+        cert = certify_arc_closed(current, Ideal(ring, []), max_level)
+        g = None if soc.gorenstein else soc.basis[0]
+        stages.append(WalkthroughStage(current.modulus, soc.colength, soc.basis, soc.gorenstein, g, cert))
+        if soc.gorenstein:
+            break
+        next_modulus = Ideal(ring, current.modulus.generators + (g,))
+        current = LocalAlgebraPresentation(ring, next_modulus)
+        if standard_monomial_basis(next_modulus).colength != soc.colength - 1:
+            raise InternalError("socle quotient did not drop the length by one")
+    embedding = reference_matlis_embedding(current, smallest_containing_power(current))
+    return GorensteinWalkthrough(stages, embedding)

@@ -355,7 +355,7 @@ def test_main_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     argv = ["matlis", "--session", str(path), "--modulus", "b", "--power", "3"]
     assert _main(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(closures, "ideals_equal", lambda I, J: False)
+    monkeypatch.setattr(closures, "_generates_colon", lambda w, box, truncate, dim: False)
     assert _main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,13 +1,17 @@
-"""Cross-validation of the Buchberger engine against sympy.
+"""Cross-validation of the Buchberger engine, and of the socle, against
+sympy.
 
 sympy is a [test] extra, installed in CI; the module is skipped where
 sympy is missing, and the packaged library itself never depends on it.
 Reduced bases are canonical for (ideal, order), so the two
 implementations must agree term by term.  The lex order and the
 elimination come from ``oracles``: the library computes only degrevlex
-bases, and these run its engine on the oracle orders.
+bases, and these run its engine on the oracle orders.  The socle is
+checked against the common nullspace of multiplication matrices that
+sympy alone builds.
 """
 
+import itertools
 import random
 
 import pytest
@@ -126,4 +130,52 @@ def test_elimination_matches_sympy_lex_filter():
             if all(u[0] == 0 for u in poly.terms):
                 kept.append(Polynomial(sub, {u[1:]: c for u, c in poly.terms.items()}))
         assert ideals_equal(ours, Ideal(sub, kept))
+        checked += 1
+
+
+@pytest.mark.parametrize("field,domain", [(Q, QQ), (F5, GF(5))])
+def test_socle_is_the_common_nullspace_of_sympy_multiplication_matrices(field, domain):
+    """The socle of S/I is the common kernel of the multiplication maps
+    by x and y on S/I, here built from sympy's own basis and ``reduced``
+    on the standard monomials that its leading monomials leave."""
+    from sympy.polys.matrices import DomainMatrix
+
+    from jetclosure.closures import LocalAlgebraPresentation, socle_and_gorenstein
+
+    rng = random.Random(5150)
+    R = RingContext(field, ("x", "y"))
+    xs = sympy.symbols("x y")
+    checked = 0
+    while checked < 16:
+        corners = [(rng.randrange(1, 3), rng.randrange(1, 3)) for _ in range(rng.randrange(3))]
+        gens = [R.monomial(u) for u in [(rng.randrange(2, 5), 0), (0, rng.randrange(2, 5))] + corners]
+        tails = [_random_poly(rng, R, terms=rng.randrange(2)) for _ in gens]
+        gens = [g + R.constant(-t.constant_term()) + t for g, t in zip(gens, tails)]
+        exprs = [sum(sympy.Rational(str(c)) * xs[0] ** u[0] * xs[1] ** u[1] for u, c in g.terms.items()) for g in gens]
+        G = sympy.groebner([e for e in exprs if e != 0], *xs, order="grevlex", domain=domain)
+        lms = [sympy.Poly(g, *xs, domain=domain).monoms(order="grevlex")[0] for g in G.exprs]
+        bounds = [min((u[j] for u in lms if u[1 - j] == 0), default=None) for j in range(2)]
+        if None in bounds or (0, 0) in lms:
+            continue
+        standard = [
+            u for u in itertools.product(range(bounds[0]), range(bounds[1]))
+            if not any(u[0] >= v[0] and u[1] >= v[1] for v in lms)
+        ]
+        index = {u: k for k, u in enumerate(standard)}
+        n = len(standard)
+        rows = [[domain.zero] * n for _ in range(2 * n)]
+        for k, u in enumerate(standard):
+            for j in range(2):
+                _, rem = sympy.reduced(xs[j] * xs[0] ** u[0] * xs[1] ** u[1], list(G.exprs), *xs, order="grevlex", domain=domain)
+                for w, c in sympy.Poly(rem, *xs, domain=domain).as_dict(native=True).items():
+                    rows[j * n + index[w]][k] = c
+        matrix = DomainMatrix(rows, (2 * n, n), domain)
+        soc = socle_and_gorenstein(LocalAlgebraPresentation(R, Ideal(R, gens)))
+        assert soc.colength == n
+        assert matrix.nullspace().shape[0] == len(soc.basis)
+        vectors = [[domain.convert(sympy.Rational(str(p.terms.get(u, 0)))) for u in standard] for p in soc.basis]
+        for v in vectors:
+            assert (matrix * DomainMatrix([[c] for c in v], (n, 1), domain)).is_zero_matrix
+        if vectors:
+            assert DomainMatrix(vectors, (len(vectors), n), domain).rank() == len(vectors)
         checked += 1

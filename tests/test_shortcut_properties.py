@@ -20,6 +20,11 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 * one level ladder climbed through every level against fresh closures,
   the running-intersection chain and normal forms modulo the untruncated
   fiber ideal;
+* the Matlis embedding and the walkthrough, read off echelons, against
+  the colon, witness and stage bases of Buchberger on S, and a
+  walkthrough running Buchberger on S for its input modulus only;
+* the module standard basis, one echelon of normal forms, against the
+  module Buchberger, units and zeros away from the origin included;
 * print -> parse -> print is a fixed point.
 """
 
@@ -39,21 +44,35 @@ from oracles import (
     reference_closure_chain,
     reference_colon_ideal,
     reference_fiber_ideal,
+    reference_gorenstein_walkthrough,
     reference_hs_derivations,
     reference_integral_closure,
     reference_jet_closure,
+    reference_matlis_embedding,
+    reference_module_standard_basis,
     reference_newton_membership,
 )
 
 from jetclosure import closures
 from jetclosure.closures import (
     LocalAlgebraPresentation,
+    ModulePresentation,
     certify_arc_closed,
     cumulative_closure_chain,
+    gorenstein_walkthrough,
     jet_closure,
+    matlis_embedding,
+    module_jet_closure,
+)
+from jetclosure.errors import (
+    DomainError,
+    NotArtinianError,
+    NotGorensteinError,
+    PowersNotContainedError,
 )
 from jetclosure.groebner import (
     BuchbergerRun,
+    FreeModuleElement,
     Ideal,
     _standard_monomials,
     colon_ideal,
@@ -411,6 +430,133 @@ def test_certify_runs_buchberger_on_the_base_ring_once(monkeypatch):
     cert = certify_arc_closed(LocalAlgebraPresentation(R), a, 6)
     assert cert.certified and cert.level == 2
     assert computed == [R] and len(runs) == 2
+
+
+def test_walkthrough_runs_buchberger_on_the_base_ring_once(monkeypatch):
+    """A walkthrough runs Buchberger on S for the input modulus only:
+    each next modulus, each certificate target and the Matlis colon come
+    with their bases, and no module (tagged) run starts."""
+    computed = _computed_bases(monkeypatch)
+    runs = _engine_runs(monkeypatch)
+    R = RingContext(FieldSpec.rationals(), ("x", "y"))
+    P = LocalAlgebraPresentation(R, Ideal(R, [R.monomial((3, 0)), R.monomial((1, 1)), R.monomial((0, 4))]))
+    walk = gorenstein_walkthrough(P, 1)
+    assert len(walk.stages) == 3 and walk.embedding.colon_quotient_dim == 4
+    assert computed == [R]
+    assert runs and not any(run.tagged for run in runs)
+
+
+@st.composite
+def artinian_moduli(draw, low=1, top=4, corners=0):
+    """An ideal of k[x, y] over Q, F_2 or F_3: x^a + p and y^b + q with
+    ``low`` <= a, b <= ``top``, and ``corners`` to two more generators
+    x^i y^j + r with i, j in {1, 2}, which make the socle larger; p, q
+    and r are zero (two times in three) or sparse with no constant term.
+    Some have zeros away from the origin, and a few are not of finite
+    colength at all."""
+    R = RingContext(draw(st.sampled_from(FIELDS)), ("x", "y"))
+    tail = st.sampled_from((0, 0, 1)).flatmap(lambda k: sparse_polys(R) if k else st.just(R.zero()))
+    a, b = draw(st.integers(low, top)), draw(st.integers(low, top))
+    gens = [R.monomial((a, 0)) + draw(tail), R.monomial((0, b)) + draw(tail)]
+    corner = st.builds(lambda i, j, r: R.monomial((i, j)) + r, st.integers(1, 2), st.integers(1, 2), tail)
+    return LocalAlgebraPresentation(R, Ideal(R, gens + draw(st.lists(corner, min_size=corners, max_size=2))))
+
+
+def _outcome(run):
+    """``run()``, or the type and text of the domain error it raises."""
+    try:
+        return run()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def _embedding(emb) -> tuple:
+    return (emb.power, emb.witness, emb.colon.groebner_basis().elements,
+            emb.quotient_colength, emb.colon_quotient_dim, emb.images)
+
+
+def _walkthrough(walk) -> tuple:
+    stages = [
+        (stage.modulus.groebner_basis().elements, stage.colength, stage.socle_basis, stage.gorenstein,
+         stage.socle_generator_used, stage.certificate.level,
+         [c.groebner_basis().elements for c in stage.certificate.chain])
+        for stage in walk.stages
+    ]
+    return stages, _embedding(walk.embedding)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(artinian_moduli(), st.integers(1, 5))
+def test_matlis_embedding_matches_reference(P, power):
+    new = _outcome(lambda: _embedding(matlis_embedding(P, power)))
+    assert new == _outcome(lambda: _embedding(reference_matlis_embedding(P, power)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(artinian_moduli(low=2, top=3, corners=1), st.integers(0, 1))
+def test_walkthrough_matches_reference(P, max_level):
+    new = _outcome(lambda: _walkthrough(gorenstein_walkthrough(P, max_level)))
+    assert new == _outcome(lambda: _walkthrough(reference_gorenstein_walkthrough(P, max_level)))
+
+
+def test_named_matlis_and_walkthrough_cases_match_reference():
+    """Each error the two paths can raise; two walkthroughs whose socle
+    generator g has LT(g) in a tail of the modulus basis (x*y + y^2 with
+    g = y^2, x^2*y + y^3 with g = y^3), so that the rank-one update
+    subtracts a multiple of g; and two colons whose first witness
+    candidates fail the rank test, one of them with two later candidates
+    that pass."""
+    R = RingContext(FieldSpec.prime_field(3), ("x", "y"))
+    x, y = R.variable(0), R.variable(1)
+    cases = [
+        ((x**3, x**2 * y + y**2), 5, None),
+        ((x**4, x**2 * y - x * y + y**2), 6, None),
+        ((x**3, y**3, x * y + y**2), None, None),
+        ((x**3, x**2 * y + y**3, x**2 * y**2), None, None),
+        ((x**2, x * y, y**2), 3, NotGorensteinError),
+        ((x**2, y**3), 2, PowersNotContainedError),
+        ((x**2, y**3), 3, None),
+        ((x**2 - x, y), 2, PowersNotContainedError),
+        ((x**3 - x**2, y**2, x * y), None, NotArtinianError),
+        ((x * y,), 2, NotArtinianError),
+    ]
+    for gens, power, error in cases:
+        P = LocalAlgebraPresentation(R, Ideal(R, gens))
+        if power is None:
+            new = _outcome(lambda: _walkthrough(gorenstein_walkthrough(P, 1)))
+            assert new == _outcome(lambda: _walkthrough(reference_gorenstein_walkthrough(P, 1)))
+        else:
+            new = _outcome(lambda: _embedding(matlis_embedding(P, power)))
+            assert new == _outcome(lambda: _embedding(reference_matlis_embedding(P, power)))
+        raised = new[0] if isinstance(new[0], type) else None
+        assert raised is error
+
+
+@st.composite
+def module_inputs(draw):
+    """A module over S/I, I from ``artinian_moduli`` or (x^2 - x, y), of
+    rank 1 to 3, with up to two relations and two submodule elements
+    whose entries may have a constant term, so may be units."""
+    P = draw(st.one_of(artinian_moduli(), st.sampled_from(FIELDS).map(_two_points)))
+    R = P.ring
+    rank = draw(st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-2, 3), max_size=3)
+    entry = terms.map(lambda t: sum((R.monomial(u, R.field_spec.of_int(c)) for u, c in t.items()), R.zero()))
+    vector = st.lists(entry, min_size=rank, max_size=rank).map(lambda cs: FreeModuleElement(R, cs))
+    vectors = st.lists(vector, max_size=2)
+    return ModulePresentation(P, rank, draw(vectors), draw(vectors))
+
+
+def _two_points(fld):
+    R = RingContext(fld, ("x", "y"))
+    return LocalAlgebraPresentation(R, Ideal(R, [R.monomial((2, 0)) - R.monomial((1, 0)), R.monomial((0, 1))]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(module_inputs())
+def test_module_standard_basis_matches_module_buchberger(MP):
+    new = _outcome(lambda: module_jet_closure(MP, 0).standard_basis)
+    assert new == _outcome(lambda: reference_module_standard_basis(MP))
 
 
 def _support(terms: dict) -> frozenset:
