@@ -43,7 +43,11 @@ the same ``_echelon_ideal`` (``matlis_embedding``); each walkthrough
 stage I + (g) is a rank-one update of I's reduced basis
 (``gorenstein_walkthrough``); and the standard basis of a module
 presentation is the non-pivot set of one echelon of normal forms
-(``module_jet_closure``).
+(``module_jet_closure``).  The multiplication matrices of the socle and
+the module rows NF_I(x^b r) are read off the table of monomial normal
+forms that each reduced basis keeps
+(``GroebnerBasis.monomial_normal_form``); the Matlis products are
+exponent shifts mod m_N.
 """
 
 from __future__ import annotations
@@ -539,7 +543,9 @@ def socle_and_gorenstein(P: LocalAlgebraPresentation) -> SocleReport:
 
     The socle is the kernel of v -> (x_1 v, ..., x_n v) on the standard
     monomial basis; the quotient is Gorenstein exactly when it is
-    one-dimensional.
+    one-dimensional.  The column of x^u in the multiplication matrix of
+    x_j is NF(x^(u + e_j)), read off the basis's table
+    (``GroebnerBasis.monomial_normal_form``).
     """
     ring = P.ring
     fld = ring.field_spec
@@ -551,12 +557,17 @@ def socle_and_gorenstein(P: LocalAlgebraPresentation) -> SocleReport:
         return {
             (j, w): c
             for j in range(ring.nvars)
-            for w, c in basis.normal_form(ring.variable(j) * ring.monomial(u)).terms.items()
+            for w, c in basis.monomial_normal_form(u[:j] + (u[j] + 1,) + u[j + 1:]).items()
         }
 
     polys = [Polynomial(ring, t) for t in _kernel(columns, image, fld)]
     polys.sort(key=lambda p: DEGREVLEX.key(p.leading_term(DEGREVLEX)[0]))
     return SocleReport(basis=polys, gorenstein=len(polys) == 1, colength=sm.colength)
+
+
+def _pure_power(nvars: int, j: int, n: int) -> tuple:
+    """The exponent of x_j^n."""
+    return (0,) * j + (n,) + (0,) * (nvars - j - 1)
 
 
 @dataclass
@@ -571,7 +582,7 @@ class MatlisEmbedding:
     images: list  # (standard monomial, its image in S/m_N) pairs
 
 
-def _generates_colon(w: Polynomial, box: list, truncate, dim: int) -> bool:
+def _generates_colon(w: Polynomial, box: list, times, dim: int) -> bool:
     """Whether (w) + m_N is the colon (m_N : I) = m_N + V, dim V = ``dim``,
     for w in the colon, by one rank test.
 
@@ -580,9 +591,8 @@ def _generates_colon(w: Polynomial, box: list, truncate, dim: int) -> bool:
     dimension.  The image of (w) + m_N is spanned by the x^v w mod m_N
     for v in the box of S/m_N, as x^v lies in m_N for every other v.
     """
-    ring = w.ring
-    rows = [truncate((ring.monomial(v) * w).terms) for v in box]
-    return len(rref(rows, ring.field_spec)) == dim
+    rows = [times(v, w.terms) for v in box]
+    return len(rref(rows, w.ring.field_spec)) == dim
 
 
 def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding:
@@ -600,7 +610,9 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
     (``_echelon_ideal``), and dim (m_N : I)/m_N is dim V.  The witness
     is the first element of that basis, by increasing leading term, that
     is not in m_N (one led by a pivot) and generates the colon modulo
-    m_N (``_generates_colon``).
+    m_N (``_generates_colon``).  Every product with a monomial here is an
+    exponent shift, truncated mod m_N (``times``), and x_j^N lies in I
+    iff the table entry NF(x_j^N) is zero.
     """
     ring = P.ring
     fld = ring.field_spec
@@ -610,20 +622,25 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
         raise NotGorensteinError("the quotient is not Gorenstein")
     I_basis = I.groebner_basis(DEGREVLEX)
     for j, name in enumerate(ring.variables):
-        if not I_basis.contains(ring.variable(j) ** power):
+        if I_basis.monomial_normal_form(_pure_power(ring.nvars, j, power)):
             raise PowersNotContainedError(f"{name}^{power} does not lie in the modulus")
 
     def powers(u):
         return any(e >= power for e in u)
 
-    def truncate(terms):
-        return {u: c for u, c in terms.items() if not powers(u)}
+    def times(v, terms):
+        """x^v times the polynomial with terms ``terms``, mod m_N."""
+        out = {}
+        for u, c in terms.items():
+            w = tuple(map(add, u, v))
+            if not powers(w):
+                out[w] = c
+        return out
 
     box = sorted(product(range(power), repeat=ring.nvars), key=DEGREVLEX.key, reverse=True)
 
     def image(u):
-        x_u = ring.monomial(u)
-        return {(k, v): c for k, g in enumerate(I.generators) for v, c in truncate((x_u * g).terms).items()}
+        return {(k, v): c for k, g in enumerate(I.generators) for v, c in times(u, g.terms).items()}
 
     index = {u: c for c, u in enumerate(box)}
     kernel = [{index[u]: x for u, x in t.items()} for t in _kernel(box, image, fld)]
@@ -631,17 +648,17 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
     colon_dim = len(kernel)
     witness = next(
         (w for w in colon.generators
-         if not powers(w.leading_term(DEGREVLEX)[0]) and _generates_colon(w, box, truncate, colon_dim)),
+         if not powers(w.leading_term(DEGREVLEX)[0]) and _generates_colon(w, box, times, colon_dim)),
         None,
     )
     if witness is None:
         raise InternalError("no single witness generates the colon ideal modulo the powers")
     if colon_dim != soc.colength:
         raise InternalError("witness verification failed: dimension mismatch")
-    images = []
-    for u in standard_monomial_basis(I).monomials:
-        b = ring.monomial(u)
-        images.append((b, Polynomial(ring, truncate((b * witness).terms))))
+    images = [
+        (ring.monomial(u), Polynomial(ring, times(u, witness.terms)))
+        for u in standard_monomial_basis(I).monomials
+    ]
     return MatlisEmbedding(
         power=power,
         witness=witness,
@@ -665,8 +682,9 @@ def smallest_containing_power(P: LocalAlgebraPresentation) -> int:
     """
     basis = P.modulus.groebner_basis(DEGREVLEX)
     bound = _artinian_standard_basis(P.modulus).colength + 1
+    nvars = P.ring.nvars
     for n in range(1, bound + 1):
-        if all(basis.contains(P.ring.variable(j) ** n) for j in range(P.ring.nvars)):
+        if not any(basis.monomial_normal_form(_pure_power(nvars, j, n)) for j in range(nvars)):
             return n
     raise NotArtinianError("the modulus is not m-primary")
 
@@ -855,11 +873,21 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
 
     pot = [(c, u) for c in range(rank) for u in reversed(std)]
     pot_index = {cu: k for k, cu in enumerate(pot)}
-    rows = [
-        {pot_index[c, w]: x for c, comp in enumerate(v.components)
-         for w, x in I_basis.normal_form(ring.monomial(b) * comp).terms.items()}
-        for v in module_rels for b in std
-    ]
+
+    def row(b, v):
+        """NF_I(x^b v) on the columns, the sum of c NF(x^(b+t)) over the
+        terms c x^t of each entry of v."""
+        out: dict = {}
+        for c, comp in enumerate(v.components):
+            for t, x in comp.terms.items():
+                for w, y in I_basis.monomial_normal_form(tuple(map(add, b, t))).items():
+                    k = pot_index[c, w]
+                    s = fld.add(out.pop(k, fld.zero()), fld.mul(x, y))
+                    if not fld.is_zero(s):
+                        out[k] = s
+        return out
+
+    rows = [row(b, v) for v in module_rels for b in std]
     pivots = rref(rows, fld)
     sm = sorted((cu for k, cu in enumerate(pot) if k not in pivots), key=_block_key)
 

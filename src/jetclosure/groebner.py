@@ -268,9 +268,28 @@ class GroebnerBasis:
         self.order = order
         self.elements = list(elements)
         self._data = _basis_data([g.terms for g in self.elements], order.key)
+        self._monomial_nfs: dict = {}  # u -> NF(x^u) terms
 
     def leading_exponents(self) -> list:
         return [lt for lt, _ in self._data]
+
+    def monomial_normal_form(self, u: tuple) -> dict:
+        """The terms of NF(x^u), reduced once per basis and kept; the
+        caller must not mutate the dict.
+
+        The normal form modulo a fixed reduced basis is unique and
+        k-linear, so NF(sum c_t x^t) is sum c_t NF(x^t): the multiplication
+        matrices of an Artinian quotient, and the normal form of any
+        polynomial, are read off this table.  A basis never changes after
+        it is built, so an entry never goes stale.  An entry is stored
+        only once it is complete; two threads that fill the same entry
+        store equal dicts, and a lost write only costs one more reduction.
+        """
+        nf = self._monomial_nfs.get(u)
+        if nf is None:
+            fld = self.ring.field_spec
+            nf = self._monomial_nfs[u] = _nf_terms({u: fld.one()}, self._data, self.order.key, fld)
+        return nf
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:

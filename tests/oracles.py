@@ -21,13 +21,13 @@ from jetclosure.closures import (
     GorensteinWalkthrough,
     LocalAlgebraPresentation,
     MatlisEmbedding,
+    SocleReport,
     WalkthroughStage,
     _artinian_standard_basis,
     _block_key,
     certify_arc_closed,
     jet_closure,
     smallest_containing_power,
-    socle_and_gorenstein,
 )
 from jetclosure.errors import (
     InternalError,
@@ -644,18 +644,49 @@ def reference_closure_chain(P, a, max_level: int) -> list:
 
 
 # ---------------------------------------------------------------------
-# reference paths: the Matlis colon and the walkthrough stages by
-# Buchberger on S, replaced by echelons over S/m_N and rank-one updates
+# reference paths: the socle, the Matlis colon and the walkthrough
+# stages by Buchberger and a fresh normal form per product, replaced by
+# the table of monomial normal forms, echelons over S/m_N and rank-one
+# updates
 # ---------------------------------------------------------------------
+
+
+def reference_socle_and_gorenstein(P) -> SocleReport:
+    """The socle with one ``normal_form`` of the product x_j * x^u per
+    column u and variable j, and its kernel from the dense
+    ``reference_nullspace_basis``; columns ordered as in
+    ``socle_and_gorenstein``."""
+    ring = P.ring
+    fld = ring.field_spec
+    sm = _artinian_standard_basis(P.modulus)
+    basis = P.modulus.groebner_basis(DEGREVLEX)
+    columns = sorted(sm.monomials, key=DEGREVLEX.key, reverse=True)
+    images = [
+        {
+            (j, w): c
+            for j in range(ring.nvars)
+            for w, c in basis.normal_form(ring.variable(j) * ring.monomial(u)).terms.items()
+        }
+        for u in columns
+    ]
+    rows = sorted(set().union(*images))
+    matrix = [[img.get(r, fld.zero()) for img in images] for r in rows]
+    polys = [
+        Polynomial(ring, {u: x for x, u in zip(vec, columns) if not fld.is_zero(x)})
+        for vec in reference_nullspace_basis(matrix, len(columns), fld)
+    ]
+    polys.sort(key=lambda p: DEGREVLEX.key(p.leading_term(DEGREVLEX)[0]))
+    return SocleReport(basis=polys, gorenstein=len(polys) == 1, colength=sm.colength)
 
 
 def reference_matlis_embedding(P, power: int) -> MatlisEmbedding:
     """The Matlis embedding with the colon (m_N : I) from ``colon_ideal``,
-    its dimension from two staircase counts, and the witness found by
-    ``ideals_equal`` on each candidate of the colon's reduced basis."""
+    its dimension from two staircase counts, the witness found by
+    ``ideals_equal`` on each candidate of the colon's reduced basis, and
+    the socle from ``reference_socle_and_gorenstein``."""
     ring = P.ring
     I = P.modulus
-    soc = socle_and_gorenstein(P)
+    soc = reference_socle_and_gorenstein(P)
     if not soc.gorenstein:
         raise NotGorensteinError("the quotient is not Gorenstein")
     I_basis = I.groebner_basis(DEGREVLEX)
@@ -681,13 +712,14 @@ def reference_matlis_embedding(P, power: int) -> MatlisEmbedding:
 
 def reference_gorenstein_walkthrough(P, max_level: int) -> GorensteinWalkthrough:
     """The walkthrough with each next modulus I + (g) generated by I's
-    generators and g, its basis left to Buchberger, and the embedding
-    from ``reference_matlis_embedding``."""
+    generators and g, its basis left to Buchberger, each socle from
+    ``reference_socle_and_gorenstein`` and the embedding from
+    ``reference_matlis_embedding``."""
     ring = P.ring
     stages = []
     current = P
     while True:
-        soc = socle_and_gorenstein(current)
+        soc = reference_socle_and_gorenstein(current)
         cert = certify_arc_closed(current, Ideal(ring, []), max_level)
         g = None if soc.gorenstein else soc.basis[0]
         stages.append(WalkthroughStage(current.modulus, soc.colength, soc.basis, soc.gorenstein, g, cert))

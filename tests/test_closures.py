@@ -42,6 +42,7 @@ from oracles import (
     reference_jet_closure,
     reference_jsc_membership,
     reference_module_jet_closure,
+    reference_socle_and_gorenstein,
 )
 from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
 
@@ -419,6 +420,34 @@ def test_socle_requires_artinian():
         socle_and_gorenstein(LocalAlgebraPresentation(RXY, ideal(RXY, "x")))
 
 
+SOCLE_CASES = (
+    ("xy", ("x^2", "y^2")),
+    ("xy", ("x^2", "x*y", "y^2")),
+    ("xy", ("x^2 - y^3", "y^4")),
+    ("xy", ("x^3", "x^2*y + y^2")),
+    ("xy", ("x^2 - x", "y")),  # zeros at the origin and at (1, 0)
+    ("xy", ("x^2 - x^3", "y^2")),  # the same two zeros, with multiplicity
+    ("xyz", ("x^2 - y*z", "y^2", "z^2", "x*y")),
+)
+
+
+def test_socle_matches_reference_socle():
+    """The socle read off the table of monomial normal forms equals the
+    one from a normal form per product and a dense kernel, over Q, F_2
+    and F_3, zeros away from the origin included; both reject a modulus
+    that is not of finite colength."""
+    for field in (Q, F2, F3):
+        for names, gens in SOCLE_CASES:
+            R = ring(names, field)
+            P = LocalAlgebraPresentation(R, ideal(R, *gens))
+            assert socle_and_gorenstein(P) == reference_socle_and_gorenstein(P)
+        R = ring("xy", field)
+        P = LocalAlgebraPresentation(R, ideal(R, "x*y", "y^2"))
+        for socle in (socle_and_gorenstein, reference_socle_and_gorenstein):
+            with pytest.raises(NotArtinianError):
+                socle(P)
+
+
 # --- Matlis embedding ----------------------------------------------------
 
 
@@ -782,3 +811,101 @@ def test_level_zero_runs_in_the_pointed_ring_with_no_variables():
                 for v in MP.relations + MP.submodule
             ]
             assert rep.dim_module - rep.dim_kernel == MP.rank - rank(constants, MP.rank, field)
+
+
+# --- the table of monomial normal forms ----------------------------------
+
+
+def _module_over(P):
+    """A rank-2 module over k[x, y]/I with one relation and one submodule
+    element."""
+    R = P.ring
+    x, y = R.variable(0), R.variable(1)
+    return ModulePresentation(P, 2, [FreeModuleElement(R, [x * y, y + x * x])], [FreeModuleElement(R, [y, x])])
+
+
+def test_table_reduces_each_monomial_once_and_keeps_its_dicts(monkeypatch):
+    """One walkthrough and one module closure reduce each monomial at most
+    once per basis through ``monomial_normal_form``, and the socle,
+    Matlis and module-closure runs leave every dict the table handed out
+    as it was."""
+    from collections import Counter
+
+    from jetclosure import groebner
+
+    raw_nf, raw_table = groebner._nf_terms, groebner.GroebnerBasis.monomial_normal_form
+    filling, reductions, handed = [], Counter(), []
+
+    def table(basis, u):
+        filling.append(basis)
+        try:
+            nf = raw_table(basis, u)
+        finally:
+            filling.pop()
+        handed.append((nf, dict(nf)))
+        return nf
+
+    def nf_terms(terms, data, key, fld):
+        if filling:
+            reductions[filling[-1], tuple(terms)] += 1
+        return raw_nf(terms, data, key, fld)
+
+    monkeypatch.setattr(groebner, "_nf_terms", nf_terms)
+    monkeypatch.setattr(groebner.GroebnerBasis, "monomial_normal_form", table)
+    R = ring("xy", F3)
+    P = LocalAlgebraPresentation(R, ideal(R, "x^3", "y^3", "x*y + y^2"))
+    walk = gorenstein_walkthrough(P, 1)
+    assert len(walk.stages) > 1 and walk.embedding.colon_quotient_dim == walk.stages[-1].colength
+    assert module_jet_closure(_module_over(P), 1).dim_module > 0
+    assert reductions and max(reductions.values()) == 1
+    assert handed and all(nf == copy for nf, copy in handed)
+
+
+def _table_runs(P, level):
+    """Socle, Matlis embedding and module closure of one modulus, as
+    plain values that compare equal across runs."""
+    soc = socle_and_gorenstein(P)
+    emb = matlis_embedding(P, smallest_containing_power(P))
+    mod = module_jet_closure(_module_over(P), level)
+    return (soc, emb.witness, emb.colon.generators, emb.colon_quotient_dim, emb.images,
+            mod.standard_basis, mod.kernel_basis)
+
+
+def test_shared_modulus_tables_under_thread_stress():
+    """More threads than cores share one modulus, so one reduced basis and
+    its table, with a switch interval of a microsecond: in each of five
+    rounds on a fresh modulus, every run equals a single-thread run, and
+    every table entry equals its normal form."""
+    import os
+    import sys
+    import threading
+
+    gens = ("x^2 - y^3", "y^4")
+    R = ring("xy", F3)
+    expected = _table_runs(LocalAlgebraPresentation(R, ideal(R, *gens)), 1)
+    workers = 2 * (os.cpu_count() or 1) + 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = LocalAlgebraPresentation(R, ideal(R, *gens))
+            results = [None] * workers
+            start = threading.Barrier(workers)
+
+            def work(slot):
+                start.wait(timeout=60)
+                results[slot] = _table_runs(shared, 1)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            assert all(r == expected for r in results)
+            basis = shared.modulus.groebner_basis()
+            assert basis._monomial_nfs
+            for u, nf in basis._monomial_nfs.items():
+                assert nf == basis.normal_form(R.monomial(u)).terms
+    finally:
+        sys.setswitchinterval(interval)

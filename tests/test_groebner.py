@@ -614,8 +614,34 @@ def test_basis_cache_is_shared_across_threads():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+        assert not t.is_alive()
     assert all(r is results[0] for r in results)
+
+
+TABLE_MODULI = (
+    ("xy", ()),  # the empty basis
+    ("xy", ("x^2 - y^3", "y^4")),
+    ("xy", ("x^2 - x", "y")),
+    ("xy", ("x*y + y^2 - x", "x^3")),
+    ("xyz", ("x^2 - y*z", "x*y - z", "y^3 - x")),
+)
+
+
+def test_monomial_normal_form_table_matches_normal_form():
+    """NF(x^u) from the table equals ``normal_form`` of x^u on a box that
+    holds every standard monomial and every border monomial, over Q, F_2
+    and F_3; a second read returns the dict kept."""
+    for field in (Q, FieldSpec.prime_field(2), FieldSpec.prime_field(3)):
+        for names, gens in TABLE_MODULI:
+            R = ring(names, field)
+            G = ideal(R, *gens).groebner_basis()
+            lts = G.leading_exponents()
+            tops = [max((lt[j] for lt in lts), default=2) for j in range(R.nvars)]
+            for u in itertools.product(*(range(t + 1) for t in tops)):
+                nf = G.monomial_normal_form(u)
+                assert nf == G.normal_form(R.monomial(u)).terms
+                assert G.monomial_normal_form(u) is nf
 
 
 def test_inexact_division_is_an_internal_error():

@@ -20,6 +20,8 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 * one level ladder climbed through every level against fresh closures,
   the running-intersection chain and normal forms modulo the untruncated
   fiber ideal;
+* the socle read off the table of monomial normal forms against a
+  normal form per product and a dense kernel;
 * the Matlis embedding and the walkthrough, read off echelons, against
   the colon, witness and stage bases of Buchberger on S, and a
   walkthrough running Buchberger on S for its input modulus only;
@@ -51,6 +53,7 @@ from oracles import (
     reference_matlis_embedding,
     reference_module_standard_basis,
     reference_newton_membership,
+    reference_socle_and_gorenstein,
 )
 
 from jetclosure import closures
@@ -63,6 +66,7 @@ from jetclosure.closures import (
     jet_closure,
     matlis_embedding,
     module_jet_closure,
+    socle_and_gorenstein,
 )
 from jetclosure.errors import (
     DomainError,
@@ -483,6 +487,13 @@ def _walkthrough(walk) -> tuple:
         for stage in walk.stages
     ]
     return stages, _embedding(walk.embedding)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(artinian_moduli(corners=1))
+def test_socle_matches_reference(P):
+    new = _outcome(lambda: socle_and_gorenstein(P))
+    assert new == _outcome(lambda: reference_socle_and_gorenstein(P))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
