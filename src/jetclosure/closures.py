@@ -32,8 +32,11 @@ extended to level l, not rebuilt, so the whole climb runs one J'
 engine, truncated at each level's weight, and reduces each row once;
 only the a' echelon, the kernel and the closure echelon are built per
 level.  ``module_jet_closure`` and ``jsc_membership`` each climb one
-fresh ladder to their level and read every pointed jet and the
-generators of J' off it.
+fresh ladder to their level and read every pointed jet off it.  A
+module closure reduces only elements of weight at most the level, so
+it reads its normal forms off the truncated basis of J' as it stands,
+and its kernel off one echelon of weight-0 relation rows, with no
+module Buchberger; ``radical_member`` completes the basis.
 
 The Artinian quotient S/I is a finite-dimensional algebra, and the
 base-ring side of the Gorenstein pipeline runs on its echelons, with
@@ -71,14 +74,13 @@ from .groebner import (
     FreeModuleElement,
     GroebnerBasis,
     Ideal,
-    SubmodulePresentation,
     ideal_contains,
     ideal_sum,
     radical_member,
     standard_monomial_basis,
 )
 from .jets import JetRing, Series
-from .linalg import nullspace_basis, rref
+from .linalg import nullspace_basis, remainder, rref
 from .poly import Polynomial, RingContext, monomial_divides, walk_order_ideal
 
 
@@ -119,6 +121,18 @@ def _check_proper(P: LocalAlgebraPresentation, a: Ideal) -> None:
 def _block_key(key: tuple):
     """Order (block, exponents) keys by block, then degrevlex."""
     return (key[0], DEGREVLEX.key(key[1]))
+
+
+def _monomials_by_weight(weights: list, top: int) -> list:
+    """[the exponents of every monomial of weight s, for s = 0, ..., top],
+    over variables of positive ``weights``, each monomial once: variable
+    k is taken in after those before it, and x_k m is met only from m."""
+    by_weight = [[(0,) * len(weights)]] + [[] for _ in range(top)]
+    for k, o in enumerate(weights):
+        for s in range(o, top + 1):
+            for m in by_weight[s - o]:
+                by_weight[s].append(m[:k] + (m[k] + 1,) + m[k + 1:])
+    return by_weight
 
 
 def _kernel(columns: list, image, fld) -> list:
@@ -243,9 +257,9 @@ class _Ladder:
     interreducing keep the leading-term ideal).  Every generator
     phi(D_k g) has weight k <= l, so it reduces to zero on ``basis`` and
     lies in the ideal ``basis`` generates, which is therefore J'_l.  It
-    is a Groebner basis only up to weight l: a caller that asks for
-    normal forms of heavier elements, as the module Buchberger of
-    ``module_jet_closure`` and the one of ``radical_member`` do,
+    is a Groebner basis only up to weight l: ``module_jet_closure`` asks
+    it for normal forms of weight at most l only, and a caller that asks
+    for heavier ones, as the Buchberger run of ``radical_member`` does,
     completes it from these generators first.
 
     A row does not depend on the level.  f = phi(D_i x^u) has weight
@@ -836,19 +850,40 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     coordinate k, F the fiber ideal of the base modulus I, and the
     t-shifted jets of the relations of M/N.  Let phi set every x@0 to 0
     and J' = phi(F).  The ``_Ladder`` of I (proper, by
-    ``LocalAlgebraPresentation``), climbed to the level, gives generators
-    of J' (its truncated basis, which the module Buchberger completes)
-    and every phi(D_i h) below.  A column combination v vanishes in the
-    quotient iff v = f + r with f in F^big and r a combination of
-    the relation jets.  Then phi(v) = phi(f) + phi(r) with phi(f) in
-    J'^big; conversely, let phi(v) = j + phi(r) with j in J'^big.  Each
-    phi(D) differs from D by an element of (x@0), so J' lies in F and j
-    in F^big, and phi(v - r - j) = 0: v - r - j lies in the kernel
-    (x@0)^big of phi, which lies in F^big.  So v vanishes iff phi(v)
-    lies in the submodule presented by J' e_k and phi of the relation
-    jets, and the kernel is unchanged (proof for ideals in
+    ``LocalAlgebraPresentation``), climbed to the level, gives every
+    phi(D_i h) below and normal forms modulo J'.  A column combination
+    v vanishes in the quotient iff v = f + r with f in F^big and r a
+    combination of the relation jets.  Then phi(v) = phi(f) + phi(r)
+    with phi(f) in J'^big; conversely, let phi(v) = j + phi(r) with j in
+    J'^big.  Each phi(D) differs from D by an element of (x@0), so J'
+    lies in F and j in F^big, and phi(v - r - j) = 0: v - r - j lies in
+    the kernel (x@0)^big of phi, which lies in F^big.  So v vanishes iff
+    phi(v) lies in the submodule K generated by J' e_k and phi of the
+    relation jets, and the kernel is unchanged (proof for ideals in
     ``jet_closure``).  D_0 of a relation is kept: phi(D_0 h) = h(0),
     and an entry of a relation may have a nonzero constant term.
+
+    The kernel by weight-graded linear algebra, with no module
+    Buchberger.  Let A = k[x@1, ..., x@level], give x@k weight k and the
+    coordinate e_(c,j) (component c, t-power j) weight -j.  The
+    generators of K are weighted-homogeneous: J' e_(c,j), as J' is
+    (``_Ladder``); the shift-s jet R_(v,s) = sum_c sum_(j>=s)
+    phi(D_(j-s) v_c) e_(c,j) of a relation v, of weight -s; and so is
+    each column image sum_j phi(D_j x^u) e_(c,j), of weight 0.  So K is
+    graded, and a column combination, of weight 0, lies in K iff it lies
+    in K_0, spanned over k by the h e_(c,j) with h in J' of weight j and
+    the m R_(v,s) with m a monomial of weight s.  In weight 0 the block
+    of e_(c,j) is A_j e_(c,j), so modulo J' e_(c,j) it is (A/J')_j, and
+    every entry met there has weight j <= level: the ladder's truncated
+    basis gives its normal form (``_Ladder``), and J' is never
+    completed.  So a column combination lies in K iff its normal form
+    lies in the span of the rows NF(m R_(v,s)), read term by term off
+    the table (``GroebnerBasis.monomial_normal_form``) under the keys
+    (c, j, w), w over the variables of order <= j as in ``_Ladder.row``.
+    The kernel is that of each column's ``remainder`` modulo the
+    ``rref`` of those rows: the same subspace on the same columns, so
+    ``nullspace_basis`` gives the same canonical basis.  (The Macaulay
+    matrices of Lazard, 1983, graded by weight.)
 
     The standard basis of M/N by linear algebra.  Let U be generated by
     the relations of M/N and by I e_c, and W be its image in
@@ -893,39 +928,35 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
 
     ladder = _Ladder(MP.base, Ideal(ring))
     ladder.climb(level)
-    jet_ctx = ladder.basis.ring
-    big_rank = rank * (level + 1)
-
-    def big_index(component: int, t_power: int) -> int:
-        return t_power * rank + component
-
-    zero_vec = [jet_ctx.zero()] * big_rank
-    big_rels = []
-    for g in ladder.basis:
-        for idx in range(big_rank):
-            comps = list(zero_vec)
-            comps[idx] = g
-            big_rels.append(FreeModuleElement(jet_ctx, comps))
+    nf = ladder.basis.monomial_normal_form
+    cuts = [ladder.series.width(j) for j in range(level + 1)]
+    multipliers = _monomials_by_weight(ladder.weights, level)
+    keys: dict = {}  # (c, j, w) -> a column of the relation rows
+    shifted = []  # the rows NF(m R_(v,s))
     for v in module_rels:
-        jets = [[ladder.jet(comp.terms, i) for i in range(level + 1)] for comp in v.components]
-        for shift in range(level + 1):
-            comps = list(zero_vec)
-            for c in range(rank):
-                for j in range(shift, level + 1):
-                    comps[big_index(c, j)] = comps[big_index(c, j)] + jets[c][j - shift]
-            vec = FreeModuleElement(jet_ctx, comps)
-            if not vec.is_zero():
-                big_rels.append(vec)
-    big_gb = SubmodulePresentation(jet_ctx, big_rank, big_rels).groebner_basis()
-
+        jets = [[ladder.jet(comp.terms, i).terms for i in range(level + 1)] for comp in v.components]
+        for s in range(level + 1):
+            for m in multipliers[s]:
+                r: dict = {}
+                for c in range(rank):
+                    for j in range(s, level + 1):
+                        for t, x in jets[c][j - s].items():
+                            for w, y in nf(tuple(map(add, m, t))).items():
+                                k = keys.setdefault((c, j, w[:cuts[j]]), len(keys))
+                                z = fld.add(r.pop(k, fld.zero()), fld.mul(x, y))
+                                if not fld.is_zero(z):
+                                    r[k] = z
+                shifted.append(r)
+    relations = rref(shifted, fld)
     columns = sorted(sm, key=_block_key, reverse=True)
 
     def image(cu):
-        comp, u = cu
-        comps = list(zero_vec)
-        for j in range(level + 1):
-            comps[big_index(comp, j)] = ladder.jet({u: fld.one()}, j)
-        return big_gb.normal_form(FreeModuleElement(jet_ctx, comps))._terms()
+        c, u = cu
+        out = {}
+        for i in range(level + 1):
+            for (j, w), x in ladder.row(u, i).items():
+                out[keys.setdefault((c, j, w), len(keys))] = x
+        return remainder(out, relations, fld)
 
     kernel = [
         FreeModuleElement._from_terms(ring, rank, t) for t in _kernel(columns, image, fld)

@@ -2,9 +2,10 @@
 
 A row is a dict {column: scalar} with no zero entries, columns are
 integers, and a row's pivot is its least column.  One elimination,
-``rref``, serves every caller: the kernels of ``nullspace_basis`` and
-the truncated echelons that ``closures`` reads ideals off.  No dense
-matrix is built.
+``rref``, serves every caller: the kernels of ``nullspace_basis``, the
+truncated echelons that ``closures`` reads ideals off, and the
+echelons that ``remainder`` reduces module-closure columns by.  No
+dense matrix is built.
 """
 
 from __future__ import annotations
@@ -57,6 +58,21 @@ def rref(rows, fld: FieldSpec) -> dict:
         for col in [k for k in row if k != lead and k in echelon]:
             _subtract(row, row[col], echelon[col], p)
     return echelon
+
+
+def remainder(row: dict, echelon: dict, fld: FieldSpec) -> dict:
+    """The vector congruent to ``row`` modulo the span of ``echelon``, a
+    ``rref`` result, with no entry at a pivot; it is zero iff ``row``
+    lies in the span.
+
+    Subtracting the row with pivot q clears column q and adds entries
+    only at non-pivot columns, so one pass over the pivots that ``row``
+    meets clears them all.
+    """
+    r = dict(row)
+    for lead in [k for k in r if k in echelon]:
+        _subtract(r, r[lead], echelon[lead], fld.characteristic)
+    return r
 
 
 def nullspace_basis(rows: list, ncols: int, fld: FieldSpec) -> list:

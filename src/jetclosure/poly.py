@@ -506,12 +506,12 @@ def _parse_factor(ts: _TokenStream, ring: RingContext) -> Polynomial:
             j = ring.var_index(tok.text)
         except KeyError:
             raise UnknownVariableError(tok.text, tok.line, tok.column) from None
-        p = ring.variable(j)
+        exps = [0] * ring.nvars
+        exps[j] = 1
         if ts.peek().kind == "^":
             ts.next()
-            e = ts.expect("nat")
-            p = p ** int(e.text)
-        return p
+            exps[j] = int(ts.expect("nat").text)
+        return Polynomial(ring, {tuple(exps): ring.field_spec.one()})  # x_j^e is one term
     if tok.kind == "(":
         if ts.depth == MAX_NESTING:
             raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -25,6 +26,7 @@ from jetclosure.errors import (
 )
 from jetclosure.groebner import (
     FreeModuleElement,
+    GroebnerBasis,
     Ideal,
     SubmodulePresentation,
     ideal_contains,
@@ -748,21 +750,98 @@ def _record_ladders(monkeypatch) -> tuple:
     return ladders, series
 
 
+def _graded_module_cases(field):
+    """(module, levels): rank 1-2 modules over Artinian moduli of
+    k[x,y,z], relations with a constant term among them, at levels 0-3,
+    and over k[x,y]/(x^2 + y^2, xy) at levels 3-4.  Over (x^3, y^2, z^2)
+    the kernel is nonzero up to level 2."""
+    R, RXY1 = ring("xyz", field), ring("xy", field)
+    quadric = LocalAlgebraPresentation(R, ideal(R, "x*z - y^2", "x^2", "y*z", "z^3"))
+    squares = LocalAlgebraPresentation(R, ideal(R, "x^2", "y^2", "z^2"))
+    cube = LocalAlgebraPresentation(R, ideal(R, "x^3", "y^2", "z^2"))
+    sum_of_squares = LocalAlgebraPresentation(RXY1, ideal(RXY1, "x^2 + y^2", "x*y"))
+    spatial, planar = range(4), (3, 4)
+    yield ModulePresentation(quadric, 1, [], [_vec(R, "y + z")]), spatial
+    yield ModulePresentation(quadric, 2, [_vec(R, "y", "1")], [_vec(R, "x", "0")]), spatial
+    yield ModulePresentation(squares, 2, [_vec(R, "x", "1 + z")], [_vec(R, "y*z", "x")]), spatial
+    yield ModulePresentation(cube, 2, [_vec(R, "1 + x", "y")], [_vec(R, "z", "x*y")]), spatial
+    yield ModulePresentation(sum_of_squares, 1, [], [_vec(RXY1, "x + y")]), planar
+    yield ModulePresentation(sum_of_squares, 2, [_vec(RXY1, "y", "1 - x")], [_vec(RXY1, "x", "0")]), planar
+
+
 def test_module_jet_closure_matches_reference(monkeypatch):
     for field in SHORTCUT_FIELDS:
-        for MP in _module_cases(field):
-            for level in range(5):
+        cases = [(MP, range(5)) for MP in _module_cases(field)] + list(_graded_module_cases(field))
+        for MP, levels in cases:
+            for level in levels:
                 rep = module_jet_closure(MP, level)
                 assert rep.kernel_basis == reference_module_jet_closure(MP, level)
                 assert rep.dim_kernel == len(rep.kernel_basis)
-    # the plane modulus at level 3: the module Buchberger takes in the
-    # ladder's truncated basis of J', strictly smaller than its completion
+    # the plane modulus at level 3: the ladder's truncated basis of J' is
+    # strictly smaller than its completion, and module closures reduce on
+    # it as it stands (``test_module_rows_are_completed_normal_forms``)
     ladders, _ = _record_ladders(monkeypatch)
     plane = LocalAlgebraPresentation(RXY, ideal(RXY, "x^2 - y^3", "x*y"))
     module_jet_closure(ModulePresentation(plane, 2, [], [_vec(RXY, "x", "y")]), 3)
     (ladder,) = ladders
     completed = Ideal(ladder.basis.ring, ladder.basis).groebner_basis()
     assert len(ladder.basis) < len(completed)
+
+
+def test_module_rows_are_completed_normal_forms(monkeypatch):
+    """A module closure reduces on the ladder's truncated basis of J', with
+    no completion: every table entry NF(x^u) it reads, of which each
+    relation row is a combination, and every column row equal the normal
+    form modulo the completed basis.  At level 3, over (x^2 + y^2, xy)
+    and (xz - y^2, x^2, yz, z^3), a basis truncated one weight short has
+    other leading terms of weight <= 3."""
+    ladders, _ = _record_ladders(monkeypatch)
+    read = []
+    raw_table = GroebnerBasis.monomial_normal_form
+
+    def table(basis, u):
+        nf = raw_table(basis, u)
+        read.append((basis, u, nf))
+        return nf
+
+    monkeypatch.setattr(GroebnerBasis, "monomial_normal_form", table)
+    for field in SHORTCUT_FIELDS:
+        for MP, _ in _graded_module_cases(field):
+            ladders.clear()
+            read.clear()
+            module_jet_closure(MP, 3)
+            (ladder,) = ladders
+            completed = Ideal(ladder.basis.ring, ladder.basis).groebner_basis()
+            entries = [(u, nf) for basis, u, nf in read if basis is ladder.basis]
+            assert entries and ladder.rows
+            for u, nf in entries:
+                assert nf == completed.normal_form(ladder.basis.ring.monomial(u)).terms
+            for (u, i), row in ladder.rows.items():
+                cut = ladder.series.width(i)
+                full = completed.normal_form(ladder.jet({u: field.one()}, i))
+                assert row == {(i, w[:cut]): c for w, c in full.terms.items()}
+
+
+def test_module_closures_run_no_module_buchberger(monkeypatch):
+    def refuse(presentation):
+        raise AssertionError("a module Buchberger run started")
+
+    monkeypatch.setattr(SubmodulePresentation, "groebner_basis", refuse)
+    for field in SHORTCUT_FIELDS:
+        for MP in list(_module_cases(field)) + [MP for MP, _ in _graded_module_cases(field)]:
+            for level in range(5):
+                module_jet_closure(MP, level)
+
+
+def test_module_closure_at_level_five_answers_at_once():
+    # a module Buchberger over k[x@1, ..., x@5] takes about a second here
+    P = LocalAlgebraPresentation(RXY, ideal(RXY, "x^3", "y^3", "y^2 - 3*x^2*y"))
+    MP = ModulePresentation(P, 2, [], [_vec(RXY, "0", "y")])
+    start = time.perf_counter()
+    rep = module_jet_closure(MP, 5)
+    assert time.perf_counter() - start < 0.25
+    assert (rep.dim_module, rep.kernel_basis) == (9, [])
+    assert module_jet_closure(MP, 2).kernel_basis == [_vec(RXY, "y^2", "0")]
 
 
 def test_module_closure_and_jsc_climb_one_ladder(monkeypatch):

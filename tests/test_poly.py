@@ -239,6 +239,17 @@ def test_grammar_edge_cases():
     assert parse_polynomial("x # trailing comment", R) == R.variable(0)
 
 
+def test_parsed_pure_power_is_one_term():
+    # x_j^e is read as one monomial, not by square-and-multiply
+    for field in (Q, F2, F5):
+        R = ring(["x", "y", "z"], field)
+        for j, name in enumerate(R.variables):
+            for e in (0, 1, 2, 5, 13):
+                assert parse_polynomial(f"{name}^{e}", R) == R.variable(j) ** e
+        assert parse_polynomial("3*y^4*x^2*y", R) == R.constant(3) * R.variable(0) ** 2 * R.variable(1) ** 5
+        assert parse_polynomial("x^99999999", R).terms == {(99999999, 0, 0): field.one()}
+
+
 # --- primality of the characteristic ------------------------------------
 
 

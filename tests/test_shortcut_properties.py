@@ -27,6 +27,9 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
   walkthrough running Buchberger on S for its input modulus only;
 * the module standard basis, one echelon of normal forms, against the
   module Buchberger, units and zeros away from the origin included;
+* the module closure kernel, one weight-0 echelon over the truncated
+  basis of J', against a module Buchberger in the full jet ring, at
+  levels 1 to 3;
 * print -> parse -> print is a fixed point.
 """
 
@@ -51,6 +54,7 @@ from oracles import (
     reference_integral_closure,
     reference_jet_closure,
     reference_matlis_embedding,
+    reference_module_jet_closure,
     reference_module_standard_basis,
     reference_newton_membership,
     reference_socle_and_gorenstein,
@@ -568,6 +572,13 @@ def _two_points(fld):
 def test_module_standard_basis_matches_module_buchberger(MP):
     new = _outcome(lambda: module_jet_closure(MP, 0).standard_basis)
     assert new == _outcome(lambda: reference_module_standard_basis(MP))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(module_inputs(), st.integers(1, 3))
+def test_module_kernel_matches_the_full_jet_ring(MP, level):
+    new = _outcome(lambda: module_jet_closure(MP, level).kernel_basis)
+    assert new == _outcome(lambda: reference_module_jet_closure(MP, level))
 
 
 def _support(terms: dict) -> frozenset:
