@@ -25,6 +25,7 @@ from .closures import (
     matlis_embedding,
     module_jet_closure,
     socle_and_gorenstein,
+    universal_jet_image,
 )
 from .errors import (
     DomainError,
@@ -52,7 +53,7 @@ from .groebner import (
     radical_member,
     standard_monomial_basis,
 )
-from .jets import JetIdeal, JetRing, fiber_ideal, hs_derivations, jet_ideal, universal_jet_image
+from .jets import JetIdeal, JetRing, fiber_ideal, hs_derivations, jet_ideal
 from .newton import MonomialIdealData, monomial_integral_closure, newton_membership
 from .poly import (
     FieldSpec,

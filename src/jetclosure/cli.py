@@ -24,6 +24,7 @@ error, 3 on an internal error (a failed invariant of the library).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -38,10 +39,11 @@ from .closures import (
     jsc_membership,
     matlis_embedding,
     socle_and_gorenstein,
+    universal_jet_image,
 )
 from .errors import DomainError, InternalError, ParseError
 from .groebner import DEGREVLEX, Ideal
-from .jets import fiber_ideal, hs_derivations, jet_ideal, universal_jet_image
+from .jets import fiber_ideal, hs_derivations, jet_ideal
 from .newton import MonomialIdealData, monomial_integral_closure
 from .poly import FieldSpec, Polynomial, RingContext, format_polynomial, parse_polynomial, tokenize, _TokenStream, _parse_poly
 
@@ -399,6 +401,7 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="jetclosure", description=__doc__)
     parser.add_argument("command", choices=list(COMMANDS))

@@ -31,12 +31,12 @@ memo, the basis of J' and the reduced kernel rows of level l - 1 are
 extended to level l, not rebuilt, so the whole climb runs one J'
 engine, truncated at each level's weight, and reduces each row once;
 only the a' echelon, the kernel and the closure echelon are built per
-level.  ``module_jet_closure`` and ``jsc_membership`` each climb one
-fresh ladder to their level and read every pointed jet off it.  A
-module closure reduces only elements of weight at most the level, so
-it reads its normal forms off the truncated basis of J' as it stands,
-and its kernel off one echelon of weight-0 relation rows, with no
-module Buchberger; ``radical_member`` completes the basis.
+level.  ``module_jet_closure``, ``jsc_membership`` and
+``universal_jet_image`` climb one fresh ladder each, and no other code
+builds a basis of J'.  Module closures (with no module Buchberger) and
+jet images reduce only elements of weight at most the level, on the
+truncated basis of J' as it stands; ``jsc_membership`` runs the
+ladder's engine on to completion.
 
 The Artinian quotient S/I is a finite-dimensional algebra, and the
 base-ring side of the Gorenstein pipeline runs on its echelons, with
@@ -74,6 +74,7 @@ from .groebner import (
     FreeModuleElement,
     GroebnerBasis,
     Ideal,
+    _block_key,
     ideal_contains,
     ideal_sum,
     radical_member,
@@ -116,11 +117,6 @@ def _check_proper(P: LocalAlgebraPresentation, a: Ideal) -> None:
     for g in a.generators:
         if not P.ring.field_spec.is_zero(g.constant_term()):
             raise NotProperError("ideal plus modulus contains a unit")
-
-
-def _block_key(key: tuple):
-    """Order (block, exponents) keys by block, then degrevlex."""
-    return (key[0], DEGREVLEX.key(key[1]))
 
 
 def _monomials_by_weight(weights: list, top: int) -> list:
@@ -206,9 +202,9 @@ class _Ladder:
 
     One ``certify_arc_closed`` or ``cumulative_closure_chain`` run owns
     one ladder and hands it to ``jet_closure`` at every level; the
-    ``closure`` command, ``module_jet_closure`` and ``jsc_membership``
-    each climb a fresh one straight to their level.  The ladder keeps
-    what level l - 1 computed and level l extends:
+    ``closure`` command, ``module_jet_closure``, ``jsc_membership`` and
+    ``universal_jet_image`` each climb a fresh one to their level.  The
+    ladder keeps what level l - 1 computed and level l extends:
 
     * the pointed series memo (``Series``), one t-power more per level,
       which ``jet`` reads phi(D_i f) off;
@@ -257,10 +253,10 @@ class _Ladder:
     interreducing keep the leading-term ideal).  Every generator
     phi(D_k g) has weight k <= l, so it reduces to zero on ``basis`` and
     lies in the ideal ``basis`` generates, which is therefore J'_l.  It
-    is a Groebner basis only up to weight l: ``module_jet_closure`` asks
-    it for normal forms of weight at most l only, and a caller that asks
-    for heavier ones, as the Buchberger run of ``radical_member`` does,
-    completes it from these generators first.
+    is a Groebner basis only up to weight l: ``module_jet_closure`` and
+    ``universal_jet_image`` ask it for normal forms of weight at most l
+    only, and ``jsc_membership``, whose radical tests reduce heavier
+    ones, runs ``engine`` on with no bound first.
 
     A row does not depend on the level.  f = phi(D_i x^u) has weight
     i <= l, and its normal form modulo J'_l is f - g with g in J'_l of
@@ -528,16 +524,44 @@ def jsc_membership(P: LocalAlgebraPresentation, a: Ideal, f: Polynomial, level: 
     with J' = phi(F), and radicals correspond under that isomorphism:
     D_i f lies in the radical of F iff phi(D_i f) lies in the radical of
     J' (proofs in ``_Ladder``).  One ladder climbed to the level gives
-    both the phi(D_i f) and generators of J', and the Buchberger runs of
-    ``radical_member`` go without the n base-point variables.
+    the phi(D_i f), and its ``BuchbergerRun``, run on with no bound, the
+    reduced basis of J' that the radical tests need, as they reduce
+    elements of any weight; they run without the base-point variables.
     """
     _check_proper(P, a)
     if f.ring != P.ring:
         raise RingMismatchError("element does not live in the presentation ring")
     ladder = _Ladder(P, a)
     ladder.climb(level)
-    J = Ideal(ladder.basis.ring, ladder.basis)
+    ladder.engine.run()
+    jets = ladder.basis.ring
+    J = Ideal.with_reduced_basis(jets, [Polynomial(jets, t) for t in ladder.engine.reduced()])
     return all(radical_member(ladder.jet(f.terms, i), J) for i in range(level + 1))
+
+
+def universal_jet_image(f: Polynomial, I: Ideal, level: int) -> list:
+    """Normal forms of D_0 f, ..., D_level f modulo the fiber ideal F of I,
+    in the full jet ring; all vanish exactly when f is killed by the
+    universal jet of the quotient by I at this level.
+
+    If a generator g of I has g(0) != 0, F holds g(x@0) and every x@0, so
+    it is the unit ideal and every entry is 0; the ladder drops D_0.
+    Otherwise F = (x@0) + J' R_jet with J' = phi(F) (``_Ladder``).  The
+    x@0 come first, so degrevlex orders the monomials free of them as in
+    k[x@1, ..., x@level], and the leading terms of the two parts are
+    coprime: the reduced basis of F is the x_j@0 and that of J'.  Hence
+    NF_F(D_i f) = NF_J'(phi(D_i f)), of weight i <= level, which the
+    ladder's truncated basis reduces exactly (``_Ladder``).
+    """
+    if f.ring != I.ring:
+        raise RingMismatchError("polynomial does not live in the ideal's ring")
+    jets = JetRing(I.ring, level).context
+    if any(not I.ring.field_spec.is_zero(g.constant_term()) for g in I.generators):
+        return [jets.zero()] * (level + 1)
+    ladder = _Ladder(LocalAlgebraPresentation(I.ring), I)
+    ladder.climb(level)
+    pointed = range(I.ring.nvars, jets.nvars)  # x_j@k, k >= 1, in the full jet ring
+    return [ladder.basis.normal_form(ladder.jet(f.terms, i)).transport(jets, pointed) for i in range(level + 1)]
 
 
 # ---------------------------------------------------------------------
@@ -802,18 +826,12 @@ class ModulePresentation:
             raise ValueError("module rank must be at least 1")
         self.base = base
         self.rank = rank
-        rels = []
-        for v in relations:
-            if v.ring != base.ring or v.rank != rank:
-                raise RingMismatchError("relation does not match the module")
-            rels.append(v)
-        self.relations = tuple(rels)
-        subs = []
-        for v in submodule or ():
-            if v.ring != base.ring or v.rank != rank:
-                raise RingMismatchError("submodule element does not match the module")
-            subs.append(v)
-        self.submodule = tuple(subs)
+        self.relations = tuple(relations)
+        self.submodule = tuple(submodule or ())
+        for what, elements in (("relation", self.relations), ("submodule element", self.submodule)):
+            for v in elements:
+                if v.ring != base.ring or v.rank != rank:
+                    raise RingMismatchError(f"{what} does not match the module")
 
     def working_relations(self) -> list:
         """Relations of M/N over the ambient ring, base ideal included."""

@@ -382,37 +382,22 @@ def ideals_equal(I: Ideal, J: Ideal) -> bool:
     return ideal_contains(I, J) and ideal_contains(J, I)
 
 
-def _fresh_name(base: str, taken) -> str:
-    if base not in taken:
-        return base
-    i = 0
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
-
-
-def _extend_ring(ring: RingContext, name: str) -> RingContext:
-    """``ring`` with one fresh variable appended."""
-    return RingContext(ring.field_spec, ring.variables + (_fresh_name(name, set(ring.variables)),))
-
-
 def radical_member(f: Polynomial, I: Ideal) -> bool:
     """Decide f in the radical of I with one extra variable.
 
-    Appends a fresh variable z and tests whether 1 lies in
-    I + (1 - z*f); base-ring variables keep their positions.
+    Appends an exponent slot z to every term and tests whether 1 lies in
+    I + (1 - z*f): the reduced basis of the unit ideal is 1.
     """
     if f.ring != I.ring:
         raise RingMismatchError("polynomial does not live in the ideal's ring")
     if f.is_zero():
         return True
-    ring = I.ring
-    ext = _extend_ring(ring, "zrad")
-    positions = list(range(ring.nvars))
-    gens = [g.transport(ext, positions) for g in I.groebner_basis(DEGREVLEX)]
-    z = ext.variable(ext.nvars - 1)
-    gens.append(ext.one() - z * f.transport(ext, positions))
-    return Ideal(ext, gens).groebner_basis(DEGREVLEX).contains(ext.one())
+    fld = I.ring.field_spec
+    gens = [{u + (0,): c for u, c in g.terms.items()} for g in I.groebner_basis(DEGREVLEX)]
+    one = (0,) * (I.ring.nvars + 1)
+    rabinowitsch = {u + (1,): fld.neg(c) for u, c in f.terms.items()}  # -z*f
+    rabinowitsch[one] = fld.one()
+    return _buchberger(gens + [rabinowitsch], DEGREVLEX.key, fld) == [{one: fld.one()}]
 
 
 def intersect_ideals(I: Ideal, J: Ideal) -> Ideal:
@@ -591,6 +576,11 @@ class FreeModuleElement:
         return f"({', '.join(str(p) for p in self.components)})"
 
 
+def _block_key(key: tuple):
+    """Order (block, exponents) keys by block, then degrevlex."""
+    return (key[0], DEGREVLEX.key(key[1]))
+
+
 def _pot_key(t: tuple) -> tuple:
     """Position over term, degrevlex within a position: a lower position is larger."""
     return (-t[0], DEGREVLEX.key(t[2:]))
@@ -674,5 +664,5 @@ def module_standard_monomials(S: SubmodulePresentation) -> list:
     for comp in range(S.rank):
         comp_lts = [u for c, u in lts if c == comp]
         out += [(comp, u) for u in _standard_monomials(comp_lts, S.ring.nvars, S.ring.variables)]
-    out.sort(key=lambda cu: (cu[0], DEGREVLEX.key(cu[1])))
+    out.sort(key=_block_key)
     return out

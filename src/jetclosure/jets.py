@@ -7,9 +7,9 @@ D_m(fg) = sum_{i+j=m} D_i(f) D_j(g) in every characteristic.
 
 Pointed jets set the base point to 0: phi(x_j@0) = 0, in the ring
 k[x@1, ..., x@l] (``JetRing`` with ``pointed``, ``Series`` with
-first = 1).  Closures only ask questions modulo fiber ideals, which
-contain every x_j@0, so they work there, on the series and the fiber
-ideal image of ``closures._Ladder``.
+first = 1).  Closures and the universal jet image only ask questions
+modulo fiber ideals, which contain every x_j@0, so they work there, on
+the series and the fiber ideal image of ``closures._Ladder``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .groebner import DEGREVLEX, Ideal
+from .groebner import Ideal
 from .poly import FieldSpec, Polynomial, RingContext
 
 
@@ -261,13 +261,3 @@ def fiber_ideal(I: Ideal, level: int) -> Ideal:
     """Jets of I plus the origin fiber: cuts out jets based at 0."""
     ji = jet_ideal(I, level)
     return Ideal(ji.jet_ring.context, ji.generators + ji.jet_ring.origin_fiber_generators())
-
-
-def universal_jet_image(f: Polynomial, I: Ideal, level: int) -> list:
-    """Normal forms of D_0 f, ..., D_level f modulo the fiber ideal of I.
-
-    All entries vanish exactly when f is killed by the universal jet of
-    the quotient by I at this level.
-    """
-    basis = fiber_ideal(I, level).groebner_basis(DEGREVLEX)
-    return [basis.normal_form(d) for d in hs_derivations(f, level)]

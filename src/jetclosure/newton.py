@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InternalError
-from .poly import walk_order_ideal
+from .poly import monomial_divides, walk_order_ideal
 
 
 class MonomialIdealData:
@@ -53,10 +53,6 @@ class MonomialIdealData:
         return f"MonomialIdealData({list(self.exponents)})"
 
 
-def _dominates(u, v) -> bool:
-    return all(a >= b for a, b in zip(u, v))
-
-
 def _reduce_generators(vectors: list) -> list:
     """Drop componentwise-dominated vectors; sort for a canonical form.
 
@@ -66,7 +62,7 @@ def _reduce_generators(vectors: list) -> list:
     """
     kept = []
     for u in sorted(set(vectors)):
-        if not any(_dominates(u, v) for v in kept):
+        if not any(monomial_divides(v, u) for v in kept):
             kept.append(u)
     return kept
 
@@ -208,6 +204,6 @@ def monomial_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
     """
     bounds = [max(e[i] for e in M.exponents) + 1 for i in range(M.nvars)]
     _, border = walk_order_ideal(
-        bounds, lambda u: any(_dominates(u, e) for e in M.exponents) or newton_membership(u, M)
+        bounds, lambda u: any(monomial_divides(e, u) for e in M.exponents) or newton_membership(u, M)
     )
     return MonomialIdealData(border)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Union
 
 from .errors import ParseError, RingMismatchError, UnknownVariableError
@@ -258,7 +259,7 @@ class MonomialOrder:
         return cls()
 
     def key(self, u: Exponents):
-        return (sum(u), tuple(-e for e in reversed(u)))
+        return (sum(u), tuple(map(neg, reversed(u))))
 
 
 def compare_monomials(order: MonomialOrder, u: Exponents, v: Exponents) -> int:

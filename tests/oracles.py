@@ -24,7 +24,6 @@ from jetclosure.closures import (
     SocleReport,
     WalkthroughStage,
     _artinian_standard_basis,
-    _block_key,
     certify_arc_closed,
     jet_closure,
     smallest_containing_power,
@@ -40,7 +39,7 @@ from jetclosure.groebner import (
     FreeModuleElement,
     Ideal,
     SubmodulePresentation,
-    _fresh_name,
+    _block_key,
     colon_ideal,
     ideals_equal,
     module_standard_monomials,
@@ -287,6 +286,15 @@ def eliminate_variables(I: Ideal, first_k: int) -> Ideal:
     return Ideal(sub, kept)
 
 
+def _fresh_name(base: str, taken) -> str:
+    if base not in taken:
+        return base
+    i = 0
+    while f"{base}{i}" in taken:
+        i += 1
+    return f"{base}{i}"
+
+
 def reference_intersect_ideals(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J via a tag variable t on t*I + (1-t)*J and elimination of t."""
     if I.ring != J.ring:
@@ -353,6 +361,14 @@ def reference_hs_derivations(f: Polynomial, level: int) -> list:
                 series = product
         coeffs = [x + y for x, y in zip(coeffs, series)]
     return coeffs
+
+
+def reference_universal_jet_image(f: Polynomial, I: Ideal, level: int) -> list:
+    """Normal forms of D_0 f, ..., D_level f, each from
+    ``reference_hs_derivations``, modulo a Buchberger basis of the full
+    fiber ideal of I, x@0 included."""
+    basis = fiber_ideal(I, level).groebner_basis()
+    return [basis.normal_form(d) for d in reference_hs_derivations(f, level)]
 
 
 def drop_base_point(d: Polynomial, level: int) -> Polynomial:

@@ -274,6 +274,17 @@ def test_machine_format_golden_bytes(tmp_path, capsys):
     )
 
 
+def test_parser_is_built_once_and_shared_across_runs(tmp_path, capsys):
+    # a usage error leaves the shared parser as it was for the next run
+    assert build_parser() is build_parser()
+    path = tmp_path / "s.session"
+    path.write_text(SESSION, encoding="utf-8")
+    assert main(["closure", "--session", str(path), "--level", "-1"]) == 2
+    capsys.readouterr()
+    assert main(["closure", "--session", str(path), "--ideal", "a", "--level", "0"]) == 0
+    assert "generators: y, x" in capsys.readouterr().out
+
+
 def test_huge_exponent_certify_answers_at_once(tmp_path):
     # x^99999999 has no pointed jets up to level 3, and the series walk
     # skips it; walking it one degree at a time never ended

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from jetclosure import closures, jets
+from jetclosure import closures, groebner, jets
 from jetclosure.closures import (
     LocalAlgebraPresentation,
     ModulePresentation,
@@ -17,6 +17,7 @@ from jetclosure.closures import (
     module_jet_closure,
     smallest_containing_power,
     socle_and_gorenstein,
+    universal_jet_image,
 )
 from jetclosure.errors import (
     NotArtinianError,
@@ -45,8 +46,9 @@ from oracles import (
     reference_jsc_membership,
     reference_module_jet_closure,
     reference_socle_and_gorenstein,
+    reference_universal_jet_image,
 )
-from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
+from jetclosure.poly import FieldSpec, Polynomial, RingContext, parse_polynomial
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
@@ -337,20 +339,77 @@ def test_replacement_leaves_fiber_ideal_unchanged():
 
 
 def test_kernel_agrees_with_universal_jet_map():
-    # membership in the closure of 0 is exactly "all jet-map entries vanish"
-    from jetclosure.jets import universal_jet_image
-
+    # membership in the closure of 0 is exactly "all jet-map entries vanish",
+    # the entries read off a basis of the full fiber ideal, not off the ladder
     a = ideal(RXY, "x^2", "y^2")
     P = LocalAlgebraPresentation(RXY)
     for level in (1, 2):
         rep = jet_closure(P, a, level)
         for f in rep.kernel_basis:
-            entries = universal_jet_image(f, rep.replacement, level)
+            entries = reference_universal_jet_image(f, rep.replacement, level)
             assert all(e.is_zero() for e in entries)
     # at level 2 the product of the two roots is no longer in the kernel
     rep2 = jet_closure(P, a, 2)
-    entries = universal_jet_image(pp("x*y", RXY), rep2.replacement, 2)
+    entries = reference_universal_jet_image(pp("x*y", RXY), rep2.replacement, 2)
     assert not all(e.is_zero() for e in entries)
+
+
+def _random_poly(rng, R, low: int, terms: int) -> Polynomial:
+    """Up to ``terms`` terms of degree ``low`` to 3, coefficients 1-6."""
+    p = R.zero()
+    for _ in range(terms):
+        u = tuple(rng.randrange(4) for _ in range(R.nvars))
+        if low <= sum(u) <= 3:
+            p = p + R.monomial(u, R.field_spec.of_int(rng.randrange(1, 7)))
+    return p
+
+
+def _jet_image_corpus():
+    """(f, I, level), 1050 cases: Q, F_2 and F_3, one to three variables,
+    levels 0-4 (0-3 in three variables); I is the zero ideal or has one or
+    two random generators of order >= 1 or >= 2, and one in seven also
+    holds 1 + x, a unit at the origin."""
+    rng = random.Random(17)
+    for field in SHORTCUT_FIELDS:
+        for names in (("x",), ("x", "y"), ("x", "y", "z")):
+            R = ring(names, field)
+            for k in range(25):
+                gens = [_random_poly(rng, R, 1 + k % 2, 3) for _ in range(k % 3)]
+                if k % 7 == 6:
+                    gens.append(R.one() + R.variable(0))
+                f = _random_poly(rng, R, 0, 4)
+                for level in range(5 if len(names) < 3 else 4):
+                    yield f, Ideal(R, gens), level
+
+
+def test_universal_jet_image_matches_the_full_fiber_ideal():
+    for f, I, level in _jet_image_corpus():
+        entries = universal_jet_image(f, I, level)
+        expected = reference_universal_jet_image(f, I, level)
+        assert [str(e) for e in entries] == [str(e) for e in expected]
+        assert [e.ring for e in entries] == [e.ring for e in expected]
+
+
+def test_universal_jet_image_builds_no_ideal_basis(monkeypatch):
+    def refuse(ideal, order=None):
+        raise AssertionError("a Buchberger run on an ideal started")
+
+    monkeypatch.setattr(Ideal, "groebner_basis", refuse)
+    for f, I, level in _jet_image_corpus():
+        universal_jet_image(f, I, level)
+
+
+def test_universal_jet_image_at_level_seven_answers_at_once():
+    # on a Buchberger basis of the full fiber ideal this took about 28 s
+    R = ring(["x", "y", "z"])
+    I = ideal(R, "x^2", "y*z", "x*z - y^2")
+    start = time.perf_counter()
+    entries = universal_jet_image(pp("x*y", R), I, 7)
+    assert time.perf_counter() - start < 0.25
+    # D_i f has weight i, so its entry does not change with the level
+    jets = entries[0].ring
+    low = [e.transport(jets, range(e.ring.nvars)) for e in reference_universal_jet_image(pp("x*y", R), I, 3)]
+    assert entries[:4] == low
 
 
 def test_random_monomial_algebras_certify():
@@ -850,11 +909,38 @@ def test_module_closure_and_jsc_climb_one_ladder(monkeypatch):
     runs = [lambda MP=MP, level=level: module_jet_closure(MP, level)
             for MP in _module_cases(Q) for level in (0, 2)]
     runs += [lambda P=P, a=a, R=R: jsc_membership(P, a, pp("x*y", R), 2) for R, P, a, _ in _shortcut_cases()]
+    runs += [lambda P=P, a=a, R=R: universal_jet_image(pp("x*y", R), ideal_sum(a, P.modulus), 3)
+             for R, P, a, _ in _shortcut_cases()]
     for run in runs:
         ladders.clear()
         series.clear()
         run()
         assert len(ladders) == 1 and series == [ladders[0].series]
+
+
+def test_jsc_membership_finishes_the_ladders_engine(monkeypatch):
+    # J' is completed by the ladder's own run; each other run is one
+    # Rabinowitsch test of a nonzero jet
+    runs, tested = [], []
+    raw_run, raw_radical = groebner.BuchbergerRun.__init__, closures.radical_member
+
+    def run(self, *args, **kwargs):
+        raw_run(self, *args, **kwargs)
+        runs.append(self)
+
+    def radical(h, J):
+        tested.append(h)
+        return raw_radical(h, J)
+
+    monkeypatch.setattr(groebner.BuchbergerRun, "__init__", run)
+    monkeypatch.setattr(closures, "radical_member", radical)
+    for R, P, a, _ in _shortcut_cases():
+        for text in ("x*y", "x"):
+            for level in (0, 2, 3):
+                runs.clear()
+                tested.clear()
+                jsc_membership(P, a, pp(text, R), level)
+                assert len(runs) == 1 + sum(not h.is_zero() for h in tested)
 
 
 def test_module_kernel_vectors_with_two_terms():

@@ -3,16 +3,9 @@ import random
 
 from oracles import FIBER_SHORTCUT_CASES, drop_base_point, reference_fiber_ideal, reference_hs_derivations
 
-from jetclosure.closures import LocalAlgebraPresentation, _Ladder
+from jetclosure.closures import LocalAlgebraPresentation, _Ladder, universal_jet_image
 from jetclosure.groebner import Ideal, ideal_member, ideal_sum, ideals_equal
-from jetclosure.jets import (
-    JetRing,
-    Series,
-    fiber_ideal,
-    hs_derivations,
-    jet_ideal,
-    universal_jet_image,
-)
+from jetclosure.jets import JetRing, Series, fiber_ideal, hs_derivations, jet_ideal
 from jetclosure.poly import FieldSpec, Polynomial, RingContext, parse_polynomial
 
 Q = FieldSpec.rationals()

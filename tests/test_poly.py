@@ -133,6 +133,15 @@ def test_orders_are_multiplicative():
                 assert compare_monomials(order, uu, vv) == -1
 
 
+def test_degrevlex_key_is_degree_then_negated_reversed_exponents():
+    rng = random.Random(5)
+    order = MonomialOrder.degrevlex()
+    for n in range(5):
+        for _ in range(60):
+            u = _random_monomial(rng, n)
+            assert order.key(u) == (sum(u), tuple(-e for e in reversed(u)))
+
+
 def test_unit_monomial_is_minimal():
     rng = random.Random(11)
     one = (0, 0, 0)
