@@ -25,18 +25,21 @@ membership work in the pointed jet ring too, on the same series and J'
 
 Jet closures descend with the level, so the closure chain C_l and the
 arc-closedness certificate are the level-by-level closures themselves,
-with no ideal intersection (proof in ``cumulative_closure_chain``).
-A certificate or a chain climbs them on one ``_Ladder``: the series
-memo, the basis of J' and the reduced kernel rows of level l - 1 are
-extended to level l, not rebuilt, so the whole climb runs one J'
-engine, truncated at each level's weight, and reduces each row once;
-only the a' echelon, the kernel and the closure echelon are built per
-level.  ``module_jet_closure``, ``jsc_membership`` and
-``universal_jet_image`` climb one fresh ladder each, and no other code
-builds a basis of J'.  Module closures (with no module Buchberger) and
-jet images reduce only elements of weight at most the level, on the
-truncated basis of J' as it stands; ``jsc_membership`` runs the
-ladder's engine on to completion.
+with no ideal intersection, and each level is one step from the one
+before: C_l is the part of C_(l-1) whose weight-l jet phi(D_l f) lies
+in J'_l (proof in ``cumulative_closure_chain``).  A certificate, a
+chain or a single closure climbs them on one ``_Ladder``: the series
+memo, the truncated basis of J' and the kernel vectors of level l - 1
+are extended to level l, not rebuilt, so the whole climb runs one J'
+engine, truncated at each level's weight, and reduces each weight-l
+row once, at level l; only the a' echelon, the weight-l kernel step
+and the closure echelon are built per level.  ``module_jet_closure``,
+``jsc_membership`` and ``universal_jet_image`` climb one fresh ladder
+each, and no other code builds a basis of J'.  Module closures (with
+no module Buchberger) and jet images reduce only elements of weight at
+most the level, on the reduced truncated basis of J', which the ladder
+builds for them on demand; ``jsc_membership`` runs the ladder's engine
+on to completion.
 
 The Artinian quotient S/I is a finite-dimensional algebra, and the
 base-ring side of the Gorenstein pipeline runs on its echelons, with
@@ -75,6 +78,7 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     _block_key,
+    _nf_terms,
     ideal_contains,
     ideal_sum,
     radical_member,
@@ -109,6 +113,11 @@ def _artinian_standard_basis(I: Ideal):
         return standard_monomial_basis(I)
     except InfiniteDimensionalError as exc:
         raise NotArtinianError("the modulus is not m-primary") from exc
+
+
+def _check_level(level: int) -> None:
+    if level < 0:
+        raise ValueError("jet level must be nonnegative")
 
 
 def _check_proper(P: LocalAlgebraPresentation, a: Ideal) -> None:
@@ -196,13 +205,36 @@ def _echelon_ideal(ring: RingContext, monomials: list, echelon: dict, bounds: li
     return Ideal.with_reduced_basis(ring, basis), standard
 
 
+def _replacement(ring: RingContext, generators: list, level: int) -> tuple:
+    """(monomials, echelon) of a' = a + I + m^(level+1) below its m^(level+1):
+    every monomial of degree <= ``level``, largest first in degrevlex,
+    and the ``rref`` of the truncated Macaulay rows x^v g mod m^(level+1),
+    deg v <= level - 1, of the ``generators`` (term dicts) of a + I over
+    them as columns (proof in ``jet_closure``)."""
+    monomials = walk_order_ideal([level + 1] * ring.nvars, lambda u: sum(u) > level)[0]
+    monomials.sort(key=DEGREVLEX.key, reverse=True)
+    index = {u: c for c, u in enumerate(monomials)}
+    rows = []
+    for v in monomials:
+        if sum(v) < level:
+            for g in generators:
+                row = {}
+                for u, x in g.items():
+                    c = index.get(tuple(map(add, u, v)))
+                    if c is not None:
+                        row[c] = x
+                rows.append(row)
+    return monomials, rref(rows, ring.field_spec)
+
+
 class _Ladder:
     """The pointed jets of a + I, and its jet closures, climbed one level
     at a time.
 
     One ``certify_arc_closed`` or ``cumulative_closure_chain`` run owns
-    one ladder and hands it to ``jet_closure`` at every level; the
-    ``closure`` command, ``module_jet_closure``, ``jsc_membership`` and
+    one ladder and hands it to ``jet_closure`` at every level, and a
+    ``closure`` at level l steps a fresh one up from level 0;
+    ``module_jet_closure``, ``jsc_membership`` and
     ``universal_jet_image`` each climb a fresh one to their level.  The
     ladder keeps what level l - 1 computed and level l extends:
 
@@ -211,11 +243,17 @@ class _Ladder:
     * the basis of J'_l, one resumable ``BuchbergerRun`` that takes in
       the generators phi(D_l g) of weight l at level l and reduces the
       S-pairs of weight at most l, leaving the heavier ones for later;
-    * the rows NF(phi(D_i x^u)) of the kernel matrix, one per column u
-      and weight i, each reduced once.
+    * the rows NF(phi(D_i x^u)), reduced once each on the truncated
+      basis ``engine.data`` as it stands;
+    * the kernel vectors of the last level closed, a basis of
+      C_(l-1)/a'_(l-1) on the standard monomials of a'_(l-1).
 
-    The a' echelon, the kernel and the closure echelon are built afresh
-    at every level (``jet_closure``).
+    Closing level l (``step``) builds the a' echelon and reduces the
+    weight-l rows only, on the span of C_(l-1)/a'_l (proof in
+    ``cumulative_closure_chain``).  The reduced basis of J'_l and its
+    ring are built only when asked for (``basis``, ``jets``): by module
+    closures, jet images and jet-support membership, never by a
+    closure.
 
     J'_l is the fiber ideal without the base point.  Let phi set every
     x@0 to 0, a map of the jet ring R_jet onto k[x@1, ..., x@l] (it
@@ -245,7 +283,9 @@ class _Ladder:
     in the variables of order <= i - k).  At level l the run holds every
     generator of J'_l, all of weight <= l, and has reduced every pair of
     weight <= l: a truncated basis, which gives every element of weight
-    <= l its normal form modulo J'_l (``BuchbergerRun``).
+    <= l its normal form modulo J'_l (``BuchbergerRun``).  That normal
+    form has no term in LT(J'_l), so it is unique: the unreduced
+    ``engine.data`` and the reduced ``basis`` give the same one.
 
     The basis generates J'_l.  ``basis`` is the reduced basis of the
     truncated run: it lies in J'_l, and its leading terms generate those
@@ -283,13 +323,13 @@ class _Ladder:
         self.weights: list = []  # the weight of each jet variable: k for x@k
         self.engine = BuchbergerRun(DEGREVLEX.key, self.fld, weight=lambda u: sum(map(mul, u, self.weights)))
         self.level = 0  # J'_0 = 0: phi(D_0 g) = g(0) = 0
-        self.basis = GroebnerBasis(JetRing(self.ring, 0, pointed=True).context, DEGREVLEX, [])
+        self._jets = self._basis = None  # k[x@1, ..., x@level] and its reduced basis, on demand
         self.rows: dict = {}  # (u, i) -> {(i, w): c}
+        self.closed = -1  # the last level closed by ``step``
+        self.kernel: list = []  # {u: c}: the canonical basis of C_closed/a'_closed
 
     def climb(self, level: int) -> None:
-        """Extend the series, J' and its reduced basis up to ``level``."""
-        if self.level >= level:
-            return
+        """Extend the series and the truncated basis of J' up to ``level``."""
         while self.level < level:
             self.level += 1
             self.series.extend()
@@ -299,8 +339,21 @@ class _Ladder:
             for g in self.generators:
                 self.engine.add(self.series.coefficient(g, self.level, width))
             self.engine.run(self.level)
-        jets = JetRing(self.ring, level, pointed=True).context
-        self.basis = GroebnerBasis(jets, DEGREVLEX, [Polynomial(jets, t) for t in self.engine.reduced()])
+            self._jets = self._basis = None
+
+    @property
+    def jets(self) -> RingContext:
+        """k[x@1, ..., x@level], the ring of ``jet`` and ``basis``."""
+        if self._jets is None:
+            self._jets = JetRing(self.ring, self.level, pointed=True).context
+        return self._jets
+
+    @property
+    def basis(self) -> GroebnerBasis:
+        """The reduced basis of the truncated run, which generates J'_level."""
+        if self._basis is None:
+            self._basis = GroebnerBasis(self.jets, DEGREVLEX, [Polynomial(self.jets, t) for t in self.engine.reduced()])
+        return self._basis
 
     def row(self, u: tuple, i: int) -> dict:
         """{(i, w): c} for the terms c x^w of NF(phi(D_i x^u)) modulo J'_i."""
@@ -311,12 +364,61 @@ class _Ladder:
 
     def jet(self, f: dict, i: int) -> Polynomial:
         """phi(D_i f) for the polynomial with terms ``f``, in k[x@1, ..., x@level]."""
-        return Polynomial(self.basis.ring, self.series.coefficient(f, i, self.series.width(self.level)))
+        return Polynomial(self.jets, self.series.coefficient(f, i, self.series.width(self.level)))
 
     def _reduce_row(self, u: tuple, i: int) -> dict:
         cut = self.series.width(i)
-        nf = self.basis.normal_form(self.jet({u: self.fld.one()}, i))
-        return {(i, w[:cut]): c for w, c in nf.terms.items()}
+        jet = self.series.coefficient({u: self.fld.one()}, i, self.series.width(self.level))
+        nf = _nf_terms(jet, self.engine.data, self.engine.key, self.fld)
+        return {(i, w[:cut]): c for w, c in nf.items()}
+
+    def step(self) -> tuple:
+        """Close the next level l and return (monomials, echelon) of a'_l
+        (``_replacement``); ``kernel`` becomes the canonical basis of
+        C_l/a'_l.
+
+        C_(l-1)/a'_l is spanned by the kernel of level l - 1 and the
+        remainders of the degree-l monomials modulo a'_l, and C_l/a'_l is
+        the part of it that the weight-l rows send to zero.  Each spanning
+        vector v gives the row (image of v on negative columns, v on
+        columns in increasing degrevlex); the rows of their ``rref`` led
+        by a vector column are the kernel basis of ``nullspace_basis``
+        (proofs in ``cumulative_closure_chain``), kept in its order.
+        """
+        level = self.closed + 1
+        self.climb(level)
+        fld = self.fld
+        monomials, echelon = _replacement(self.ring, self.generators, level)
+        top = len(monomials) - 1
+        place = {u: top - c for c, u in enumerate(monomials)}  # increasing degrevlex
+        span = list(self.kernel)
+        for c, u in enumerate(monomials):
+            if sum(u) < level:
+                break  # degrevlex puts every monomial of degree l first
+            row = echelon.get(c)
+            if row is None:
+                span.append({u: fld.one()})
+            elif len(row) > 1:
+                span.append({monomials[k]: fld.neg(x) for k, x in row.items() if k != c})
+        keys: dict = {}  # the row keys (l, w) of the weight-l images -> negative columns
+        rows = []
+        for v in span:
+            out: dict = {}
+            for u, x in v.items():
+                for k, y in self.row(u, level).items():
+                    k = keys.setdefault(k, -1 - len(keys))
+                    z = fld.add(out.pop(k, fld.zero()), fld.mul(x, y))
+                    if not fld.is_zero(z):
+                        out[k] = z
+            out.update((place[u], x) for u, x in v.items())
+            rows.append(out)
+        reduced = rref(rows, fld)
+        self.kernel = [
+            {monomials[top - k]: x for k, x in reduced[p].items()}
+            for p in sorted((p for p in reduced if p >= 0), reverse=True)
+        ]
+        self.closed = level
+        return monomials, echelon
 
 
 @dataclass
@@ -367,51 +469,41 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int, ladder: _Ladd
     ``_Ladder``).  The columns are therefore reduced as phi(D_i x^u)
     modulo J'_l.  A combination of columns is in the kernel of the one
     map iff it is in the kernel of the other, so the kernel subspace is
-    the same; ``nullspace_basis`` returns its canonical basis for the
-    fixed column order, and the report does not change.
+    the same, and the report gives its canonical basis, that of
+    ``nullspace_basis`` for the columns largest first: one vector per
+    free column c, 1 at c and 0 at the other free columns.
 
-    The rows come from ``ladder``, a ``_Ladder`` of (P, a) climbed to
-    ``level`` here; a fresh one climbs straight to ``level`` when it is
-    None.  A row key (i, w) writes w over the jet variables of order
-    <= i only, the ones that a weight-i term can use; that renames the
-    rows of the matrix one to one, and leaves its kernel alone.
+    The kernel comes from ``ladder``, a ``_Ladder`` of (P, a) closed at
+    level - 1, which takes one step (``_Ladder.step``); a fresh one,
+    made when ``ladder`` is None, steps up from level 0.  Each step
+    reduces the weight-l rows only, on the span of C_(l-1)/a'_l (proof
+    in ``cumulative_closure_chain``).  A row key (i, w) writes w over
+    the jet variables of order <= i only, the ones that a weight-i term
+    can use; that renames the rows of the matrix one to one, and leaves
+    its kernel alone.
 
     The closure is a' + span(kernel) (``cumulative_closure_chain``), an
     ideal that contains m^(level+1), so it is read off the echelon of
     the a' rows and the kernel vectors in the same way.
     """
+    _check_level(level)
     _check_proper(P, a)
     ring = P.ring
     fld = ring.field_spec
-    monomials = walk_order_ideal([level + 1] * ring.nvars, lambda u: sum(u) > level)[0]
-    monomials.sort(key=DEGREVLEX.key, reverse=True)
+    if ladder is None:
+        ladder = _Ladder(P, a)
+    if ladder.closed >= level:
+        raise InternalError("the ladder has closed this level already")
+    while ladder.closed < level:
+        monomials, aprime = ladder.step()
     index = {u: c for c, u in enumerate(monomials)}
-    gens = a.generators + P.modulus.generators
-    rows = []
-    for v in monomials:
-        if sum(v) < level:
-            for g in gens:
-                row = {}
-                for u, x in g.terms.items():
-                    c = index.get(tuple(map(add, u, v)))
-                    if c is not None:
-                        row[c] = x
-                rows.append(row)
-    aprime = rref(rows, fld)
     box = [level + 2] * ring.nvars
 
     def high(u):
         return sum(u) > level
 
     replacement, columns = _echelon_ideal(ring, monomials, aprime, box, high)
-    if ladder is None:
-        ladder = _Ladder(P, a)
-    ladder.climb(level)
-
-    def image(u):
-        return {k: c for i in range(level + 1) for k, c in ladder.row(u, i).items()}
-
-    kernel = _kernel(columns, image, fld)
+    kernel = ladder.kernel
     closure = replacement
     if kernel:
         kernel_rows = [{index[u]: x for u, x in t.items()} for t in kernel]
@@ -460,7 +552,41 @@ def cumulative_closure_chain(P: LocalAlgebraPresentation, a: Ideal, max_level: i
     D_i f in F_(l-1) for all i <= l - 1, that is T_l ⊆ T_(l-1), and
     C_l = T_0 ∩ ... ∩ T_l = T_l.  Nothing here divides by an integer, so
     the argument holds in every characteristic.
+
+    One weight per level.  Let K_l = T_l/a'_l, written on the standard
+    monomials std(a'_l) of a'_l = a + I + m^(l+1).  As a'_l ⊆ a'_(l-1)
+    ⊆ T_(l-1), T_(l-1)/a'_l is spanned by K_(l-1) and the image of
+    a'_(l-1) = a'_l + m^l, which is spanned by the degree-l monomials,
+    as m^(l+1) lies in a'_l.  The vectors of K_(l-1) lie on
+    std(a'_(l-1)) ⊆ std(a'_l) (``_Ladder``), so each is its own
+    remainder modulo a'_l.  The remainder of x^u, deg u = l, is x^u if u
+    is standard, and otherwise minus the tail of the row at u of the
+    reduced echelon of a'_l (``jet_closure``), whose other entries are
+    standard.  Every f in T_(l-1) has D_i f in F_(l-1) ⊆ F_l for
+    i <= l - 1, so f lies in T_l iff D_l f lies in F_l, iff phi(D_l f)
+    lies in J'_l: K_l is the kernel of the weight-l rows
+    NF(phi(D_l x^u)) on that span.  At level 0, T_(-1) is read as S:
+    K_(-1) is empty, and the remainder 1 of the one degree-0 monomial
+    spans S/a'_0 = S/m.
+
+    The canonical basis.  ``_Ladder.step`` writes each spanning vector
+    v as the row (image of v, v), the image columns before the vector
+    columns, and the vector columns in increasing degrevlex, the reverse
+    of ``jet_closure``'s order.  The row space holds (image(w), w) for
+    every w in the span.  In its ``rref`` a row led by a vector column
+    has image zero; and an element with image zero has coefficient 0 on
+    every row led by an image column, the entry of the element at that
+    pivot.  So the rows led by a vector column are a basis of K_l, and
+    as no other row has an entry at their pivots, they are the reduced
+    echelon form of K_l in the reversed order.  The ``nullspace_basis``
+    vector of a free column c (in ``jet_closure``'s order) has its
+    last nonzero entry, 1, at c, and entries 0 at the other free
+    columns; the free columns are the last nonzero places of the kernel
+    vectors, which are the pivots of the reversed echelon.  So those
+    vectors are a reduced echelon form of K_l in the reversed order, and
+    by its uniqueness they are the rows of the ``rref``.
     """
+    _check_level(max_level)
     ladder = _Ladder(P, a)
     return [jet_closure(P, a, level, ladder).closure for level in range(max_level + 1)]
 
@@ -498,6 +624,7 @@ def certify_arc_closed(P: LocalAlgebraPresentation, a: Ideal, max_level: int) ->
     Only C_l ⊆ a + I is tested: C_l is T_l, which contains a + I at
     every level (``cumulative_closure_chain``).
     """
+    _check_level(max_level)
     _check_proper(P, a)
     target = ideal_sum(a, P.modulus)
     chain = []
@@ -528,13 +655,14 @@ def jsc_membership(P: LocalAlgebraPresentation, a: Ideal, f: Polynomial, level: 
     reduced basis of J' that the radical tests need, as they reduce
     elements of any weight; they run without the base-point variables.
     """
+    _check_level(level)
     _check_proper(P, a)
     if f.ring != P.ring:
         raise RingMismatchError("element does not live in the presentation ring")
     ladder = _Ladder(P, a)
     ladder.climb(level)
     ladder.engine.run()
-    jets = ladder.basis.ring
+    jets = ladder.jets
     J = Ideal.with_reduced_basis(jets, [Polynomial(jets, t) for t in ladder.engine.reduced()])
     return all(radical_member(ladder.jet(f.terms, i), J) for i in range(level + 1))
 
@@ -917,6 +1045,7 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     Groebner basis (``module_standard_monomials``), even when I has
     zeros away from the origin.
     """
+    _check_level(level)
     ring = MP.base.ring
     fld = ring.field_spec
     rank = MP.rank

@@ -25,7 +25,6 @@ from jetclosure.closures import (
     WalkthroughStage,
     _artinian_standard_basis,
     certify_arc_closed,
-    jet_closure,
     smallest_containing_power,
 )
 from jetclosure.errors import (
@@ -645,16 +644,18 @@ def reference_colon_ideal(I: Ideal, J: Ideal) -> Ideal:
 
 # ---------------------------------------------------------------------
 # reference path: the closure chain as a running intersection of the
-# closures, replaced by the closures themselves
+# closures, replaced by one step per level on the closures themselves
 # ---------------------------------------------------------------------
 
 
 def reference_closure_chain(P, a, max_level: int) -> list:
     """C_0, ..., C_max_level with C_0 = closure_0 and
-    C_l = C_(l-1) ∩ closure_l, one tag-variable intersection per level."""
+    C_l = C_(l-1) ∩ closure_l, one tag-variable intersection per level;
+    each closure is ``reference_jet_closure``'s, every weight of the
+    kernel matrix reduced modulo the full fiber ideal of a'."""
     chain = []
     for level in range(max_level + 1):
-        closure = jet_closure(P, a, level).closure
+        closure = Ideal(P.ring, reference_jet_closure(P, a, level)[1])
         chain.append(reference_intersect_ideals(chain[-1], closure) if chain else closure)
     return chain
 

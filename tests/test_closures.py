@@ -20,6 +20,7 @@ from jetclosure.closures import (
     universal_jet_image,
 )
 from jetclosure.errors import (
+    InternalError,
     NotArtinianError,
     NotGorensteinError,
     NotProperError,
@@ -284,6 +285,86 @@ def test_chain_and_certificate_match_reference_intersections():
         assert cert.certified == (level is not None) and cert.level == level
         assert len(cert.chain) == (CHAIN_LEVEL + 1 if level is None else level + 1)
         assert all(ideals_equal(c, r) for c, r in zip(cert.chain, reference))
+
+
+# (variables, modulus, ideal, field, kernel dimension at each level).
+# The chain of (x^2, yz) modulo xz - y^2 has no kernel at any level (0 to
+# 12); the others have kernels at consecutive levels, with vectors of two
+# and three terms.
+STEP_CASES = [
+    ("xyz", ("x*z - y^2",), ("x^2", "y*z"), Q, [0] * 6),
+    ("xyz", ("x*z - y^2",), ("x^2", "y*z"), F2, [0] * 6),
+    ("xyz", ("x*z - y^2",), ("x^2", "y*z"), F3, [0] * 6),
+    ("xy", (), ("x^2 + x^3 + x*y^2",), F2, [0, 0, 0, 1, 1, 1, 1, 1, 1]),
+    ("xy", (), ("x^5 + 2*x^3*y + y^3", "x^5 + x*y^3"), F3, [0, 0, 0, 0, 1, 3, 3, 2, 2]),
+    ("xyz", (), ("z^2 + y^3",), F2, [0, 0, 0, 1, 3, 6]),
+    ("xyz", (), ("y^2 + z^3", "2*x*y + 2*y^3 + 2*z^3"), F3, [0, 0, 0, 0, 1, 2]),
+]
+
+
+def _step_cases():
+    for names, mod, gens, field, dims in STEP_CASES:
+        R = ring(names, field)
+        yield LocalAlgebraPresentation(R, ideal(R, *mod)), ideal(R, *gens), dims
+
+
+def test_closure_steps_match_the_reference_closure():
+    """Each level's kernel, from a fresh ladder stepped up from level 0
+    and from a ladder that closed the level before, is the reference
+    kernel, every weight reduced modulo the full fiber ideal of a'.  A
+    ladder does not close a level twice."""
+    for P, a, dims in _step_cases():
+        ladder = closures._Ladder(P, a)
+        for level, dim in enumerate(dims):
+            expected = reference_jet_closure(P, a, level)[0]
+            assert len(expected) == dim
+            assert jet_closure(P, a, level).kernel_basis == expected
+            assert jet_closure(P, a, level, ladder).kernel_basis == expected
+        with pytest.raises(InternalError):
+            jet_closure(P, a, len(dims) - 1, ladder)
+
+
+def test_closures_reduce_weight_l_rows_and_build_no_basis_of_j(monkeypatch):
+    """Closing level l reduces only the rows NF(phi(D_l x^u)) of weight
+    l, and no closure, chain or certificate builds the reduced basis of
+    J'."""
+    reduced = []
+    raw_row = closures._Ladder._reduce_row
+
+    def row(ladder, u, i):
+        reduced.append((i, ladder.level))
+        return raw_row(ladder, u, i)
+
+    def refuse(ladder):
+        raise AssertionError("the reduced basis of J' was built")
+
+    monkeypatch.setattr(closures._Ladder, "_reduce_row", row)
+    monkeypatch.setattr(closures._Ladder, "basis", property(refuse))
+    for P, a, dims in _step_cases():
+        top = len(dims) - 1
+        reduced.clear()
+        cumulative_closure_chain(P, a, top)
+        certify_arc_closed(P, a, top)
+        jet_closure(P, a, top)
+        assert reduced and all(i == level for i, level in reduced)
+        assert {level for _, level in reduced} == set(range(top + 1))
+
+
+def test_negative_levels_raise_value_error():
+    P = LocalAlgebraPresentation(RXY, ideal(RXY, "x^2", "y^3"))
+    a = ideal(RXY, "x*y")
+    runs = [
+        lambda: jet_closure(P, a, -1),
+        lambda: module_jet_closure(ModulePresentation(P, 1, [], [_vec(RXY, "x")]), -1),
+        lambda: jsc_membership(P, a, pp("x", RXY), -1),
+        lambda: universal_jet_image(pp("x", RXY), a, -1),
+        lambda: cumulative_closure_chain(P, a, -1),
+        lambda: certify_arc_closed(P, a, -1),
+        lambda: gorenstein_walkthrough(P, -1),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="^jet level must be nonnegative$"):
+            run()
 
 
 # --- jet support closure ------------------------------------------------
