@@ -107,9 +107,10 @@ class BuchbergerRun:
     ``add`` takes in generators, ``run`` reduces S-pairs, and
     ``reduced`` reads off the reduced basis of everything taken in so
     far.  Normal selection (least pair ``weight`` first, ties by
-    generator index) with the coprime and chain criteria prunes pairs;
-    ``weight`` is the total degree unless the caller grades the ring
-    otherwise.  ``_buchberger`` is the run to completion.
+    generator index) with the coprime, monomial-pair (see ``_append``)
+    and chain criteria prunes pairs; ``weight`` is the total degree
+    unless the caller grades the ring otherwise.  ``_buchberger`` is
+    the run to completion.
 
     Stopping early.  ``run(bound)`` leaves every pair whose lcm weighs
     more than ``bound`` on the heap, and a later ``run`` takes it up.
@@ -163,15 +164,32 @@ class BuchbergerRun:
             self._append(_monic_terms(r, self.key, self.fld))
 
     def _append(self, r: dict) -> None:
+        """Take in the monic ``r`` as element t and form its pairs (i, t).
+
+        Three kinds of pair never enter ``pending``: pairs at different
+        leading positions (no S-pair is formed), pairs with coprime
+        leading terms (Buchberger's first criterion) and pairs of two
+        monomials.  For monic terms x^a and x^b the S-polynomial is
+        (lcm/x^a)*x^a - (lcm/x^b)*x^b = x^lcm - x^lcm = 0, so the pair
+        is treated exactly as if it had been reduced to zero.  The chain
+        criterion stays sound: Gebauer and Moeller count a pair as
+        treated once its S-polynomial has a standard representation,
+        which 0 has.  The argument uses nothing but the two terms, so it
+        holds for tagged module terms (whose pairs share a position, and
+        so a tag) and for a weight-truncated run alike.
+        """
         lts = self.lts
         t = len(self.G)
         lt = max(r, key=self.key)
         self.G.append(r)
         lts.append(lt)
         self.data.append((lt, [(v, c) for v, c in r.items() if v != lt]))
+        monomial = len(r) == 1
         for i in range(t):
             if self.tagged and lts[i][0] != lt[0]:
                 continue  # S-pairs require a common leading position
+            if monomial and len(self.G[i]) == 1:
+                continue  # two monomials: the S-polynomial is 0
             lcm = monomial_lcm(lts[i], lt)
             if lcm == tuple(a + b for a, b in zip(lts[i], lt)):
                 continue  # coprime leading terms: S-poly always reduces to 0
@@ -488,26 +506,43 @@ def _standard_monomials(lts: list, nvars: int, names) -> list:
     box: ``walk_order_ideal`` lists each of them once.  Only the mixed
     leading exponents are tested: a pure power x_j^e with e >= bounds[j]
     divides no point of the box.
+
+    One bucket per step.  The walk asks about v != 0 only from the
+    inside point u = v - e_j, with j the largest index of v's support.
+    By induction over the walk, no mixed lt divides u.  So a mixed lt
+    that divides v has lt_j > u_j = v_j - 1, and with lt_j <= v_j,
+    lt_j = v_j.  Every index of lt's support lies in v's, so at most j,
+    and lt_j > 0: j is the largest index of lt's support too.  So v is
+    outside exactly when some mixed lt in bucket (j, v_j) divides it,
+    the mixed exponents bucketed once by (largest support index,
+    exponent there).  No mixed exponent divides 0.
     """
     zero = (0,) * nvars
     if zero in lts:
         return []  # the unit ideal
     bounds = [None] * nvars
-    mixed = []
+    buckets: dict = {}  # (j, e) -> mixed lts with largest support index j, lt_j = e
     for lt in lts:
         support = [j for j, e in enumerate(lt) if e]
+        j = support[-1]
         if len(support) == 1:
-            j = support[0]
             if bounds[j] is None or lt[j] < bounds[j]:
                 bounds[j] = lt[j]
         else:
-            mixed.append(lt)
+            buckets.setdefault((j, lt[j]), []).append(lt)
     for j, b in enumerate(bounds):
         if b is None:
             raise InfiniteDimensionalError(
                 f"no pure power of '{names[j]}' among the leading terms; the quotient is infinite-dimensional"
             )
-    return walk_order_ideal(bounds, lambda v: any(all(map(ge, v, lt)) for lt in mixed))[0]
+
+    def outside(v):
+        j = nvars - 1
+        while j >= 0 and not v[j]:
+            j -= 1
+        return j >= 0 and any(all(map(ge, v, lt)) for lt in buckets.get((j, v[j]), ()))
+
+    return walk_order_ideal(bounds, outside)[0]
 
 
 # ---------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 A lattice point u lies in the Newton polyhedron of a monomial ideal
 exactly when some convex combination of the generator exponents is
-componentwise at most u.  Feasibility is decided by a phase-one simplex
+componentwise at most u.  A combination of two generators is found, when
+there is one, by integer cross-multiplication on their segment; every
+other point's feasibility is decided by a phase-one simplex
 (Bland's rule) over Python integers: every tableau row is a positive
 multiple of the true row, the pivots are fraction-free and each row is
 divided by the gcd of its entries.  There is no floating point and no
@@ -18,7 +20,9 @@ cut already separates need no LP.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
+from operator import index
 
 from .errors import InternalError
 from .poly import monomial_divides, walk_order_ideal
@@ -28,7 +32,7 @@ class MonomialIdealData:
     """Exponent vectors of a monomial ideal, stored as minimal generators."""
 
     def __init__(self, exponents):
-        vectors = [tuple(int(e) for e in u) for u in exponents]
+        vectors = [_integer_vector(u) for u in exponents]
         if not vectors:
             raise ValueError("a monomial ideal needs at least one generator")
         width = len(vectors[0])
@@ -51,6 +55,15 @@ class MonomialIdealData:
 
     def __repr__(self):
         return f"MonomialIdealData({list(self.exponents)})"
+
+
+def _integer_vector(u) -> tuple:
+    """``u`` as a tuple of ints; ValueError for an entry that is not an
+    integer (a float is rejected, not truncated)."""
+    try:
+        return tuple(map(index, u))
+    except TypeError:
+        raise ValueError(f"exponents must be integers, got {u!r}") from None
 
 
 def _reduce_generators(vectors: list) -> list:
@@ -151,13 +164,16 @@ def newton_membership(u, M: MonomialIdealData) -> bool:
     generator exponents plus the nonnegative orthant?
 
     Equivalently: is there lam >= 0 with sum(lam_e) = 1 and
-    sum(lam_e * e) <= u componentwise?  Three exact steps decide it.
+    sum(lam_e * e) <= u componentwise?  Four exact steps decide it.
 
     1. A point with a negative coordinate is not a member: the
        polyhedron lies in the nonnegative orthant.  From here on the
        right-hand side (u, 1) is nonnegative.
     2. A cut (w, c) cached on M with ``w . u < c`` proves u outside.
-    3. Otherwise ``_phase_one`` solves the system, with one slack
+    3. A point that dominates a point of the segment between two
+       generators is a member (``_dominates_segment``); this proves
+       most members without an LP, and every other point goes on.
+    4. Otherwise ``_phase_one`` solves the system, with one slack
        column per coordinate.  When it is infeasible, its Farkas vector
        z satisfies ``z . (e_i, 0) = w_i >= 0`` on the slack columns,
        ``w . e + z_n >= 0`` on each generator column (e, 1), and
@@ -170,7 +186,7 @@ def newton_membership(u, M: MonomialIdealData) -> bool:
     the same list need no lock: a caller that misses a cut appended by
     another only solves one more LP.
     """
-    u = tuple(int(e) for e in u)
+    u = _integer_vector(u)
     if len(u) != M.nvars:
         raise ValueError("dimension mismatch")
     if any(e < 0 for e in u):
@@ -178,6 +194,8 @@ def newton_membership(u, M: MonomialIdealData) -> bool:
     for w, c in M._cuts:
         if sum(a * b for a, b in zip(w, u)) < c:
             return False
+    if any(_dominates_segment(u, e, f) for e, f in combinations(M.exponents, 2)):
+        return True
     n = M.nvars
     # slack variables turn the componentwise inequalities into equalities
     columns = [list(e) + [1] for e in M.exponents]
@@ -187,6 +205,40 @@ def newton_membership(u, M: MonomialIdealData) -> bool:
         return True
     M._cuts.append((tuple(z[:n]), -z[n]))
     return False
+
+
+def _dominates_segment(u: tuple, e: tuple, f: tuple) -> bool:
+    """Is u >= lam*e + (1 - lam)*f for some lam in [0, 1]?
+
+    Coordinate i asks lam*(e_i - f_i) <= u_i - f_i: with d = e_i - f_i
+    and r = u_i - f_i, lam <= r/d when d > 0, lam >= r/d = (-r)/(-d)
+    when d < 0, and r >= 0 when d == 0.  The bounds start at lam in
+    [0, 1] and are kept as fractions lo_n/lo_d and hi_n/hi_d with
+    positive denominators, compared by cross-multiplication, so the
+    test is exact in integers.  A True answer exhibits a convex
+    combination of two generators below u, a proof of membership.
+
+    In two variables, over two or more generators, asking every pair
+    is complete.  A member u dominates some p in conv(E), and p
+    dominates a minimal point q of the compact conv(E).  A point
+    interior to a polygon has points of the polygon below it, so q lies
+    on the boundary of conv(E): on an edge between two generators (a
+    polygon's boundary is its edges, and a segment is its own edge).
+    In three or more variables q may lie inside a 2-face, and the LP
+    decides.
+    """
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
+    for a, b, x in zip(e, f, u):
+        d, r = a - b, x - b
+        if d > 0:
+            if r * hi_d < hi_n * d:
+                hi_n, hi_d = r, d
+        elif d < 0:
+            if -r * lo_d > lo_n * -d:
+                lo_n, lo_d = -r, -d
+        elif r < 0:
+            return False
+    return lo_n * hi_d <= hi_n * lo_d
 
 
 def monomial_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
@@ -200,7 +252,9 @@ def monomial_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
     minimal box member in its border, and only members there;
     ``MonomialIdealData`` keeps the minimal ones.  A point that
     dominates a generator needs no LP (lambda is the indicator of that
-    generator); every other point asked gets one exact LP.
+    generator); every other point asked goes to ``newton_membership``,
+    where a cached cut or a dominated segment answers most of them, and
+    the rest get one exact LP each.
     """
     bounds = [max(e[i] for e in M.exponents) + 1 for i in range(M.nvars)]
     _, border = walk_order_ideal(

@@ -210,6 +210,11 @@ def walk_order_ideal(bounds, outside) -> tuple:
     ``inside`` and is walked on, one found outside goes to ``border``.
     If 0 is outside, the result is ([], [0]).
 
+    Calling guarantee: ``outside`` is asked at 0 and otherwise only at
+    v = u + e_j with u in ``inside`` and j the largest index of v's
+    support, once per point.  A predicate may rely on it (see
+    ``groebner._standard_monomials``).
+
     * No point is asked twice.  By induction the walk reaches an inside
       u != 0 by raising the largest index of u's support, so it asks
       v = u + e_j only when u's support lies in indices <= j, that is

@@ -64,22 +64,38 @@ def _canon(polys):
 
 @pytest.mark.parametrize("field,domain", [(Q, QQ), (F5, GF(5))])
 def test_reduced_bases_match_sympy(field, domain):
+    """Dense random generators, then monomial-heavy sets (single terms
+    mixed with binomials): there the engine forms no pair of two
+    monomials, and the chain criterion meets the pairs it left out."""
     rng = random.Random(4242)
     R = RingContext(field, ("x", "y", "z"))
     sring, *_ = sympy_ring("x,y,z", domain, grevlex)
-    checked = 0
-    while checked < 25:
-        gens = [_random_poly(rng, R) for _ in range(rng.randrange(1, 4))]
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            continue
-        ours = Ideal(R, gens).groebner_basis()
-        theirs = sympy.polys.groebnertools.groebner(
-            [_to_sympy(g, sring) for g in gens], sring
-        )
-        converted = [_from_sympy(sp, R) for sp in theirs]
-        assert _canon(ours) == _canon(converted)
-        checked += 1
+
+    def dense():
+        return [_random_poly(rng, R) for _ in range(rng.randrange(1, 4))]
+
+    def term():
+        u = (0, 0, 0)
+        while not 2 <= sum(u) <= 4:
+            u = tuple(rng.randrange(5) for _ in range(3))
+        return R.monomial(u, field.of_int(rng.choice((1, 2, 3, -1, -2))))
+
+    def monomial_heavy():
+        return [term() + term() if rng.random() < 0.3 else term() for _ in range(rng.randrange(3, 7))]
+
+    for draw in (dense, monomial_heavy):
+        checked = 0
+        while checked < 25:
+            gens = [g for g in draw() if not g.is_zero()]
+            if not gens:
+                continue
+            ours = Ideal(R, gens).groebner_basis()
+            theirs = sympy.polys.groebnertools.groebner(
+                [_to_sympy(g, sring) for g in gens], sring
+            )
+            converted = [_from_sympy(sp, R) for sp in theirs]
+            assert _canon(ours) == _canon(converted)
+            checked += 1
 
 
 def test_lex_bases_match_sympy():

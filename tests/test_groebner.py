@@ -17,6 +17,7 @@ from oracles import (
 from jetclosure.errors import InfiniteDimensionalError, RingMismatchError
 from jetclosure.groebner import (
     DEGREVLEX,
+    BuchbergerRun,
     FreeModuleElement,
     Ideal,
     SubmodulePresentation,
@@ -52,6 +53,51 @@ def test_basis_monomial_pair_is_already_reduced():
     R = ring(["x", "y"])
     G = ideal(R, "x^2", "x*y").groebner_basis()
     assert {str(g) for g in G} == {"x^2", "x*y"}
+
+
+def _count_s_polynomials(monkeypatch) -> list:
+    reduced = []
+    real = BuchbergerRun._s_polynomial
+
+    def counted(self, i, j, lcm):
+        reduced.append((i, j))
+        return real(self, i, j, lcm)
+
+    monkeypatch.setattr(BuchbergerRun, "_s_polynomial", counted)
+    return reduced
+
+
+def test_monomial_ideal_reduces_no_s_polynomial(monkeypatch):
+    # the staircase-newton benchmark's pure40-pairs ideal, then the same
+    # with coefficients and a generator that another one divides
+    reduced = _count_s_polynomials(monkeypatch)
+    names = ("w", "x", "y", "z")
+    R = ring(names)
+    pairs = [f"{a}*{b}" for i, a in enumerate(names) for b in names[i + 1:]]
+    minimal = {f"{v}^40" for v in names} | set(pairs)
+    for texts in (sorted(minimal), [f"3*{v}^40" for v in names] + [f"2*{t}" for t in pairs] + ["w^2*x"]):
+        G = ideal(R, *texts).groebner_basis()
+        assert {str(g) for g in G} == minimal
+    assert reduced == []
+
+
+def test_monomial_submodule_reduces_no_s_polynomial(monkeypatch):
+    reduced = _count_s_polynomials(monkeypatch)
+    R = ring(["x", "y", "z"])
+    rank = 3
+    texts = ["x^5", "y^4", "z^6", "x*y^2", "y*z", "2*x^2*z^3", "x^3*y^3"]  # x*y^2 divides the last
+    gens = []
+    for c in range(rank):
+        for t in texts[c:]:
+            comps = [R.zero()] * rank
+            comps[c] = pp(t, R)
+            gens.append(FreeModuleElement(R, comps))
+    basis = SubmodulePresentation(R, rank, gens).groebner_basis()
+    got = {(c, str(p)) for b in basis for c, p in enumerate(b.components) if not p.is_zero()}
+    monic = [t.removeprefix("2*") for t in texts]
+    assert got == {(c, monic[k]) for c in range(rank) for k in range(c, len(texts) - 1)}
+    assert all(sum(not p.is_zero() for p in b.components) == 1 for b in basis)
+    assert reduced == []
 
 
 def test_basis_lex_reduction_example():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -47,6 +48,17 @@ def test_orthant_translates_belong():
     M = MonomialIdealData([(2, 0), (0, 2)])
     assert newton_membership((2, 5), M)
     assert newton_membership((1, 2), M)
+
+
+def test_non_integer_exponents_are_rejected_not_truncated():
+    for gens in ([(1.7, 0), (0, 2)], [(2.0, 0), (0, 2)], [(Fraction(1, 2), 1)]):
+        with pytest.raises(ValueError):
+            MonomialIdealData(gens)
+    M = MonomialIdealData([(2, 0), (0, 2)])
+    for u in ((0.9, 1.9), (1, 1.0)):
+        with pytest.raises(ValueError):
+            newton_membership(u, M)
+    assert M._cuts == []
 
 
 def test_dimension_mismatch():
@@ -121,6 +133,33 @@ def test_membership_matches_segment_oracle():
             assert newton_membership(u, M) == all(a >= b for a, b in zip(u, gen))
             continue
         assert newton_membership(u, M) == _segment_oracle(u, e1, e2)
+
+
+def test_segment_shortcut_leaves_only_non_members_to_the_lp(monkeypatch):
+    """Random 3- to 5-generator ideals: answers equal the fresh-LP
+    reference at every point of the box, and in two variables (two or
+    more generators) every LP that still runs is asked about a
+    non-member."""
+    asked = []
+
+    def counted(columns, rhs):
+        asked.append(tuple(rhs[:-1]))
+        return _phase_one(columns, rhs)
+
+    monkeypatch.setattr("jetclosure.newton._phase_one", counted)
+    rng = random.Random(89)
+    solved = {2: 0, 3: 0}
+    for _ in range(20):
+        for n, top in ((2, 6), (3, 3)):
+            gens = [tuple(rng.randrange(top + 1) for _ in range(n)) for _ in range(rng.randint(3, 5))]
+            M = MonomialIdealData(gens)
+            asked.clear()
+            for u in itertools.product(range(top + 2), repeat=n):
+                assert newton_membership(u, M) == reference_newton_membership(u, M)
+            solved[n] += len(asked)
+            if n == 2 and len(M.exponents) >= 2:
+                assert not any(reference_newton_membership(u, M) for u in asked)
+    assert solved[2] > 0 and solved[3] > 0  # the LP still runs: on non-members, and in 3 variables
 
 
 def test_random_closures_match_power_test():

@@ -222,6 +222,13 @@ def test_order_ideal_walk_matches_box_scan(case):
 
     inside, border = walk_order_ideal(bounds, counted)
     assert max(asked.values()) == 1
+    # the calling guarantee: v != 0 is asked from v - e_j, j the largest
+    # index of v's support, and v - e_j was found inside
+    found_inside = set(inside)
+    for v in asked:
+        if any(v):
+            j = max(k for k, e in enumerate(v) if e)
+            assert v[:j] + (v[j] - 1,) + v[j + 1:] in found_inside
     box = list(itertools.product(*map(range, bounds)))  # in lex order
     assert sorted(inside) == [u for u in box if not outside(u)]
     assert all(outside(u) for u in border)
