@@ -361,8 +361,9 @@ def _icl(session, args):
     I = session.ideal(args.ideal)
     if any(len(g.terms) != 1 for g in I.generators):
         raise UsageError("icl needs a monomial ideal: every generator must be a single term")
-    closure = monomial_integral_closure(MonomialIdealData([next(iter(g.terms)) for g in I.generators]))
-    return dict(inputs={"ideal": _strs(I.generators)}, generators=_strs(session.ring.monomial(u) for u in closure.exponents))
+    exponents = [next(iter(g.terms)) for g in I.generators]
+    closure = monomial_integral_closure(MonomialIdealData(exponents)).exponents if exponents else []  # (0) is closed
+    return dict(inputs={"ideal": _strs(I.generators)}, generators=_strs(session.ring.monomial(u) for u in closure))
 
 
 COMMANDS = {

@@ -35,11 +35,12 @@ engine, truncated at each level's weight, and reduces each weight-l
 row once, at level l; only the a' echelon, the weight-l kernel step
 and the closure echelon are built per level.  ``module_jet_closure``,
 ``jsc_membership`` and ``universal_jet_image`` climb one fresh ladder
-each, and no other code builds a basis of J'.  Module closures (with
-no module Buchberger) and jet images reduce only elements of weight at
-most the level, on the reduced truncated basis of J', which the ladder
-builds for them on demand; ``jsc_membership`` runs the ladder's engine
-on to completion.
+each, and no other code builds a basis of J'.  Every normal form
+modulo J', of a closure row, a module relation row or a jet image, has
+weight at most the level and goes through ``_Ladder.normal_form``, on
+the engine's truncated basis as it stands; module closures run no
+module Buchberger.  Only ``jsc_membership``, whose radical tests
+reduce heavier elements, runs the ladder's engine on to completion.
 
 The Artinian quotient S/I is a finite-dimensional algebra, and the
 base-ring side of the Gorenstein pipeline runs on its echelons, with
@@ -75,7 +76,6 @@ from .groebner import (
     DEGREVLEX,
     BuchbergerRun,
     FreeModuleElement,
-    GroebnerBasis,
     Ideal,
     _block_key,
     _nf_terms,
@@ -239,21 +239,19 @@ class _Ladder:
     ladder keeps what level l - 1 computed and level l extends:
 
     * the pointed series memo (``Series``), one t-power more per level,
-      which ``jet`` reads phi(D_i f) off;
-    * the basis of J'_l, one resumable ``BuchbergerRun`` that takes in
-      the generators phi(D_l g) of weight l at level l and reduces the
-      S-pairs of weight at most l, leaving the heavier ones for later;
-    * the rows NF(phi(D_i x^u)), reduced once each on the truncated
-      basis ``engine.data`` as it stands;
+      which every phi(D_i f) is read off;
+    * the truncated basis of J'_l, one resumable ``BuchbergerRun`` that
+      takes in the generators phi(D_l g) of weight l at level l and
+      reduces the S-pairs of weight at most l, leaving the heavier ones
+      for later;
     * the kernel vectors of the last level closed, a basis of
       C_(l-1)/a'_(l-1) on the standard monomials of a'_(l-1).
 
     Closing level l (``step``) builds the a' echelon and reduces the
     weight-l rows only, on the span of C_(l-1)/a'_l (proof in
-    ``cumulative_closure_chain``).  The reduced basis of J'_l and its
-    ring are built only when asked for (``basis``, ``jets``): by module
-    closures, jet images and jet-support membership, never by a
-    closure.
+    ``cumulative_closure_chain``).  Every normal form modulo J'_l goes
+    through ``normal_form``, on the truncated basis ``engine.data`` as
+    it stands; the ladder builds no reduced basis of J' and no ring.
 
     J'_l is the fiber ideal without the base point.  Let phi set every
     x@0 to 0, a map of the jet ring R_jet onto k[x@1, ..., x@l] (it
@@ -284,36 +282,25 @@ class _Ladder:
     generator of J'_l, all of weight <= l, and has reduced every pair of
     weight <= l: a truncated basis, which gives every element of weight
     <= l its normal form modulo J'_l (``BuchbergerRun``).  That normal
-    form has no term in LT(J'_l), so it is unique: the unreduced
-    ``engine.data`` and the reduced ``basis`` give the same one.
+    form has no term in LT(J'_l), so it is unique: every basis of J'_l
+    truncated at weight l, the completed reduced basis among them, gives
+    the same one.
 
-    The basis generates J'_l.  ``basis`` is the reduced basis of the
-    truncated run: it lies in J'_l, and its leading terms generate those
-    of every element of J'_l of weight <= l (above; minimalizing and
-    interreducing keep the leading-term ideal).  Every generator
-    phi(D_k g) has weight k <= l, so it reduces to zero on ``basis`` and
-    lies in the ideal ``basis`` generates, which is therefore J'_l.  It
-    is a Groebner basis only up to weight l: ``module_jet_closure`` and
-    ``universal_jet_image`` ask it for normal forms of weight at most l
-    only, and ``jsc_membership``, whose radical tests reduce heavier
-    ones, runs ``engine`` on with no bound first.
-
-    A row does not depend on the level.  f = phi(D_i x^u) has weight
-    i <= l, and its normal form modulo J'_l is f - g with g in J'_l of
-    weight i, as reduction keeps f homogeneous, and no term in LT(J'_l).
-    g lies in J'_i by the weights.  A weight-i monomial m in LT(J'_l) is
-    the leading monomial of the weight-i part of an element h of
-    J'_l with LT(h) = m, which lies in J'_i, so m is in LT(J'_i); the
-    converse is clear.  So f - g is the normal form modulo J'_i, at
-    every level l >= i; it has weight i and uses only the variables of
-    order <= i, which it is stored over.  The row of (u, i) is reduced
-    at the first level that asks for it and read from the cache after.
+    Everything is reduced at the ladder's level.  Every element that
+    ``normal_form`` reduces has weight at most the ladder's level l: a
+    row phi(D_i x^u) has weight i <= l, a module relation block
+    m phi(D_(j-s) v_c) weight j <= l (``module_jet_closure``), and a jet
+    image phi(D_i f) weight i <= l.  So the truncated basis of level l
+    gives each its unique normal form modulo J'_l (above), and J' is
+    never completed for them.  A row is written over the variables of
+    level l and kept for that level only: ``row`` reduces it at most
+    once per level, and ``climb`` forgets the rows.
 
     Columns only grow.  a'_l = a + I + m^(l+1) lies in a'_(l-1), so
     LT(a'_l) lies in LT(a'_(l-1)) and std(a'_(l-1)) lies in std(a'_l):
-    every level keeps the old columns, with their rows, and adds new
-    ones.  The series of x^u starts at t^(deg u), so a new column of
-    degree l has only a weight-l row.
+    every level keeps the old columns and adds new ones.  The series of
+    x^u starts at t^(deg u), so a new column of degree l has only a
+    weight-l row.
     """
 
     def __init__(self, P: LocalAlgebraPresentation, a: Ideal):
@@ -323,54 +310,37 @@ class _Ladder:
         self.weights: list = []  # the weight of each jet variable: k for x@k
         self.engine = BuchbergerRun(DEGREVLEX.key, self.fld, weight=lambda u: sum(map(mul, u, self.weights)))
         self.level = 0  # J'_0 = 0: phi(D_0 g) = g(0) = 0
-        self._jets = self._basis = None  # k[x@1, ..., x@level] and its reduced basis, on demand
-        self.rows: dict = {}  # (u, i) -> {(i, w): c}
+        self.rows: dict = {}  # (u, i) -> NF(phi(D_i x^u)) modulo J'_level, at this level only
         self.closed = -1  # the last level closed by ``step``
         self.kernel: list = []  # {u: c}: the canonical basis of C_closed/a'_closed
 
     def climb(self, level: int) -> None:
-        """Extend the series and the truncated basis of J' up to ``level``."""
+        """Extend the series and the truncated basis of J' up to
+        ``level``, forgetting the rows of the level before."""
         while self.level < level:
             self.level += 1
             self.series.extend()
             self.weights += [self.level] * self.n
             self.engine.grow(self.n)
-            width = self.series.width(self.level)
             for g in self.generators:
-                self.engine.add(self.series.coefficient(g, self.level, width))
+                self.engine.add(self.series.coefficient(g, self.level))
             self.engine.run(self.level)
-            self._jets = self._basis = None
+            self.rows = {}
 
-    @property
-    def jets(self) -> RingContext:
-        """k[x@1, ..., x@level], the ring of ``jet`` and ``basis``."""
-        if self._jets is None:
-            self._jets = JetRing(self.ring, self.level, pointed=True).context
-        return self._jets
-
-    @property
-    def basis(self) -> GroebnerBasis:
-        """The reduced basis of the truncated run, which generates J'_level."""
-        if self._basis is None:
-            self._basis = GroebnerBasis(self.jets, DEGREVLEX, [Polynomial(self.jets, t) for t in self.engine.reduced()])
-        return self._basis
+    def normal_form(self, terms: dict) -> dict:
+        """NF modulo J'_level of the element with ``terms``, of weight at
+        most the level, over k[x@1, ..., x@level]."""
+        return _nf_terms(terms, self.engine.data, self.engine.key, self.fld)
 
     def row(self, u: tuple, i: int) -> dict:
-        """{(i, w): c} for the terms c x^w of NF(phi(D_i x^u)) modulo J'_i."""
+        """NF(phi(D_i x^u)) modulo J'_level, i <= level."""
         row = self.rows.get((u, i))
         if row is None:
             row = self.rows[u, i] = self._reduce_row(u, i)
         return row
 
-    def jet(self, f: dict, i: int) -> Polynomial:
-        """phi(D_i f) for the polynomial with terms ``f``, in k[x@1, ..., x@level]."""
-        return Polynomial(self.jets, self.series.coefficient(f, i, self.series.width(self.level)))
-
     def _reduce_row(self, u: tuple, i: int) -> dict:
-        cut = self.series.width(i)
-        jet = self.series.coefficient({u: self.fld.one()}, i, self.series.width(self.level))
-        nf = _nf_terms(jet, self.engine.data, self.engine.key, self.fld)
-        return {(i, w[:cut]): c for w, c in nf.items()}
+        return self.normal_form(self.series.coefficient({u: self.fld.one()}, i))
 
     def step(self) -> tuple:
         """Close the next level l and return (monomials, echelon) of a'_l
@@ -400,7 +370,7 @@ class _Ladder:
                 span.append({u: fld.one()})
             elif len(row) > 1:
                 span.append({monomials[k]: fld.neg(x) for k, x in row.items() if k != c})
-        keys: dict = {}  # the row keys (l, w) of the weight-l images -> negative columns
+        keys: dict = {}  # the monomials w of the weight-l images -> negative columns
         rows = []
         for v in span:
             out: dict = {}
@@ -477,10 +447,7 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int, ladder: _Ladd
     level - 1, which takes one step (``_Ladder.step``); a fresh one,
     made when ``ladder`` is None, steps up from level 0.  Each step
     reduces the weight-l rows only, on the span of C_(l-1)/a'_l (proof
-    in ``cumulative_closure_chain``).  A row key (i, w) writes w over
-    the jet variables of order <= i only, the ones that a weight-i term
-    can use; that renames the rows of the matrix one to one, and leaves
-    its kernel alone.
+    in ``cumulative_closure_chain``).
 
     The closure is a' + span(kernel) (``cumulative_closure_chain``), an
     ideal that contains m^(level+1), so it is read off the echelon of
@@ -653,7 +620,8 @@ def jsc_membership(P: LocalAlgebraPresentation, a: Ideal, f: Polynomial, level: 
     J' (proofs in ``_Ladder``).  One ladder climbed to the level gives
     the phi(D_i f), and its ``BuchbergerRun``, run on with no bound, the
     reduced basis of J' that the radical tests need, as they reduce
-    elements of any weight; they run without the base-point variables.
+    elements of any weight: the one completion of J'.  The tests run in
+    k[x@1, ..., x@level], without the base-point variables.
     """
     _check_level(level)
     _check_proper(P, a)
@@ -662,9 +630,11 @@ def jsc_membership(P: LocalAlgebraPresentation, a: Ideal, f: Polynomial, level: 
     ladder = _Ladder(P, a)
     ladder.climb(level)
     ladder.engine.run()
-    jets = ladder.jets
+    jets = JetRing(P.ring, level, pointed=True).context
     J = Ideal.with_reduced_basis(jets, [Polynomial(jets, t) for t in ladder.engine.reduced()])
-    return all(radical_member(ladder.jet(f.terms, i), J) for i in range(level + 1))
+    return all(
+        radical_member(Polynomial(jets, ladder.series.coefficient(f.terms, i)), J) for i in range(level + 1)
+    )
 
 
 def universal_jet_image(f: Polynomial, I: Ideal, level: int) -> list:
@@ -679,7 +649,10 @@ def universal_jet_image(f: Polynomial, I: Ideal, level: int) -> list:
     k[x@1, ..., x@level], and the leading terms of the two parts are
     coprime: the reduced basis of F is the x_j@0 and that of J'.  Hence
     NF_F(D_i f) = NF_J'(phi(D_i f)), of weight i <= level, which the
-    ladder's truncated basis reduces exactly (``_Ladder``).
+    ladder's truncated basis reduces exactly (``_Ladder.normal_form``).
+    The pointed variables are the last ones of the full jet ring, so
+    the normal form moves there by writing a zero exponent for each x@0
+    in front.
     """
     if f.ring != I.ring:
         raise RingMismatchError("polynomial does not live in the ideal's ring")
@@ -688,8 +661,9 @@ def universal_jet_image(f: Polynomial, I: Ideal, level: int) -> list:
         return [jets.zero()] * (level + 1)
     ladder = _Ladder(LocalAlgebraPresentation(I.ring), I)
     ladder.climb(level)
-    pointed = range(I.ring.nvars, jets.nvars)  # x_j@k, k >= 1, in the full jet ring
-    return [ladder.basis.normal_form(ladder.jet(f.terms, i)).transport(jets, pointed) for i in range(level + 1)]
+    origin = (0,) * I.ring.nvars  # the exponents of x_1@0, ..., x_n@0
+    nfs = (ladder.normal_form(ladder.series.coefficient(f.terms, i)) for i in range(level + 1))
+    return [Polynomial(jets, {origin + w: c for w, c in nf.items()}) for nf in nfs]
 
 
 # ---------------------------------------------------------------------
@@ -1020,16 +994,17 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     in K_0, spanned over k by the h e_(c,j) with h in J' of weight j and
     the m R_(v,s) with m a monomial of weight s.  In weight 0 the block
     of e_(c,j) is A_j e_(c,j), so modulo J' e_(c,j) it is (A/J')_j, and
-    every entry met there has weight j <= level: the ladder's truncated
-    basis gives its normal form (``_Ladder``), and J' is never
+    every entry met there has weight j <= level: ``_Ladder.normal_form``
+    gives its normal form on the truncated basis, and J' is never
     completed.  So a column combination lies in K iff its normal form
-    lies in the span of the rows NF(m R_(v,s)), read term by term off
-    the table (``GroebnerBasis.monomial_normal_form``) under the keys
-    (c, j, w), w over the variables of order <= j as in ``_Ladder.row``.
-    The kernel is that of each column's ``remainder`` modulo the
-    ``rref`` of those rows: the same subspace on the same columns, so
-    ``nullspace_basis`` gives the same canonical basis.  (The Macaulay
-    matrices of Lazard, 1983, graded by weight.)
+    lies in the span of the rows NF(m R_(v,s)).  The block of e_(c,j)
+    in m R_(v,s) is m phi(D_(j-s) v_c), reduced whole and written under
+    the keys (c, j, w); the blocks of one row have distinct (c, j), so
+    their keys never meet, and a column row NF(phi(D_j x^u)) is written
+    under the same keys (c, j, w).  The kernel is that of each column's
+    ``remainder`` modulo the ``rref`` of those rows: the same subspace
+    on the same columns, so ``nullspace_basis`` gives the same canonical
+    basis.  (The Macaulay matrices of Lazard, 1983, graded by weight.)
 
     The standard basis of M/N by linear algebra.  Let U be generated by
     the relations of M/N and by I e_c, and W be its image in
@@ -1075,24 +1050,23 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
 
     ladder = _Ladder(MP.base, Ideal(ring))
     ladder.climb(level)
-    nf = ladder.basis.monomial_normal_form
-    cuts = [ladder.series.width(j) for j in range(level + 1)]
     multipliers = _monomials_by_weight(ladder.weights, level)
     keys: dict = {}  # (c, j, w) -> a column of the relation rows
     shifted = []  # the rows NF(m R_(v,s))
     for v in module_rels:
-        jets = [[ladder.jet(comp.terms, i).terms for i in range(level + 1)] for comp in v.components]
+        jets = [
+            (c, k, jet)  # phi(D_k v_c), nonzero
+            for c, comp in enumerate(v.components)
+            for k in range(level + 1)
+            if (jet := ladder.series.coefficient(comp.terms, k))
+        ]
         for s in range(level + 1):
             for m in multipliers[s]:
                 r: dict = {}
-                for c in range(rank):
-                    for j in range(s, level + 1):
-                        for t, x in jets[c][j - s].items():
-                            for w, y in nf(tuple(map(add, m, t))).items():
-                                k = keys.setdefault((c, j, w[:cuts[j]]), len(keys))
-                                z = fld.add(r.pop(k, fld.zero()), fld.mul(x, y))
-                                if not fld.is_zero(z):
-                                    r[k] = z
+                for c, k, jet in jets:
+                    if k + s <= level:
+                        block = ladder.normal_form({tuple(map(add, m, t)): x for t, x in jet.items()})
+                        r.update((keys.setdefault((c, k + s, w), len(keys)), x) for w, x in block.items())
                 shifted.append(r)
     relations = rref(shifted, fld)
     columns = sorted(sm, key=_block_key, reverse=True)
@@ -1100,8 +1074,8 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     def image(cu):
         c, u = cu
         out = {}
-        for i in range(level + 1):
-            for (j, w), x in ladder.row(u, i).items():
+        for j in range(level + 1):
+            for w, x in ladder.row(u, j).items():
                 out[keys.setdefault((c, j, w), len(keys))] = x
         return remainder(out, relations, fld)
 

@@ -67,7 +67,7 @@ class Series:
     is weighted-homogeneous of weight i, and every variable of order
     > i has weight > i.  So D_i(x^u) does not change when the level
     grows, ``extend`` adds one coefficient to every memoized monomial,
-    and ``coefficient`` pads D_i to the variables of any level >= i.
+    and ``coefficient`` pads D_i to the variables of the series' level.
     The level-l variables are level-major (``JetRing``): those of order
     <= i come first, and padding appends zeros.
 
@@ -199,10 +199,10 @@ class Series:
                 self._base(u, self.level) if factors is None else self._product(*factors, self.level)
             )
 
-    def coefficient(self, f: dict, i: int, width: int) -> dict:
-        """D_i of the polynomial with terms ``f``, over the first ``width`` jet variables."""
+    def coefficient(self, f: dict, i: int) -> dict:
+        """D_i of the polynomial with terms ``f``, over the jet variables of the series' level."""
         fld = self.fld
-        pad = (0,) * (width - self.width(i))
+        pad = (0,) * (self.width(self.level) - self.width(i))
         out: dict = {}
         for u, c in f.items():
             for v, x in self.series(u)[i].items():
@@ -226,9 +226,8 @@ def _derivations(polys: list, jr: JetRing) -> list:
     series = Series(jr.base.nvars, jr.first, jr.base.field_spec, jr.level)
     for u in sorted({u for f in polys for u in f.terms}, key=sum):
         series.series(u)
-    width = jr.context.nvars
     return [
-        [Polynomial(jr.context, series.coefficient(f.terms, i, width)) for i in range(jr.level + 1)]
+        [Polynomial(jr.context, series.coefficient(f.terms, i)) for i in range(jr.level + 1)]
         for f in polys
     ]
 

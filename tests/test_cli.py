@@ -152,6 +152,9 @@ def test_walkthrough_report(tmp_path):
 def test_icl_command(tmp_path):
     report = run(["icl", "--ideal", "a"], tmp_path=tmp_path)
     assert report.generators == ["y^2", "x*y", "x^2"]
+    # (0) is a monomial ideal with no generators, and integrally closed
+    zero = run(["icl", "--ideal", "z"], session_text=SESSION + "ideal z: 0\n", tmp_path=tmp_path)
+    assert zero.generators == []
 
 
 def test_chain_command_lists_every_level(tmp_path):

@@ -28,7 +28,6 @@ from jetclosure.errors import (
 )
 from jetclosure.groebner import (
     FreeModuleElement,
-    GroebnerBasis,
     Ideal,
     SubmodulePresentation,
     ideal_contains,
@@ -326,20 +325,23 @@ def test_closure_steps_match_the_reference_closure():
 
 def test_closures_reduce_weight_l_rows_and_build_no_basis_of_j(monkeypatch):
     """Closing level l reduces only the rows NF(phi(D_l x^u)) of weight
-    l, and no closure, chain or certificate builds the reduced basis of
-    J'."""
+    l, and no closure, chain, certificate, module closure or jet image
+    reads the reduced basis of J' off a ladder's engine."""
+    ladders, _ = _record_ladders(monkeypatch)
     reduced = []
-    raw_row = closures._Ladder._reduce_row
+    raw_row, raw_reduced = closures._Ladder._reduce_row, groebner.BuchbergerRun.reduced
 
     def row(ladder, u, i):
         reduced.append((i, ladder.level))
         return raw_row(ladder, u, i)
 
-    def refuse(ladder):
-        raise AssertionError("the reduced basis of J' was built")
+    def refuse(run):
+        if any(run is ladder.engine for ladder in ladders):
+            raise AssertionError("the reduced basis of J' was built")
+        return raw_reduced(run)
 
     monkeypatch.setattr(closures._Ladder, "_reduce_row", row)
-    monkeypatch.setattr(closures._Ladder, "basis", property(refuse))
+    monkeypatch.setattr(groebner.BuchbergerRun, "reduced", refuse)
     for P, a, dims in _step_cases():
         top = len(dims) - 1
         reduced.clear()
@@ -348,6 +350,11 @@ def test_closures_reduce_weight_l_rows_and_build_no_basis_of_j(monkeypatch):
         jet_closure(P, a, top)
         assert reduced and all(i == level for i, level in reduced)
         assert {level for _, level in reduced} == set(range(top + 1))
+        universal_jet_image(pp("x*y", P.ring), ideal_sum(a, P.modulus), top)
+    for field in SHORTCUT_FIELDS:
+        for MP, levels in _graded_module_cases(field):
+            module_jet_closure(MP, levels[-1])
+    assert ladders
 
 
 def test_negative_levels_raise_value_error():
@@ -917,49 +924,58 @@ def test_module_jet_closure_matches_reference(monkeypatch):
                 rep = module_jet_closure(MP, level)
                 assert rep.kernel_basis == reference_module_jet_closure(MP, level)
                 assert rep.dim_kernel == len(rep.kernel_basis)
-    # the plane modulus at level 3: the ladder's truncated basis of J' is
-    # strictly smaller than its completion, and module closures reduce on
-    # it as it stands (``test_module_rows_are_completed_normal_forms``)
+    # the plane modulus at level 3: the reduced basis of the ladder's
+    # truncated run is strictly smaller than its completion, and module
+    # closures reduce on the truncated basis as it stands
+    # (``test_module_rows_are_completed_normal_forms``)
     ladders, _ = _record_ladders(monkeypatch)
     plane = LocalAlgebraPresentation(RXY, ideal(RXY, "x^2 - y^3", "x*y"))
     module_jet_closure(ModulePresentation(plane, 2, [], [_vec(RXY, "x", "y")]), 3)
     (ladder,) = ladders
-    completed = Ideal(ladder.basis.ring, ladder.basis).groebner_basis()
-    assert len(ladder.basis) < len(completed)
+    truncated = _pointed_polys(ladder, ladder.engine.reduced())
+    completed = Ideal(truncated[0].ring, truncated).groebner_basis()
+    assert len(truncated) < len(completed)
+
+
+def _pointed_polys(ladder, term_dicts) -> list:
+    """The term dicts as polynomials of k[x@1, ..., x@level] of the ladder."""
+    ctx = jets.JetRing(ladder.ring, ladder.level, pointed=True).context
+    return [Polynomial(ctx, t) for t in term_dicts]
 
 
 def test_module_rows_are_completed_normal_forms(monkeypatch):
     """A module closure reduces on the ladder's truncated basis of J', with
-    no completion: every table entry NF(x^u) it reads, of which each
-    relation row is a combination, and every column row equal the normal
-    form modulo the completed basis.  At level 3, over (x^2 + y^2, xy)
-    and (xz - y^2, x^2, yz, z^3), a basis truncated one weight short has
+    no completion: every normal form it takes (``_Ladder.normal_form``),
+    of each relation block and each column row, equals the normal form
+    modulo the completed basis.  At level 3, over (x^2 + y^2, xy) and
+    (xz - y^2, x^2, yz, z^3), a basis truncated one weight short has
     other leading terms of weight <= 3."""
     ladders, _ = _record_ladders(monkeypatch)
-    read = []
-    raw_table = GroebnerBasis.monomial_normal_form
+    taken = []
+    raw_nf = closures._Ladder.normal_form
 
-    def table(basis, u):
-        nf = raw_table(basis, u)
-        read.append((basis, u, nf))
+    def normal_form(ladder, terms):
+        nf = raw_nf(ladder, terms)
+        taken.append((terms, nf))
         return nf
 
-    monkeypatch.setattr(GroebnerBasis, "monomial_normal_form", table)
+    monkeypatch.setattr(closures._Ladder, "normal_form", normal_form)
     for field in SHORTCUT_FIELDS:
         for MP, _ in _graded_module_cases(field):
             ladders.clear()
-            read.clear()
+            taken.clear()
             module_jet_closure(MP, 3)
             (ladder,) = ladders
-            completed = Ideal(ladder.basis.ring, ladder.basis).groebner_basis()
-            entries = [(u, nf) for basis, u, nf in read if basis is ladder.basis]
-            assert entries and ladder.rows
-            for u, nf in entries:
-                assert nf == completed.normal_form(ladder.basis.ring.monomial(u)).terms
+            truncated = _pointed_polys(ladder, ladder.engine.reduced())
+            ctx = truncated[0].ring
+            completed = Ideal(ctx, truncated).groebner_basis()
+            assert ladder.rows and len(taken) > len(ladder.rows)
+            assert any(nf for _, nf in taken)
+            for terms, nf in taken:
+                assert nf == completed.normal_form(Polynomial(ctx, terms)).terms
             for (u, i), row in ladder.rows.items():
-                cut = ladder.series.width(i)
-                full = completed.normal_form(ladder.jet({u: field.one()}, i))
-                assert row == {(i, w[:cut]): c for w, c in full.terms.items()}
+                jet = Polynomial(ctx, ladder.series.coefficient({u: field.one()}, i))
+                assert row == completed.normal_form(jet).terms
 
 
 def test_module_closures_run_no_module_buchberger(monkeypatch):

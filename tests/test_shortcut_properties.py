@@ -635,12 +635,16 @@ def test_certify_reduces_each_row_and_s_pair_once(monkeypatch):
 def test_ladder_matches_fresh_levels_and_reference_chain(inputs):
     """One ladder climbed through every level gives each level the report
     of a fresh ``jet_closure``, and the chain of the running
-    intersections; each cached row is the normal form of the reference
-    jet modulo the untruncated fiber ideal in the full jet ring at the
-    top level, which has no x@0 term, with the x@0 positions stripped."""
+    intersections; each row a level reduced is the normal form of the
+    reference jet modulo the untruncated fiber ideal in the full jet ring
+    at that level, which has no x@0 term, with the x@0 positions
+    stripped."""
     P, a, top = inputs
     ladder = closures._Ladder(P, a)
-    reports = [jet_closure(P, a, level, ladder) for level in range(top + 1)]
+    reports, rows = [], []
+    for level in range(top + 1):
+        reports.append(jet_closure(P, a, level, ladder))
+        rows.append(dict(ladder.rows))  # the next climb forgets them
     for level, rep in enumerate(reports):
         fresh = jet_closure(P, a, level)
         assert rep.kernel_basis == fresh.kernel_basis
@@ -650,13 +654,14 @@ def test_ladder_matches_fresh_levels_and_reference_chain(inputs):
     chain = [c.groebner_basis().elements for c in cumulative_closure_chain(P, a, top)]
     assert chain == [c.groebner_basis().elements for c in reference_closure_chain(P, a, top)]
     assert [rep.closure_generators for rep in reports] == chain
-    full = fiber_ideal(ideal_sum(a, P.modulus), top).groebner_basis()
     n = P.ring.nvars
-    for (u, i), row in ladder.rows.items():
-        expected = full.normal_form(reference_hs_derivations(P.ring.monomial(u), top)[i]).terms
-        assert all(not any(w[:n]) for w in expected)
-        assert all(not any(w[n * (i + 1):]) for w in expected)
-        assert row == {(i, w[n : n * (i + 1)]): c for w, c in expected.items()}
+    for level, level_rows in enumerate(rows):
+        full = fiber_ideal(ideal_sum(a, P.modulus), level).groebner_basis()
+        for (u, i), row in level_rows.items():
+            assert i == level
+            expected = full.normal_form(reference_hs_derivations(P.ring.monomial(u), level)[i]).terms
+            assert all(not any(w[:n]) for w in expected)
+            assert row == {w[n:]: c for w, c in expected.items()}
 
 
 def jet_names(n):
