@@ -39,8 +39,9 @@ each, and no other code builds a basis of J'.  Every normal form
 modulo J', of a closure row, a module relation row or a jet image, has
 weight at most the level and goes through ``_Ladder.normal_form``, on
 the engine's truncated basis as it stands; module closures run no
-module Buchberger.  Only ``jsc_membership``, whose radical tests
-reduce heavier elements, runs the ladder's engine on to completion.
+module Buchberger.  Only ``jsc_membership`` runs the ladder's engine on
+to completion, and each of its radical tests resumes a copy of that
+completed run with one more variable (``groebner._in_radical``).
 
 The Artinian quotient S/I is a finite-dimensional algebra, and the
 base-ring side of the Gorenstein pipeline runs on its echelons, with
@@ -78,10 +79,10 @@ from .groebner import (
     FreeModuleElement,
     Ideal,
     _block_key,
+    _in_radical,
     _nf_terms,
     ideal_contains,
     ideal_sum,
-    radical_member,
     standard_monomial_basis,
 )
 from .jets import JetRing, Series
@@ -252,6 +253,9 @@ class _Ladder:
     ``cumulative_closure_chain``).  Every normal form modulo J'_l goes
     through ``normal_form``, on the truncated basis ``engine.data`` as
     it stands; the ladder builds no reduced basis of J' and no ring.
+    ``jsc_membership`` runs the engine on with no bound and hands it to
+    ``groebner._in_radical``, whose copies grow by one variable beyond
+    ``weights``: ``weight`` gives it 0, which only orders their pairs.
 
     J'_l is the fiber ideal without the base point.  Let phi set every
     x@0 to 0, a map of the jet ring R_jet onto k[x@1, ..., x@l] (it
@@ -618,10 +622,11 @@ def jsc_membership(P: LocalAlgebraPresentation, a: Ideal, f: Polynomial, level: 
     with J' = phi(F), and radicals correspond under that isomorphism:
     D_i f lies in the radical of F iff phi(D_i f) lies in the radical of
     J' (proofs in ``_Ladder``).  One ladder climbed to the level gives
-    the phi(D_i f), and its ``BuchbergerRun``, run on with no bound, the
-    reduced basis of J' that the radical tests need, as they reduce
-    elements of any weight: the one completion of J'.  The tests run in
-    k[x@1, ..., x@level], without the base-point variables.
+    the phi(D_i f), and its ``BuchbergerRun``, run on with no bound, a
+    Groebner basis of J': the one completion of J'.  Each nonzero
+    phi(D_i f) is then one Rabinowitsch step that resumes that run on a
+    copy with one more variable (``groebner._in_radical``), so no pair
+    of J' is treated twice; a zero jet lies in every radical.
     """
     _check_level(level)
     _check_proper(P, a)
@@ -630,11 +635,8 @@ def jsc_membership(P: LocalAlgebraPresentation, a: Ideal, f: Polynomial, level: 
     ladder = _Ladder(P, a)
     ladder.climb(level)
     ladder.engine.run()
-    jets = JetRing(P.ring, level, pointed=True).context
-    J = Ideal.with_reduced_basis(jets, [Polynomial(jets, t) for t in ladder.engine.reduced()])
-    return all(
-        radical_member(Polynomial(jets, ladder.series.coefficient(f.terms, i)), J) for i in range(level + 1)
-    )
+    jets = (ladder.series.coefficient(f.terms, i) for i in range(level + 1))
+    return all(_in_radical(ladder.engine, h) for h in jets if h)
 
 
 def universal_jet_image(f: Polynomial, I: Ideal, level: int) -> list:

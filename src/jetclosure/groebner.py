@@ -6,12 +6,13 @@ over term), run to completion (``_buchberger``) or, for the jet
 closures, resumed one weight at a time.
 They are the canonical normal-form oracle behind membership, colon
 ideals and intersections (both read off one submodule basis), radical
-membership (via the extra-variable trick) and standard-monomial
-counting.
+membership (``_in_radical``, which resumes a run with one extra
+variable) and standard-monomial counting.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 from heapq import heappush, heappop
@@ -201,8 +202,6 @@ class BuchbergerRun:
         G, lts, pending, heap = self.G, self.lts, self.pending, self.heap
         while heap and (bound is None or heap[0][0] <= bound):
             _, i, j = heappop(heap)
-            if (i, j) not in pending:
-                continue
             pending.discard((i, j))
             lcm = monomial_lcm(lts[i], lts[j])
             chained = False
@@ -260,6 +259,47 @@ class BuchbergerRun:
             reduced.append(_monic_terms(r, key, self.fld))
         reduced.sort(key=lambda t: key(max(t, key=key)))
         return reduced
+
+
+def _in_radical(run: BuchbergerRun, h: dict) -> bool:
+    """Whether the nonzero ``h`` lies in the radical of the ideal J that
+    ``run`` holds, by resuming the run; ``run`` itself is left as it is.
+
+    Rabinowitsch: h lies in rad J iff 1 lies in J + (1 - z*h), z a new
+    variable.  A copy of the run, with its own ``pending`` and ``heap``,
+    grows by the slot z (``grow`` builds new ``G``, ``lts`` and ``data``
+    lists), takes in 1 - z*h and runs to the end; 1 lies in the ideal
+    iff its Groebner basis holds a constant, an element led by 1.
+
+    The copy treats the pairs of what it takes in, and those the run
+    left pending, but no pair the run treated.  Such a pair has a
+    representation sum q_k g_k of its S-polynomial on the run's
+    elements with every q_k lt(g_k) below the pair's lcm: it reduced to
+    0 or to an element the run took in, or a criterion pruned it
+    (``_append``, and the chain criterion on pairs treated before it).
+    Padding with z^0 is a ring map that keeps the order on old
+    monomials (z is the last variable, so degrevlex compares two padded
+    monomials at an old one), so that representation is one on the
+    copy's elements too, and the pair stays treated, as in the
+    incremental update of Gebauer and Moeller (1988).  So the copy
+    completes a Groebner basis of J + (1 - z*h), in any order of its
+    pairs.
+
+    The copy runs with no bound, so ``weight`` only orders the pairs;
+    the level ladder's weight gives z weight 0 (``closures._Ladder``),
+    and the truncated-run argument of ``BuchbergerRun``, which needs
+    homogeneous generators, is not called on.
+    """
+    probe = copy.copy(run)
+    probe.pending, probe.heap = set(run.pending), list(run.heap)
+    probe.grow(1)
+    fld = run.fld
+    one = (0,) * (len(next(iter(h))) + 1)
+    rabinowitsch = {u + (1,): fld.neg(c) for u, c in h.items()}  # -z*h
+    rabinowitsch[one] = fld.one()
+    probe.add(rabinowitsch)
+    probe.run()
+    return one in probe.lts
 
 
 def _buchberger(term_dicts: list, key, fld: FieldSpec, tagged: bool = False) -> list:
@@ -401,21 +441,16 @@ def ideals_equal(I: Ideal, J: Ideal) -> bool:
 
 
 def radical_member(f: Polynomial, I: Ideal) -> bool:
-    """Decide f in the radical of I with one extra variable.
-
-    Appends an exponent slot z to every term and tests whether 1 lies in
-    I + (1 - z*f): the reduced basis of the unit ideal is 1.
-    """
+    """Decide f in the radical of I: one ``_in_radical`` step on a run of
+    I's reduced basis."""
     if f.ring != I.ring:
         raise RingMismatchError("polynomial does not live in the ideal's ring")
     if f.is_zero():
         return True
-    fld = I.ring.field_spec
-    gens = [{u + (0,): c for u, c in g.terms.items()} for g in I.groebner_basis(DEGREVLEX)]
-    one = (0,) * (I.ring.nvars + 1)
-    rabinowitsch = {u + (1,): fld.neg(c) for u, c in f.terms.items()}  # -z*f
-    rabinowitsch[one] = fld.one()
-    return _buchberger(gens + [rabinowitsch], DEGREVLEX.key, fld) == [{one: fld.one()}]
+    run = BuchbergerRun(DEGREVLEX.key, I.ring.field_spec)
+    for g in I.groebner_basis(DEGREVLEX):
+        run._append(g.terms)  # monic
+    return _in_radical(run, f.terms)
 
 
 def intersect_ideals(I: Ideal, J: Ideal) -> Ideal:

@@ -6,10 +6,11 @@ t^(l+1).  That divided-power convention satisfies
 D_m(fg) = sum_{i+j=m} D_i(f) D_j(g) in every characteristic.
 
 Pointed jets set the base point to 0: phi(x_j@0) = 0, in the ring
-k[x@1, ..., x@l] (``JetRing`` with ``pointed``, ``Series`` with
-first = 1).  Closures and the universal jet image only ask questions
-modulo fiber ideals, which contain every x_j@0, so they work there, on
-the series and the fiber ideal image of ``closures._Ladder``.
+k[x@1, ..., x@l] (``Series`` with first = 1), whose variables are the
+last ones of ``JetRing``.  Closures, jet-support membership and the
+universal jet image only ask questions modulo fiber ideals, which
+contain every x_j@0, so they work there, on the term dicts of the
+series and the fiber ideal image of ``closures._Ladder``.
 """
 
 from __future__ import annotations
@@ -26,27 +27,26 @@ class JetRing:
 
     Variables are ordered level-major: x_1@0, ..., x_n@0, x_1@1, ...,
     so the level-l' prefix of the level-l context is the level-l'
-    context itself.  The pointed jet ring leaves out the base point:
-    its variables are x_1@1, ..., x_n@l, and x_j@0 reads as 0.
+    context itself, and the pointed jet ring k[x@1, ..., x@l] is
+    named by the variables after the first n.
     """
 
-    def __init__(self, base: RingContext, level: int, pointed: bool = False):
+    def __init__(self, base: RingContext, level: int):
         if level < 0:
             raise ValueError("jet level must be nonnegative")
         self.base = base
         self.level = level
-        self.first = 1 if pointed else 0
         names = []
-        for i in range(self.first, level + 1):
+        for i in range(level + 1):
             for v in base.variables:
                 names.append(f"{v}@{i}")
         self.context = RingContext(base.field_spec, tuple(names))
 
     def variable_index(self, base_index: int, order: int) -> int:
         """Position of x_j@i in the jet context."""
-        if not (0 <= base_index < self.base.nvars and self.first <= order <= self.level):
+        if not (0 <= base_index < self.base.nvars and 0 <= order <= self.level):
             raise IndexError("jet variable out of range")
-        return (order - self.first) * self.base.nvars + base_index
+        return order * self.base.nvars + base_index
 
     def variable(self, base_index: int, order: int) -> Polynomial:
         return self.context.variable(self.variable_index(base_index, order))
@@ -223,7 +223,7 @@ def _derivations(polys: list, jr: JetRing) -> list:
     that a staircase among them is walked one step per monomial
     (``Series``).
     """
-    series = Series(jr.base.nvars, jr.first, jr.base.field_spec, jr.level)
+    series = Series(jr.base.nvars, 0, jr.base.field_spec, jr.level)
     for u in sorted({u for f in polys for u in f.terms}, key=sum):
         series.series(u)
     return [

@@ -939,7 +939,8 @@ def test_module_jet_closure_matches_reference(monkeypatch):
 
 def _pointed_polys(ladder, term_dicts) -> list:
     """The term dicts as polynomials of k[x@1, ..., x@level] of the ladder."""
-    ctx = jets.JetRing(ladder.ring, ladder.level, pointed=True).context
+    R = ladder.ring
+    ctx = RingContext(R.field_spec, jets.JetRing(R, ladder.level).context.variables[R.nvars:])
     return [Polynomial(ctx, t) for t in term_dicts]
 
 
@@ -1016,28 +1017,47 @@ def test_module_closure_and_jsc_climb_one_ladder(monkeypatch):
 
 
 def test_jsc_membership_finishes_the_ladders_engine(monkeypatch):
-    # J' is completed by the ladder's own run; each other run is one
-    # Rabinowitsch test of a nonzero jet
-    runs, tested = [], []
-    raw_run, raw_radical = groebner.BuchbergerRun.__init__, closures.radical_member
+    # J' is completed once, by the ladder's own run, the only run built;
+    # each nonzero jet is one ``_in_radical`` probe of that completed run,
+    # in order up to the first that fails, and no probe changes the run
+    ladders, _ = _record_ladders(monkeypatch)
+    runs, probes = [], []
+    raw_run, raw_probe = groebner.BuchbergerRun.__init__, closures._in_radical
 
     def run(self, *args, **kwargs):
         raw_run(self, *args, **kwargs)
         runs.append(self)
 
-    def radical(h, J):
-        tested.append(h)
-        return raw_radical(h, J)
+    def snapshot(engine):
+        return [dict(g) for g in engine.G], list(engine.lts), set(engine.pending), list(engine.heap)
+
+    def probe(engine, h):
+        assert not engine.pending and not engine.heap
+        before = snapshot(engine)
+        answer = raw_probe(engine, h)
+        assert snapshot(engine) == before
+        probes.append((engine, h, answer))
+        return answer
 
     monkeypatch.setattr(groebner.BuchbergerRun, "__init__", run)
-    monkeypatch.setattr(closures, "radical_member", radical)
+    monkeypatch.setattr(closures, "_in_radical", probe)
     for R, P, a, _ in _shortcut_cases():
         for text in ("x*y", "x"):
+            f = pp(text, R)
             for level in (0, 2, 3):
+                ladders.clear()
                 runs.clear()
-                tested.clear()
-                jsc_membership(P, a, pp(text, R), level)
-                assert len(runs) == 1 + sum(not h.is_zero() for h in tested)
+                probes.clear()
+                member = jsc_membership(P, a, f, level)
+                (ladder,) = ladders
+                assert runs == [ladder.engine]
+                jets = [ladder.series.coefficient(f.terms, i) for i in range(level + 1)]
+                nonzero = [h for h in jets if h]
+                answers = [answer for _, _, answer in probes]
+                assert all(engine is ladder.engine for engine, _, _ in probes)
+                assert [h for _, h, _ in probes] == nonzero[: len(probes)]
+                assert all(answers[:-1]) and member == all(answers)
+                assert len(probes) == len(nonzero) if member else not answers[-1]
 
 
 def test_module_kernel_vectors_with_two_terms():

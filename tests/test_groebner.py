@@ -11,6 +11,7 @@ from oracles import (
     eliminate_variables,
     monomial_ideal_intersection,
     reference_intersect_ideals,
+    reference_radical_member,
     truncated_module_member,
 )
 
@@ -21,6 +22,8 @@ from jetclosure.groebner import (
     FreeModuleElement,
     Ideal,
     SubmodulePresentation,
+    _buchberger,
+    _in_radical,
     colon_ideal,
     ideal_member,
     ideals_equal,
@@ -29,7 +32,7 @@ from jetclosure.groebner import (
     radical_member,
     standard_monomial_basis,
 )
-from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
+from jetclosure.poly import FieldSpec, Polynomial, RingContext, parse_polynomial
 
 Q = FieldSpec.rationals()
 
@@ -228,6 +231,59 @@ def test_radical_consistent_with_small_powers():
             f = f + R.monomial((rng.randrange(3), rng.randrange(3)), rng.randrange(-3, 4))
         if any(ideal_member(f ** n, I) for n in range(1, 7)):
             assert radical_member(f, I)
+
+
+def test_radical_member_matches_the_fresh_run_reference():
+    # random ideals in 2-3 variables, the zero ideal among them, against
+    # one fresh Rabinowitsch Buchberger per question; constants, the
+    # generators and their sums as elements as well as random polynomials
+    rng = random.Random(37)
+    answers = []
+    for field in (Q, FieldSpec.prime_field(2), FieldSpec.prime_field(3)):
+        for names in ("xy", "xyz"):
+            R = ring(names, field)
+
+            def poly(terms):
+                f = R.zero()
+                for _ in range(terms):
+                    f = f + R.monomial(tuple(rng.randrange(4) for _ in names), rng.randrange(-2, 3))
+                return f
+
+            for k in range(12):
+                I = Ideal(R, [poly(rng.randrange(1, 3)) for _ in range(k % 4)])  # k % 4 == 0: (0)
+                elements = [R.zero(), R.one(), pp("2", R), pp("x", R), pp("x*y + y^2", R)]
+                elements += list(I.generators) + [sum(I.generators, R.zero())]
+                elements += [poly(rng.randrange(1, 4)) for _ in range(3)]
+                for f in elements:
+                    answer = radical_member(f, I)
+                    assert answer == reference_radical_member(f, I)
+                    answers.append(answer)
+    assert True in answers and False in answers
+
+
+def test_in_radical_resumes_a_copy_and_leaves_the_run_as_it_is():
+    # a run stopped at weight bounds that leave pairs pending, and a
+    # completed one, answers as the fresh-run reference on its ideal, and
+    # then completes to the same reduced basis as an untouched run
+    R = ring("xyz", FieldSpec.prime_field(3))
+    gens = [pp(t, R) for t in ("x^2 - y*z", "x*y - z^2", "y^3 + x*z^2")]
+    elements = [pp(t, R) for t in ("x", "y", "z", "x + z", "x*y*z", "2", "x*y - z^2")]
+    complete = _buchberger([g.terms for g in gens], DEGREVLEX.key, R.field_spec)
+    pending = []
+    for bound in (0, 2, 3, 4, 5, None):
+        run = BuchbergerRun(DEGREVLEX.key, R.field_spec)
+        for g in gens:
+            run.add(g.terms)
+        run.run(bound)
+        pending.append(len(run.pending))
+        before = [dict(g) for g in run.G], list(run.lts), set(run.pending), list(run.heap)
+        I = Ideal(R, [Polynomial(R, g) for g in run.G])
+        for f in elements:
+            assert _in_radical(run, f.terms) == reference_radical_member(f, I)
+            assert ([dict(g) for g in run.G], list(run.lts), set(run.pending), list(run.heap)) == before
+        run.run()
+        assert run.reduced() == complete
+    assert pending[0] and not pending[-1]
 
 
 # --- elimination, intersection, colon ---------------------------------

@@ -299,11 +299,16 @@ def test_high_order_vanishing_into_origin_ideal():
 SHORTCUT_FIELDS = (Q, FieldSpec.prime_field(2), FieldSpec.prime_field(3))
 
 
+def pointed_ring(R, level):
+    """k[x@1, ..., x@level]: the jet ring's variables after the base point."""
+    return RingContext(R.field_spec, JetRing(R, level).context.variables[R.nvars:])
+
+
 def pointed_series(R, monomials, level):
     """{u: [phi(D_0 x^u), ..., phi(D_level x^u)]} in the pointed jet ring,
     walked in increasing degree on one pointed ``Series`` at ``level``."""
     series = Series(R.nvars, 1, R.field_spec, level)
-    ctx = JetRing(R, level, pointed=True).context
+    ctx = pointed_ring(R, level)
     one = R.field_spec.one()
     return {
         u: [Polynomial(ctx, series.coefficient({u: one}, i)) for i in range(level + 1)]
@@ -370,8 +375,8 @@ def test_fiber_ideal_of_a_plus_modulus_has_the_reference_basis():
 
 def test_pointed_jet_ring_variable_layout():
     R = ring(["x", "y"])
-    assert JetRing(R, 2, pointed=True).context.variables == ("x@1", "y@1", "x@2", "y@2")
-    point = JetRing(R, 0, pointed=True).context
+    assert pointed_ring(R, 2).variables == ("x@1", "y@1", "x@2", "y@2")
+    point = pointed_ring(R, 0)
     assert point.variables == ()
     assert pointed_series(R, [(0, 0), (1, 0)], 0) == {(0, 0): [point.one()], (1, 0): [point.zero()]}
 
@@ -402,7 +407,7 @@ def test_pointed_derivations_and_fiber_ideal_drop_the_base_point():
                 proper = [Polynomial(R, {u: c for u, c in g.terms.items() if any(u)}) for g in gens]
                 ladder = _Ladder(LocalAlgebraPresentation(R), Ideal(R, proper))
                 ladder.climb(level)
-                ctx = JetRing(R, level, pointed=True).context
+                ctx = pointed_ring(R, level)
                 expected = [[drop_base_point(d, level) for d in reference_hs_derivations(g, level)] for g in gens]
                 derived = [
                     [Polynomial(ctx, ladder.series.coefficient(g.terms, i)) for i in range(level + 1)] for g in gens
