@@ -26,7 +26,6 @@ from .poly import (
     RingContext,
     monomial_divides,
     monomial_lcm,
-    walk_order_ideal,
 )
 
 DEGREVLEX = MonomialOrder.degrevlex()
@@ -268,8 +267,10 @@ def _in_radical(run: BuchbergerRun, h: dict) -> bool:
     Rabinowitsch: h lies in rad J iff 1 lies in J + (1 - z*h), z a new
     variable.  A copy of the run, with its own ``pending`` and ``heap``,
     grows by the slot z (``grow`` builds new ``G``, ``lts`` and ``data``
-    lists), takes in 1 - z*h and runs to the end; 1 lies in the ideal
-    iff its Groebner basis holds a constant, an element led by 1.
+    lists), takes in 1 - z*h and runs one weight at a time until a
+    constant, an element led by 1, enters it or no pair is left.  A
+    constant in the copy lies in J + (1 - z*h), so 1 does; a completed
+    basis without one proves that 1 does not.
 
     The copy treats the pairs of what it takes in, and those the run
     left pending, but no pair the run treated.  Such a pair has a
@@ -285,7 +286,7 @@ def _in_radical(run: BuchbergerRun, h: dict) -> bool:
     completes a Groebner basis of J + (1 - z*h), in any order of its
     pairs.
 
-    The copy runs with no bound, so ``weight`` only orders the pairs;
+    A "no" comes only from a completed copy, so ``weight`` only orders the pairs;
     the level ladder's weight gives z weight 0 (``closures._Ladder``),
     and the truncated-run argument of ``BuchbergerRun``, which needs
     homogeneous generators, is not called on.
@@ -298,14 +299,34 @@ def _in_radical(run: BuchbergerRun, h: dict) -> bool:
     rabinowitsch = {u + (1,): fld.neg(c) for u, c in h.items()}  # -z*h
     rabinowitsch[one] = fld.one()
     probe.add(rabinowitsch)
-    probe.run()
+    while probe.heap and one not in probe.lts:
+        probe.run(probe.heap[0][0])
     return one in probe.lts
 
 
 def _buchberger(term_dicts: list, key, fld: FieldSpec, tagged: bool = False) -> list:
     """Reduced Groebner basis of the ideal or submodule generated by
     ``term_dicts``: a ``BuchbergerRun`` on the interreduced generators,
-    run to completion."""
+    run to completion.
+
+    Term generators run no engine: their reduced basis is their minimal
+    exponents, each with coefficient 1, sorted by ``key``.  Every
+    S-pair of two terms is 0 (``_append``), so the monic terms are a
+    Groebner basis, and dropping each one that another divides leaves
+    the minimal, reduced one.  A divisor sorts before its multiples in
+    a term order, so one pass in ``key`` order keeps an exponent iff no
+    kept one divides it.  Tagged module terms go the same way, as
+    divisibility respects the tag (p, -p).
+    """
+    if all(len(t) == 1 for t in term_dicts):
+        basis: list = []
+        for u in sorted(set().union(*term_dicts), key=key):
+            for m in basis:
+                if all(map(ge, u, next(iter(m)))):  # m's one exponent divides u
+                    break
+            else:
+                basis.append({u: fld.one()})
+        return basis
     engine = BuchbergerRun(key, fld, tagged)
     for g in _interreduce(term_dicts, key, fld):
         engine._append(g)  # monic, and reduced on the others already
@@ -532,52 +553,69 @@ def standard_monomial_basis(I: Ideal) -> StandardMonomialBasis:
 
 
 def _standard_monomials(lts: list, nvars: int, names) -> list:
-    """Exponents that no leading exponent divides, in walk order: none
-    for the unit ideal, else raises when a variable has no pure power
-    among the leading exponents.
+    """Exponents that no leading exponent divides: none for the unit
+    ideal, () alone in no variables, else raises when a variable has no
+    pure power among the leading exponents.
 
     The pure powers bound every standard exponent (v_j < x_j's least
-    pure power), and the standard exponents form an order ideal in that
-    box: ``walk_order_ideal`` lists each of them once.  Only the mixed
-    leading exponents are tested: a pure power x_j^e with e >= bounds[j]
-    divides no point of the box.
+    pure power; a pure power x_j^e with e >= bounds[j] divides no point
+    of the box).  Above a prefix p = (v_0, ..., v_(n-2)) the standard
+    exponents are the column p + (k,), k < h(p), where h(p) is the
+    least of the last bound and the last exponents of the mixed lts
+    whose prefix divides p.  h falls as p grows, so the prefixes with
+    h > 0 form an order ideal in the box of the first n - 1 bounds;
+    the walk lists them by ``walk_order_ideal``'s depth-first rule, and
+    prunes a prefix once h = 0.
 
-    One bucket per step.  The walk asks about v != 0 only from the
-    inside point u = v - e_j, with j the largest index of v's support.
-    By induction over the walk, no mixed lt divides u.  So a mixed lt
-    that divides v has lt_j > u_j = v_j - 1, and with lt_j <= v_j,
-    lt_j = v_j.  Every index of lt's support lies in v's, so at most j,
-    and lt_j > 0: j is the largest index of lt's support too.  So v is
-    outside exactly when some mixed lt in bucket (j, v_j) divides it,
-    the mixed exponents bucketed once by (largest support index,
-    exponent there).  No mixed exponent divides 0.
+    One bucket per step.  The walk reaches q = p + e_j only from p,
+    with j the largest index of q's support (``walk_order_ideal``).  A
+    mixed lt whose prefix divides q but not p has lt_j > p_j = q_j - 1,
+    so lt_j = q_j; every index of its prefix support lies in q's, so at
+    most j, and lt_j > 0: j is the largest index of that support too.
+    So h(q) is the least of h(p) and the last exponents of the mixed
+    lts in bucket (j, q_j) whose prefix divides q, the mixed exponents
+    bucketed once by (largest index of the prefix support, exponent
+    there).  A mixed lt has at least two indices in its support, so its
+    prefix support is not empty, and no mixed lt lowers h(0).
     """
     zero = (0,) * nvars
     if zero in lts:
         return []  # the unit ideal
     bounds = [None] * nvars
-    buckets: dict = {}  # (j, e) -> mixed lts with largest support index j, lt_j = e
+    buckets: dict = {}  # (j, lt_j) -> (prefix, last exponent), j the largest index of the prefix support
     for lt in lts:
         support = [j for j, e in enumerate(lt) if e]
-        j = support[-1]
         if len(support) == 1:
+            j = support[0]
             if bounds[j] is None or lt[j] < bounds[j]:
                 bounds[j] = lt[j]
         else:
-            buckets.setdefault((j, lt[j]), []).append(lt)
+            j = support[-2] if lt[-1] else support[-1]
+            buckets.setdefault((j, lt[j]), []).append((lt[:-1], lt[-1]))
     for j, b in enumerate(bounds):
         if b is None:
             raise InfiniteDimensionalError(
                 f"no pure power of '{names[j]}' among the leading terms; the quotient is infinite-dimensional"
             )
-
-    def outside(v):
-        j = nvars - 1
-        while j >= 0 and not v[j]:
-            j -= 1
-        return j >= 0 and any(all(map(ge, v, lt)) for lt in buckets.get((j, v[j]), ()))
-
-    return walk_order_ideal(bounds, outside)[0]
+    if not nvars:
+        return [zero]
+    *box, top = bounds
+    out: list = []
+    stack = [(zero[:-1], 0, top)]
+    while stack:
+        p, j0, h = stack.pop()
+        out += [p + (k,) for k in range(h)]
+        for j in range(j0, nvars - 1):
+            e = p[j] + 1
+            if e < box[j]:
+                q = p[:j] + (e,) + p[j + 1:]
+                hq = h
+                for prefix, last in buckets.get((j, e), ()):
+                    if last < hq and all(map(ge, q, prefix)):
+                        hq = last
+                if hq:
+                    stack.append((q, j, hq))
+    return out
 
 
 # ---------------------------------------------------------------------

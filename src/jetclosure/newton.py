@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
-from operator import index
+from operator import ge, index
 
 from .errors import InternalError
 from .poly import monomial_divides, walk_order_ideal
@@ -249,15 +249,41 @@ def monomial_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
     has e_i <= b_i, so a member stays a member when a coordinate u_i
     above b_i is lowered to b_i.  The Newton polyhedron is closed
     upward, so ``walk_order_ideal`` over the box u <= b returns every
-    minimal box member in its border, and only members there;
-    ``MonomialIdealData`` keeps the minimal ones.  A point that
-    dominates a generator needs no LP (lambda is the indicator of that
-    generator); every other point asked goes to ``newton_membership``,
-    where a cached cut or a dominated segment answers most of them, and
-    the rest get one exact LP each.
+    minimal box member in its border, and only members there; the
+    corners, the border points v whose every v - e_i is inside, are the
+    minimal ones.  A point that dominates a generator needs no LP
+    (lambda is the indicator of that generator); every other point
+    asked goes to ``newton_membership``, where a cached cut or a
+    dominated segment answers most of them, and the rest get one exact
+    LP each.
+
+    One bucket per point.  The unit ideal is its own closure; otherwise
+    no generator divides 0.  The walk asks v != 0 only from the inside
+    point v - e_j, j the largest index of v's support: a non-member,
+    which no generator divides.  So a generator e that divides v has
+    e_j = v_j, and j is the largest index of its support.  The
+    generators are bucketed once by that pair.
     """
+    zero = (0,) * M.nvars
+    if zero in M.exponents:
+        return M
+    buckets: dict = {}  # (j, e_j) -> generators e with j the largest index of e's support
+    for e in M.exponents:
+        j = max(i for i, x in enumerate(e) if x)
+        buckets.setdefault((j, e[j]), []).append(e)
+
+    def outside(v):
+        j = len(v) - 1
+        while j >= 0 and not v[j]:
+            j -= 1
+        if j >= 0 and any(all(map(ge, v, e)) for e in buckets.get((j, v[j]), ())):
+            return True
+        return newton_membership(v, M)
+
     bounds = [max(e[i] for e in M.exponents) + 1 for i in range(M.nvars)]
-    _, border = walk_order_ideal(
-        bounds, lambda u: any(monomial_divides(e, u) for e in M.exponents) or newton_membership(u, M)
+    inside, border = walk_order_ideal(bounds, outside)
+    inside = set(inside)
+    return MonomialIdealData(
+        v for v in border
+        if all(v[:i] + (x - 1,) + v[i + 1:] in inside for i, x in enumerate(v) if x)
     )
-    return MonomialIdealData(border)

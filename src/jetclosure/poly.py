@@ -213,7 +213,7 @@ def walk_order_ideal(bounds, outside) -> tuple:
     Calling guarantee: ``outside`` is asked at 0 and otherwise only at
     v = u + e_j with u in ``inside`` and j the largest index of v's
     support, once per point.  A predicate may rely on it (see
-    ``groebner._standard_monomials``).
+    ``newton.monomial_integral_closure``).
 
     * No point is asked twice.  By induction the walk reaches an inside
       u != 0 by raising the largest index of u's support, so it asks

@@ -103,6 +103,27 @@ def test_monomial_submodule_reduces_no_s_polynomial(monkeypatch):
     assert reduced == []
 
 
+def test_engine_forms_no_pair_of_two_monomials_among_other_generators(monkeypatch):
+    # term generators alone run no engine (see the two tests above); one
+    # binomial among them makes the engine run, and it still forms no
+    # S-pair of two monomials, in an ideal or a submodule
+    pairs = []
+    real = BuchbergerRun._s_polynomial
+
+    def recorded(self, i, j, lcm):
+        pairs.append((len(self.G[i]), len(self.G[j])))
+        return real(self, i, j, lcm)
+
+    monkeypatch.setattr(BuchbergerRun, "_s_polynomial", recorded)
+    R = ring(["x", "y", "z"])
+    texts = ["x^2", "x*y", "y^3", "x*z^2", "x*z - y^2"]
+    ideal(R, *texts).groebner_basis()
+    gens = [FreeModuleElement(R, [pp(t, R), R.zero()]) for t in texts]
+    gens += [FreeModuleElement(R, [R.zero(), pp(t, R)]) for t in texts[:3]]
+    SubmodulePresentation(R, 2, gens).groebner_basis()
+    assert pairs and (1, 1) not in pairs
+
+
 def test_basis_lex_reduction_example():
     R = ring(["x", "y"])
     G = ideal(R, "x^2 - y", "y - 1").groebner_basis(LEX)

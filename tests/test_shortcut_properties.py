@@ -60,7 +60,7 @@ from oracles import (
     reference_socle_and_gorenstein,
 )
 
-from jetclosure import closures
+from jetclosure import closures, newton
 from jetclosure.closures import (
     LocalAlgebraPresentation,
     ModulePresentation,
@@ -79,9 +79,13 @@ from jetclosure.errors import (
     PowersNotContainedError,
 )
 from jetclosure.groebner import (
+    DEGREVLEX,
     BuchbergerRun,
     FreeModuleElement,
     Ideal,
+    _buchberger,
+    _interreduce,
+    _pot_key,
     _standard_monomials,
     colon_ideal,
     ideal_contains,
@@ -239,12 +243,15 @@ def test_order_ideal_walk_matches_box_scan(case):
 
 @st.composite
 def staircases(draw):
-    """Leading exponents in 1 to 4 variables: a pure power of each
-    variable plus up to five arbitrary exponents."""
-    n = draw(st.integers(1, 4))
+    """Leading exponents in 0 to 4 variables: a pure power of each
+    variable plus up to eight arbitrary exponents and up to two whose
+    last exponent is 0."""
+    n = draw(st.integers(0, 4))
     powers = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
     lts = [tuple(p if k == j else 0 for k in range(n)) for j, p in enumerate(powers)]
-    lts += draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=5))
+    lts += draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=8))
+    if n:
+        lts += draw(st.lists(st.tuples(*[st.integers(0, 4)] * (n - 1), st.just(0)), max_size=2))
     return draw(st.permutations(lts)), n
 
 
@@ -254,6 +261,39 @@ def test_standard_monomial_walk_matches_box_scan(case):
     lts, n = case
     walk = _standard_monomials(lts, n, ("w", "x", "y", "z")[:n])
     assert sorted(walk) == box_standard_monomials(lts, n)
+
+
+@st.composite
+def term_generators(draw):
+    """(terms, key, field, tagged): single-term generators in 1 to 3
+    variables over Q, F_2 or F_3 with nonzero coefficients, as ideal
+    terms or as module terms tagged at positions 1 to 3.  Exponents come
+    from a pool of at most four, so repeats and a generator that another
+    divides are common; the constant is drawn in one time in four."""
+    fld = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    tagged = draw(st.booleans())
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    if draw(st.integers(0, 3)) == 0:
+        exps = st.one_of(st.just((0,) * n), exps)
+    if tagged:
+        exps = st.tuples(st.integers(1, 3), exps).map(lambda pu: (pu[0], -pu[0]) + pu[1])
+    pool = draw(st.lists(exps, min_size=1, max_size=4))
+    nonzero = st.integers(1, 6).filter(lambda c: c % (fld.characteristic or 7))
+    coeff = st.tuples(nonzero, nonzero).map(lambda ab: fld.div(fld.of_int(ab[0]), fld.of_int(ab[1])))
+    terms = draw(st.lists(st.builds(lambda u, c: {u: c}, st.sampled_from(pool), coeff), max_size=8))
+    return terms, (_pot_key if tagged else DEGREVLEX.key), fld, tagged
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(term_generators())
+def test_term_basis_matches_the_engine(case):
+    terms, key, fld, tagged = case
+    engine = BuchbergerRun(key, fld, tagged)
+    for g in _interreduce(terms, key, fld):
+        engine._append(g)
+    engine.run()
+    assert repr(_buchberger(terms, key, fld, tagged)) == repr(engine.reduced())  # coefficient types too
 
 
 @st.composite
@@ -269,6 +309,40 @@ def monomial_ideals(draw):
 @given(monomial_ideals())
 def test_integral_closure_walk_matches_box_scan(M):
     assert monomial_integral_closure(M) == reference_integral_closure(M)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(monomial_ideals())
+def test_integral_closure_keeps_only_minimal_points(M):
+    handed = []
+
+    class Recording(MonomialIdealData):
+        def __init__(self, exponents):
+            handed.append(list(exponents))
+            super().__init__(handed[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(newton, "MonomialIdealData", Recording)
+        closure = monomial_integral_closure(M)
+    unit = (0,) * M.nvars in M.exponents  # closed as it is
+    assert len(handed) == (not unit)
+    for points in handed:
+        assert sorted(points) == list(closure.exponents)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(monomial_ideals())
+def test_integral_closure_asks_newton_only_what_no_generator_divides(M):
+    asked = []
+
+    def recording(u, data):
+        asked.append(u)
+        return newton_membership(u, data)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(newton, "newton_membership", recording)
+        monomial_integral_closure(M)
+    assert not any(all(map(ge, u, e)) for u in asked for e in M.exponents)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -435,16 +509,32 @@ def test_jet_closure_runs_no_buchberger_on_the_base_ring(monkeypatch):
     assert computed == [] and len(runs) == 6
 
 
-def test_certify_runs_buchberger_on_the_base_ring_once(monkeypatch):
-    """One certificate runs two engines: the basis of a + I for the
-    containment test, and one J' engine climbed through every level."""
+def _certify_engines(monkeypatch, a: Ideal) -> int:
+    """The engines one certificate of ``a`` at level 2 runs, after
+    checking that it computes one base-ring basis, that of a + I."""
     computed = _computed_bases(monkeypatch)
     runs = _engine_runs(monkeypatch)
+    cert = certify_arc_closed(LocalAlgebraPresentation(a.ring), a, 6)
+    assert cert.certified and cert.level == 2
+    assert computed == [a.ring]
+    return len(runs)
+
+
+def test_certify_runs_buchberger_on_the_base_ring_once(monkeypatch):
+    """A certificate of a monomial a runs one engine, the J' engine
+    climbed through every level: the basis of a + I for the containment
+    test is its minimal terms, with no engine."""
     R = RingContext(FieldSpec.prime_field(3), ("x", "y"))
     a = Ideal(R, [R.monomial((2, 0)), R.monomial((0, 2))])
-    cert = certify_arc_closed(LocalAlgebraPresentation(R), a, 6)
-    assert cert.certified and cert.level == 2
-    assert computed == [R] and len(runs) == 2
+    assert _certify_engines(monkeypatch, a) == 1
+
+
+def test_certify_of_a_non_monomial_ideal_runs_two_engines(monkeypatch):
+    """The same ideal given as (x^2 + y^3, y^2) runs an engine for the
+    basis of a + I too, and still one J' engine."""
+    R = RingContext(FieldSpec.prime_field(3), ("x", "y"))
+    a = Ideal(R, [R.monomial((2, 0)) + R.monomial((0, 3)), R.monomial((0, 2))])
+    assert _certify_engines(monkeypatch, a) == 2
 
 
 def test_walkthrough_runs_buchberger_on_the_base_ring_once(monkeypatch):
