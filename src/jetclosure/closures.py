@@ -159,16 +159,15 @@ def _kernel(columns: list, image, fld) -> list:
     ]
 
 
-def _echelon_ideal(ring: RingContext, monomials: list, echelon: dict, bounds: list, outside):
+def _echelon_ideal(ring: RingContext, monomials: list, echelon: dict):
     """(b, standard monomials of b, largest first) for b = V + M.
 
-    M is a monomial ideal: ``outside(u)`` tells whether x^u lies in M,
-    and the box u_j < bounds[j] holds the standard monomials of M and
-    every minimal generator of M.  ``monomials`` lists those standard
-    monomials, largest first in degrevlex, and V is the span of
-    ``echelon``, a reduced echelon form (``rref``) over them as columns,
-    so that a row's pivot is its largest monomial.  b carries its reduced
-    degrevlex basis, read off the echelon.
+    M is the monomial ideal whose standard monomials are ``monomials``,
+    the columns, listed largest first in degrevlex: x^u lies in M iff u
+    is not a column.  V is the span of ``echelon``, a reduced echelon
+    form (``rref``) over the columns, so that a row's pivot is its
+    largest monomial.  b carries its reduced degrevlex basis, read off
+    the echelon.
 
     Leading terms.  Let f = v + h lie in b, v in V and h in M.  As M is a
     monomial ideal, every term of h lies in M and no term of v does, so
@@ -180,29 +179,28 @@ def _echelon_ideal(ring: RingContext, monomials: list, echelon: dict, bounds: li
     the standard monomials of b are the non-pivot columns.  This uses
     only that degrevlex is a term order, not that it follows the degree.
 
-    Reading off.  ``walk_order_ideal`` over the box, with "in M or a
-    pivot" as the predicate (closed upward, as LT(b) is an ideal), finds
-    the standard monomials inside and every minimal generator u of LT(b)
-    on its border; a border point is minimal iff every u - e_j is inside.
-    The reduced basis element at u is the monic element of b led by u
-    whose other terms are all standard.  For a pivot u it is the echelon
-    row at u: monic, in V, and its other entries are at non-pivot
-    columns.  For u in M it is x^u itself.
+    Reading off.  A minimal generator u of LT(b) has every u - e_j
+    standard, a column, so u_j is at most the largest column exponent
+    in x_j plus 1: the box of the largest column exponents plus 2 holds
+    it.  ``walk_order_ideal`` over that box, with "not a standard
+    monomial of b" as the predicate (closed upward, as LT(b) is an
+    ideal), returns these minimal generators as its corners.  The
+    reduced basis element at u is the monic element of b led by u whose
+    other terms are all standard.  For a pivot u it is the echelon row
+    at u: monic, in V, and its other entries are at non-pivot columns.
+    For u in M, not a column, it is x^u itself.
     """
     fld = ring.field_spec
     index = {u: c for c, u in enumerate(monomials)}
-    inside, border = walk_order_ideal(bounds, lambda u: outside(u) or index[u] in echelon)
-    inside = set(inside)
-    corners = [
-        u for u in border
-        if all(u[:j] + (e - 1,) + u[j + 1:] in inside for j, e in enumerate(u) if e)
-    ]
+    standard = [u for c, u in enumerate(monomials) if c not in echelon]
+    free = set(standard)
+    bounds = [max(u[j] for u in monomials) + 2 for j in range(ring.nvars)]
+    corners = walk_order_ideal(bounds, lambda u: u not in free)[1]
     basis = [
-        Polynomial(ring, {u: fld.one()}) if outside(u)
+        Polynomial(ring, {u: fld.one()}) if u not in index
         else Polynomial(ring, {monomials[c]: x for c, x in echelon[index[u]].items()})
         for u in sorted(corners, key=DEGREVLEX.key)
     ]
-    standard = [u for u in monomials if index[u] not in echelon]
     return Ideal.with_reduced_basis(ring, basis), standard
 
 
@@ -212,7 +210,7 @@ def _replacement(ring: RingContext, generators: list, level: int) -> tuple:
     and the ``rref`` of the truncated Macaulay rows x^v g mod m^(level+1),
     deg v <= level - 1, of the ``generators`` (term dicts) of a + I over
     them as columns (proof in ``jet_closure``)."""
-    monomials = walk_order_ideal([level + 1] * ring.nvars, lambda u: sum(u) > level)[0]
+    monomials = [u for by_degree in _monomials_by_weight([1] * ring.nvars, level) for u in by_degree]
     monomials.sort(key=DEGREVLEX.key, reverse=True)
     index = {u: c for c, u in enumerate(monomials)}
     rows = []
@@ -468,17 +466,12 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int, ladder: _Ladd
     while ladder.closed < level:
         monomials, aprime = ladder.step()
     index = {u: c for c, u in enumerate(monomials)}
-    box = [level + 2] * ring.nvars
-
-    def high(u):
-        return sum(u) > level
-
-    replacement, columns = _echelon_ideal(ring, monomials, aprime, box, high)
+    replacement, columns = _echelon_ideal(ring, monomials, aprime)
     kernel = ladder.kernel
     closure = replacement
     if kernel:
         kernel_rows = [{index[u]: x for u, x in t.items()} for t in kernel]
-        closure = _echelon_ideal(ring, monomials, rref(list(aprime.values()) + kernel_rows, fld), box, high)[0]
+        closure = _echelon_ideal(ring, monomials, rref(list(aprime.values()) + kernel_rows, fld))[0]
     return ClosureReport(
         presentation=P,
         ideal=a,
@@ -786,7 +779,7 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
 
     index = {u: c for c, u in enumerate(box)}
     kernel = [{index[u]: x for u, x in t.items()} for t in _kernel(box, image, fld)]
-    colon = _echelon_ideal(ring, box, rref(kernel, fld), [power + 1] * ring.nvars, powers)[0]
+    colon = _echelon_ideal(ring, box, rref(kernel, fld))[0]
     colon_dim = len(kernel)
     witness = next(
         (w for w in colon.generators

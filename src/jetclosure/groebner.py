@@ -24,6 +24,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     RingContext,
+    minimal_exponents,
     monomial_divides,
     monomial_lcm,
 )
@@ -244,19 +245,19 @@ class BuchbergerRun:
     def reduced(self) -> list:
         """The reduced basis of what the run holds: monic, fully reduced,
         sorted by increasing ``key`` of the leading term; after a run to
-        completion, canonical for (ideal, order)."""
-        key, lts = self.key, self.lts
-        minimal: list = []
-        for i in sorted(range(len(self.G)), key=lambda i: key(lts[i])):
-            if not any(monomial_divides(lts[k], lts[i]) for k in minimal):
-                minimal.append(i)
+        completion, canonical for (ideal, order).  It keeps the elements
+        led by the ``minimal_exponents`` of the leading exponents, which
+        are distinct (each element was reduced on those before it), and
+        reduces each on the others; no other kept exponent divides its
+        leading term, so that term, and the ``key`` order, stay."""
+        key = self.key
+        index = {lt: i for i, lt in enumerate(self.lts)}
+        minimal = [index[lt] for lt in minimal_exponents(self.lts, key)]
         kept = [self.data[i] for i in minimal]
         reduced = []
         for i, k in enumerate(minimal):
             others = kept[:i] + kept[i + 1 :]
-            r = _nf_terms(self.G[k], others, key, self.fld) if others else self.G[k]
-            reduced.append(_monic_terms(r, key, self.fld))
-        reduced.sort(key=lambda t: key(max(t, key=key)))
+            reduced.append(_nf_terms(self.G[k], others, key, self.fld) if others else self.G[k])
         return reduced
 
 
@@ -310,23 +311,14 @@ def _buchberger(term_dicts: list, key, fld: FieldSpec, tagged: bool = False) -> 
     run to completion.
 
     Term generators run no engine: their reduced basis is their minimal
-    exponents, each with coefficient 1, sorted by ``key``.  Every
-    S-pair of two terms is 0 (``_append``), so the monic terms are a
-    Groebner basis, and dropping each one that another divides leaves
-    the minimal, reduced one.  A divisor sorts before its multiples in
-    a term order, so one pass in ``key`` order keeps an exponent iff no
-    kept one divides it.  Tagged module terms go the same way, as
-    divisibility respects the tag (p, -p).
+    exponents (``minimal_exponents``), each with coefficient 1, sorted
+    by ``key``.  Every S-pair of two terms is 0 (``_append``), so the
+    monic terms are a Groebner basis, and dropping each one that
+    another divides leaves the minimal, reduced one.  Tagged module
+    terms go the same way, as divisibility respects the tag (p, -p).
     """
     if all(len(t) == 1 for t in term_dicts):
-        basis: list = []
-        for u in sorted(set().union(*term_dicts), key=key):
-            for m in basis:
-                if all(map(ge, u, next(iter(m)))):  # m's one exponent divides u
-                    break
-            else:
-                basis.append({u: fld.one()})
-        return basis
+        return [{u: fld.one()} for u in minimal_exponents(set().union(*term_dicts), key)]
     engine = BuchbergerRun(key, fld, tagged)
     for g in _interreduce(term_dicts, key, fld):
         engine._append(g)  # monic, and reduced on the others already

@@ -66,8 +66,9 @@ class Series:
     the jet variables of order <= i only: x_j@k has weight k, D_i(x^u)
     is weighted-homogeneous of weight i, and every variable of order
     > i has weight > i.  So D_i(x^u) does not change when the level
-    grows, ``extend`` adds one coefficient to every memoized monomial,
-    and ``coefficient`` pads D_i to the variables of the series' level.
+    grows: a series starts at level 0, ``extend`` raises the level by
+    adding one coefficient to every memoized monomial, and
+    ``coefficient`` pads D_i to the variables of the series' level.
     The level-l variables are level-major (``JetRing``): those of order
     <= i come first, and padding appends zeros.
 
@@ -105,9 +106,9 @@ class Series:
     series can be nonzero, and so do its divisors.
     """
 
-    def __init__(self, nvars: int, first: int, fld: FieldSpec, level: int = 0):
+    def __init__(self, nvars: int, first: int, fld: FieldSpec):
         self.n, self.first, self.fld = nvars, first, fld
-        self.level = level
+        self.level = 0
         self.memo: dict = {}  # u -> [D_0(x^u), ..., D_level(x^u)]
         self.factors: dict = {}  # u -> (a, b), or None for 1 and the x_j
         zero = (0,) * nvars
@@ -223,7 +224,9 @@ def _derivations(polys: list, jr: JetRing) -> list:
     that a staircase among them is walked one step per monomial
     (``Series``).
     """
-    series = Series(jr.base.nvars, 0, jr.base.field_spec, jr.level)
+    series = Series(jr.base.nvars, 0, jr.base.field_spec)
+    for _ in range(jr.level):
+        series.extend()
     for u in sorted({u for f in polys for u in f.terms}, key=sum):
         series.series(u)
     return [

@@ -25,11 +25,12 @@ from math import gcd
 from operator import ge, index
 
 from .errors import InternalError
-from .poly import monomial_divides, walk_order_ideal
+from .poly import minimal_exponents, walk_order_ideal
 
 
 class MonomialIdealData:
-    """Exponent vectors of a monomial ideal, stored as minimal generators."""
+    """Exponent vectors of a monomial ideal, stored as its minimal
+    generators in lex order (``minimal_exponents``), a canonical form."""
 
     def __init__(self, exponents):
         vectors = [_integer_vector(u) for u in exponents]
@@ -41,7 +42,7 @@ class MonomialIdealData:
                 raise ValueError("exponent vectors have mixed lengths")
             if any(e < 0 for e in u):
                 raise ValueError("exponents must be nonnegative")
-        self.exponents = tuple(_reduce_generators(vectors))
+        self.exponents = tuple(minimal_exponents(vectors))
         self._cuts = []  # (w, c) with w.q >= c on the polyhedron; see newton_membership
 
     @property
@@ -64,20 +65,6 @@ def _integer_vector(u) -> tuple:
         return tuple(map(index, u))
     except TypeError:
         raise ValueError(f"exponents must be integers, got {u!r}") from None
-
-
-def _reduce_generators(vectors: list) -> list:
-    """Drop componentwise-dominated vectors; sort for a canonical form.
-
-    One pass in ascending lex order suffices: a vector that dominates a
-    distinct v is lex-larger, so it comes after v and is rejected against
-    v, or against the kept vector that v dominates if v was rejected.
-    """
-    kept = []
-    for u in sorted(set(vectors)):
-        if not any(monomial_divides(v, u) for v in kept):
-            kept.append(u)
-    return kept
 
 
 def _phase_one(columns: list, rhs: list):
@@ -248,14 +235,12 @@ def monomial_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
     the componentwise maximum b of the input generators: every generator
     has e_i <= b_i, so a member stays a member when a coordinate u_i
     above b_i is lowered to b_i.  The Newton polyhedron is closed
-    upward, so ``walk_order_ideal`` over the box u <= b returns every
-    minimal box member in its border, and only members there; the
-    corners, the border points v whose every v - e_i is inside, are the
-    minimal ones.  A point that dominates a generator needs no LP
-    (lambda is the indicator of that generator); every other point
-    asked goes to ``newton_membership``, where a cached cut or a
-    dominated segment answers most of them, and the rest get one exact
-    LP each.
+    upward, so the corners of ``walk_order_ideal`` over the box u <= b
+    are the minimal box members.  A point that dominates a generator
+    needs no LP (lambda is the indicator of that generator); every
+    other point asked goes to ``newton_membership``, where a cached cut
+    or a dominated segment answers most of them, and the rest get one
+    exact LP each.
 
     One bucket per point.  The unit ideal is its own closure; otherwise
     no generator divides 0.  The walk asks v != 0 only from the inside
@@ -281,9 +266,4 @@ def monomial_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
         return newton_membership(v, M)
 
     bounds = [max(e[i] for e in M.exponents) + 1 for i in range(M.nvars)]
-    inside, border = walk_order_ideal(bounds, outside)
-    inside = set(inside)
-    return MonomialIdealData(
-        v for v in border
-        if all(v[:i] + (x - 1,) + v[i + 1:] in inside for i, x in enumerate(v) if x)
-    )
+    return MonomialIdealData(walk_order_ideal(bounds, outside)[1])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import neg
+from operator import ge, neg
 from typing import Iterable, Union
 
 from .errors import ParseError, RingMismatchError, UnknownVariableError
@@ -199,15 +199,32 @@ def monomial_lcm(u: Exponents, v: Exponents) -> Exponents:
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
+def minimal_exponents(exponents, key=None) -> list:
+    """The exponents that no other one divides, each once, in ``key``
+    order (lex when None): one pass in that order keeps an exponent iff
+    no kept one divides it.  In a term order, and in lex, a proper
+    divisor sorts before its multiples, so the first copy of a minimal
+    exponent is kept, and any other u meets the kept first copy of a
+    minimal divisor before it.  Tagged module exponents (p, -p) + u in
+    position over term go the same way: >= on the tags holds only at
+    one position, where the order is a term order.
+    """
+    kept: list = []
+    for u in sorted(exponents, key=key):
+        if not any(all(map(ge, u, v)) for v in kept):
+            kept.append(u)
+    return kept
+
+
 def walk_order_ideal(bounds, outside) -> tuple:
-    """(inside, border) for the box u_j < bounds[j], every bound >= 1,
+    """(inside, corners) for the box u_j < bounds[j], every bound >= 1,
     and a predicate ``outside`` closed upward in the box: if it holds at
     u, it holds at every box point v >= u.
 
     The walk is depth-first from 0.  At a point u reached by raising
     coordinate j0 (j0 = 0 at 0) it asks ``outside`` at u + e_j for each
     j >= j0 that stays in the box; a point found inside goes to
-    ``inside`` and is walked on, one found outside goes to ``border``.
+    ``inside`` and is walked on, one found outside goes to the border.
     If 0 is outside, the result is ([], [0]).
 
     Calling guarantee: ``outside`` is asked at 0 and otherwise only at
@@ -224,7 +241,8 @@ def walk_order_ideal(bounds, outside) -> tuple:
       coordinate 1 v_1 times, and so on, raises indices in
       nondecreasing order, and each of its points divides v, so it is
       inside; the walk follows the path to v.
-    * ``border`` is outside and holds every minimal outside point v.
+    * The corners, the border points v whose every v - e_i is inside,
+      are the minimal outside points, as the border holds each of them.
       For v != 0, let j be the largest index of v's support: v - e_j is
       inside, the walk reaches it by raising an index <= j, and so asks
       v from it.
@@ -244,7 +262,12 @@ def walk_order_ideal(bounds, outside) -> tuple:
                 else:
                     inside.append(v)
                     stack.append((v, j))
-    return inside, border
+    found = set(inside)
+    corners = [
+        v for v in border
+        if all(v[:i] + (e - 1,) + v[i + 1:] in found for i, e in enumerate(v) if e)
+    ]
+    return inside, corners
 
 
 @dataclass(frozen=True)

@@ -224,10 +224,10 @@ def power_test_closure(gens: list, max_power: int = 6) -> list:
 
 def maximal_ideal_power(ring: RingContext, d: int) -> list:
     """All monomials of total degree d, the generators of m^d, in lex
-    order: the minimal points of degree >= d, which are the border of the
-    walk over degree < d, as each point it asks raises one of degree < d."""
-    _, border = walk_order_ideal([d + 1] * ring.nvars, lambda u: sum(u) >= d)
-    return [ring.monomial(u) for u in sorted(border)]
+    order: the minimal points of degree >= d, the corners of the walk
+    over degree < d."""
+    _, corners = walk_order_ideal([d + 1] * ring.nvars, lambda u: sum(u) >= d)
+    return [ring.monomial(u) for u in sorted(corners)]
 
 
 # ---------------------------------------------------------------------

@@ -306,8 +306,10 @@ def pointed_ring(R, level):
 
 def pointed_series(R, monomials, level):
     """{u: [phi(D_0 x^u), ..., phi(D_level x^u)]} in the pointed jet ring,
-    walked in increasing degree on one pointed ``Series`` at ``level``."""
-    series = Series(R.nvars, 1, R.field_spec, level)
+    walked in increasing degree on one pointed ``Series`` extended to ``level``."""
+    series = Series(R.nvars, 1, R.field_spec)
+    for _ in range(level):
+        series.extend()
     ctx = pointed_ring(R, level)
     one = R.field_spec.one()
     return {

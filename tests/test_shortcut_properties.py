@@ -6,7 +6,8 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 * jet closures in the pointed jet ring, without the base point, against
   the full jet ring, in one or two variables at levels 0 to 5;
 * the order-ideal walk against a scan of its box, asking each point
-  at most once;
+  at most once, its corners the minimal outside points;
+* the one-pass minimal exponents against an all-pairs minimal set;
 * the staircase walk of standard monomials against the box scan;
 * the walk of integral closure against one LP at every box point;
 * Newton membership with integer pivots and cached cuts against a
@@ -41,7 +42,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import (
     LEX,
     _primary_replacement,
@@ -103,6 +104,7 @@ from jetclosure.poly import (
     MonomialOrder,
     RingContext,
     format_polynomial,
+    minimal_exponents,
     parse_polynomial,
     walk_order_ideal,
 )
@@ -224,7 +226,7 @@ def test_order_ideal_walk_matches_box_scan(case):
         asked[u] += 1
         return outside(u)
 
-    inside, border = walk_order_ideal(bounds, counted)
+    inside, corners = walk_order_ideal(bounds, counted)
     assert max(asked.values()) == 1
     # the calling guarantee: v != 0 is asked from v - e_j, j the largest
     # index of v's support, and v - e_j was found inside
@@ -235,10 +237,37 @@ def test_order_ideal_walk_matches_box_scan(case):
             assert v[:j] + (v[j] - 1,) + v[j + 1:] in found_inside
     box = list(itertools.product(*map(range, bounds)))  # in lex order
     assert sorted(inside) == [u for u in box if not outside(u)]
-    assert all(outside(u) for u in border)
     lower = [[u[:k] + (u[k] - 1,) + u[k + 1:] for k in range(len(u)) if u[k]] for u in box]
     minimal = [u for u, below in zip(box, lower) if outside(u) and not any(map(outside, below))]
-    assert set(minimal) <= set(border)
+    assert sorted(corners) == minimal
+
+
+@st.composite
+def exponent_lists(draw):
+    """(exponents, key): up to eight exponents in 0 to 3 variables, drawn
+    from a pool of at most four so that repeats and divisors are common,
+    the zero exponent drawn in one time in four; in degrevlex, in lex
+    (key None), or tagged at positions 1 to 3 in position over term."""
+    n = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    if draw(st.integers(0, 3)) == 0:
+        exps = st.one_of(st.just((0,) * n), exps)
+    key = draw(st.sampled_from((DEGREVLEX.key, None, _pot_key)))
+    if key is _pot_key:
+        exps = st.tuples(st.integers(1, 3), exps).map(lambda pu: (pu[0], -pu[0]) + pu[1])
+    pool = draw(st.lists(exps, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), max_size=8)), key
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(exponent_lists())
+@example(([(), ()], None))
+@example(([(1, -1), (2, -2), (1, -1)], _pot_key))
+@example(([(1, 2), (0, 0), (1, 2), (0, 0)], DEGREVLEX.key))
+def test_minimal_exponents_match_all_pairs(case):
+    exponents, key = case
+    minimal = {u for u in exponents if not any(v != u and all(map(ge, u, v)) for v in exponents)}
+    assert minimal_exponents(exponents, key) == sorted(minimal, key=key)
 
 
 @st.composite
