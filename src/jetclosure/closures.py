@@ -86,7 +86,7 @@ from .groebner import (
     standard_monomial_basis,
 )
 from .jets import JetRing, Series
-from .linalg import nullspace_basis, remainder, rref
+from .linalg import nullspace_basis, rref
 from .poly import Polynomial, RingContext, monomial_divides, walk_order_ideal
 
 
@@ -139,24 +139,6 @@ def _monomials_by_weight(weights: list, top: int) -> list:
             for m in by_weight[s - o]:
                 by_weight[s].append(m[:k] + (m[k] + 1,) + m[k + 1:])
     return by_weight
-
-
-def _kernel(columns: list, image, fld) -> list:
-    """A k-basis of the kernel of the linear map column -> ``image(column)``.
-
-    ``image`` sends a column to a dict {row key: coefficient}, one
-    sparse matrix row per row key met.  Each kernel vector comes back
-    as {column: coefficient} with its zero entries dropped, in the
-    canonical order of ``nullspace_basis`` for the given column order.
-    """
-    rows: dict = {}
-    for c, col in enumerate(columns):
-        for r, x in image(col).items():
-            rows.setdefault(r, {})[c] = x
-    return [
-        {columns[c]: x for c, x in vec.items()}
-        for vec in nullspace_basis(list(rows.values()), len(columns), fld)
-    ]
 
 
 def _echelon_ideal(ring: RingContext, monomials: list, echelon: dict):
@@ -351,43 +333,38 @@ class _Ladder:
 
         C_(l-1)/a'_l is spanned by the kernel of level l - 1 and the
         remainders of the degree-l monomials modulo a'_l, and C_l/a'_l is
-        the part of it that the weight-l rows send to zero.  Each spanning
-        vector v gives the row (image of v on negative columns, v on
-        columns in increasing degrevlex); the rows of their ``rref`` led
-        by a vector column are the kernel basis of ``nullspace_basis``
-        (proofs in ``cumulative_closure_chain``), kept in its order.
+        the part of it that the weight-l rows send to zero (proof in
+        ``cumulative_closure_chain``).  Each spanning vector v, on the
+        columns of ``jet_closure`` (largest first), is paired with its
+        image, the sum of v_u NF(phi(D_l x^u)), and ``nullspace_basis``
+        reads the canonical basis of the kernel off those pairs.
         """
         level = self.closed + 1
         self.climb(level)
         fld = self.fld
         monomials, echelon = _replacement(self.ring, self.generators, level)
-        top = len(monomials) - 1
-        place = {u: top - c for c, u in enumerate(monomials)}  # increasing degrevlex
-        span = list(self.kernel)
+        index = {u: c for c, u in enumerate(monomials)}
+        span = [{index[u]: x for u, x in v.items()} for v in self.kernel]
         for c, u in enumerate(monomials):
             if sum(u) < level:
                 break  # degrevlex puts every monomial of degree l first
             row = echelon.get(c)
             if row is None:
-                span.append({u: fld.one()})
+                span.append({c: fld.one()})
             elif len(row) > 1:
-                span.append({monomials[k]: fld.neg(x) for k, x in row.items() if k != c})
-        keys: dict = {}  # the monomials w of the weight-l images -> negative columns
-        rows = []
+                span.append({k: fld.neg(x) for k, x in row.items() if k != c})
+        pairs = []
         for v in span:
-            out: dict = {}
-            for u, x in v.items():
-                for k, y in self.row(u, level).items():
-                    k = keys.setdefault(k, -1 - len(keys))
-                    z = fld.add(out.pop(k, fld.zero()), fld.mul(x, y))
+            image: dict = {}
+            for c, x in v.items():
+                for w, y in self.row(monomials[c], level).items():
+                    z = fld.add(image.pop(w, fld.zero()), fld.mul(x, y))
                     if not fld.is_zero(z):
-                        out[k] = z
-            out.update((place[u], x) for u, x in v.items())
-            rows.append(out)
-        reduced = rref(rows, fld)
+                        image[w] = z
+            pairs.append((v, image))
         self.kernel = [
-            {monomials[top - k]: x for k, x in reduced[p].items()}
-            for p in sorted((p for p in reduced if p >= 0), reverse=True)
+            {monomials[c]: x for c, x in vec.items()}
+            for vec in nullspace_basis(pairs, len(monomials), fld)
         ]
         self.closed = level
         return monomials, echelon
@@ -533,22 +510,11 @@ def cumulative_closure_chain(P: LocalAlgebraPresentation, a: Ideal, max_level: i
     K_(-1) is empty, and the remainder 1 of the one degree-0 monomial
     spans S/a'_0 = S/m.
 
-    The canonical basis.  ``_Ladder.step`` writes each spanning vector
-    v as the row (image of v, v), the image columns before the vector
-    columns, and the vector columns in increasing degrevlex, the reverse
-    of ``jet_closure``'s order.  The row space holds (image(w), w) for
-    every w in the span.  In its ``rref`` a row led by a vector column
-    has image zero; and an element with image zero has coefficient 0 on
-    every row led by an image column, the entry of the element at that
-    pivot.  So the rows led by a vector column are a basis of K_l, and
-    as no other row has an entry at their pivots, they are the reduced
-    echelon form of K_l in the reversed order.  The ``nullspace_basis``
-    vector of a free column c (in ``jet_closure``'s order) has its
-    last nonzero entry, 1, at c, and entries 0 at the other free
-    columns; the free columns are the last nonzero places of the kernel
-    vectors, which are the pivots of the reversed echelon.  So those
-    vectors are a reduced echelon form of K_l in the reversed order, and
-    by its uniqueness they are the rows of the ``rref``.
+    The canonical basis.  ``_Ladder.step`` pairs each spanning vector
+    v with its image, the sum of v_u NF(phi(D_l x^u)), and
+    ``nullspace_basis`` returns the canonical basis of K_l for
+    ``jet_closure``'s column order, whatever the spanning set (proof
+    there).
     """
     _check_level(max_level)
     ladder = _Ladder(P, a)
@@ -686,7 +652,7 @@ def socle_and_gorenstein(P: LocalAlgebraPresentation) -> SocleReport:
     fld = ring.field_spec
     sm = _artinian_standard_basis(P.modulus)
     basis = P.modulus.groebner_basis(DEGREVLEX)
-    columns = sorted(sm.monomials, key=DEGREVLEX.key, reverse=True)
+    columns = sm.monomials[::-1]
 
     def image(u):
         return {
@@ -695,7 +661,11 @@ def socle_and_gorenstein(P: LocalAlgebraPresentation) -> SocleReport:
             for w, c in basis.monomial_normal_form(u[:j] + (u[j] + 1,) + u[j + 1:]).items()
         }
 
-    polys = [Polynomial(ring, t) for t in _kernel(columns, image, fld)]
+    pairs = [({c: fld.one()}, image(u)) for c, u in enumerate(columns)]
+    polys = [
+        Polynomial(ring, {columns[c]: x for c, x in vec.items()})
+        for vec in nullspace_basis(pairs, len(columns), fld)
+    ]
     polys.sort(key=lambda p: DEGREVLEX.key(p.leading_term(DEGREVLEX)[0]))
     return SocleReport(basis=polys, gorenstein=len(polys) == 1, colength=sm.colength)
 
@@ -777,8 +747,7 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
     def image(u):
         return {(k, v): c for k, g in enumerate(I.generators) for v, c in times(u, g.terms).items()}
 
-    index = {u: c for c, u in enumerate(box)}
-    kernel = [{index[u]: x for u, x in t.items()} for t in _kernel(box, image, fld)]
+    kernel = nullspace_basis([({c: fld.one()}, image(u)) for c, u in enumerate(box)], len(box), fld)
     colon = _echelon_ideal(ring, box, rref(kernel, fld))[0]
     colon_dim = len(kernel)
     witness = next(
@@ -996,10 +965,11 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     in m R_(v,s) is m phi(D_(j-s) v_c), reduced whole and written under
     the keys (c, j, w); the blocks of one row have distinct (c, j), so
     their keys never meet, and a column row NF(phi(D_j x^u)) is written
-    under the same keys (c, j, w).  The kernel is that of each column's
-    ``remainder`` modulo the ``rref`` of those rows: the same subspace
-    on the same columns, so ``nullspace_basis`` gives the same canonical
-    basis.  (The Macaulay matrices of Lazard, 1983, graded by weight.)
+    under the same keys (c, j, w).  So the kernel is that of the column
+    pairs modulo the relation pairs ({}, NF(m R_(v,s))), which
+    ``nullspace_basis`` reads off one echelon, in its canonical basis
+    for the columns largest first.  (The Macaulay matrices of Lazard,
+    1983, graded by weight.)
 
     The standard basis of M/N by linear algebra.  Let U be generated by
     the relations of M/N and by I e_c, and W be its image in
@@ -1046,8 +1016,7 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     ladder = _Ladder(MP.base, Ideal(ring))
     ladder.climb(level)
     multipliers = _monomials_by_weight(ladder.weights, level)
-    keys: dict = {}  # (c, j, w) -> a column of the relation rows
-    shifted = []  # the rows NF(m R_(v,s))
+    pairs = []  # the relations ({}, NF(m R_(v,s))), then the columns
     for v in module_rels:
         jets = [
             (c, k, jet)  # phi(D_k v_c), nonzero
@@ -1061,21 +1030,15 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
                 for c, k, jet in jets:
                     if k + s <= level:
                         block = ladder.normal_form({tuple(map(add, m, t)): x for t, x in jet.items()})
-                        r.update((keys.setdefault((c, k + s, w), len(keys)), x) for w, x in block.items())
-                shifted.append(r)
-    relations = rref(shifted, fld)
-    columns = sorted(sm, key=_block_key, reverse=True)
-
-    def image(cu):
-        c, u = cu
-        out = {}
-        for j in range(level + 1):
-            for w, x in ladder.row(u, j).items():
-                out[keys.setdefault((c, j, w), len(keys))] = x
-        return remainder(out, relations, fld)
-
+                        r.update(((c, k + s, w), x) for w, x in block.items())
+                pairs.append(({}, r))
+    columns = sm[::-1]
+    for i, (c, u) in enumerate(columns):
+        image = {(c, j, w): x for j in range(level + 1) for w, x in ladder.row(u, j).items()}
+        pairs.append(({i: fld.one()}, image))
     kernel = [
-        FreeModuleElement._from_terms(ring, rank, t) for t in _kernel(columns, image, fld)
+        FreeModuleElement._from_terms(ring, rank, {columns[i]: x for i, x in vec.items()})
+        for vec in nullspace_basis(pairs, len(columns), fld)
     ]
     return ModuleClosureReport(
         presentation=MP,

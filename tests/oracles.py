@@ -96,6 +96,30 @@ def reference_nullspace_basis(rows: list, ncols: int, fld) -> list:
     return basis
 
 
+def reference_pair_kernel(pairs: list, ncols: int, fld) -> list:
+    """Dense canonical basis of {sum l_i v_i : sum l_i image_i = 0} for
+    ``pairs`` of (v, image) dicts, a pair with an empty v a relation.
+
+    The l come from ``reference_nullspace_basis`` of the dense matrix
+    with one column per pair and one row per image key; the sums
+    sum l_i v_i span the subspace, and Gauss-Jordan on them with the
+    columns reversed gives the vectors that are 1 at their last nonzero
+    column and 0 at the others'.  They come back as dense lists, by
+    increasing last nonzero column.
+    """
+    keys = {k: None for _, image in pairs for k in image}
+    matrix = [[image.get(k, fld.zero()) for _, image in pairs] for k in keys]
+    spanning = []
+    for coefficients in reference_nullspace_basis(matrix, len(pairs), fld):
+        w = [fld.zero()] * ncols
+        for l, (v, _) in zip(coefficients, pairs):
+            for c, x in v.items():
+                w[c] = fld.add(w[c], fld.mul(l, x))
+        spanning.append(w[::-1])
+    rows, _ = reference_rref(spanning, ncols, fld)
+    return [row[::-1] for row in reversed(rows)]
+
+
 def rank(rows: list, ncols: int, fld) -> int:
     return len(reference_rref(rows, ncols, fld)[0])
 
