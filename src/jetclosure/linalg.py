@@ -16,11 +16,14 @@ from .poly import FieldSpec
 
 
 def _subtract(row: dict, c, other: dict, p: int) -> None:
-    """row -= c * other, in place, in characteristic p."""
+    """row -= c * other, in place, in characteristic p.  Over Q an
+    integral entry is stored as an int, as ``FieldSpec`` arithmetic does."""
     for k, v in other.items():
         x = row.get(k, 0) - c * v
         if p:
             x %= p
+        elif x.denominator == 1:
+            x = x.numerator
         if x:
             row[k] = x
         else:

@@ -2,8 +2,10 @@
 
 Monomials are plain exponent tuples (one entry per ring variable);
 polynomials are immutable term maps from exponent tuple to a nonzero
-scalar.  Scalars are ``fractions.Fraction`` over Q and canonical residues
-in ``[0, p)`` over F_p, so every operation is exact.
+scalar.  Over Q a scalar is an ``int`` when its value is an integer and
+a ``fractions.Fraction`` only when a division leaves a denominator; over
+F_p it is a canonical residue in ``[0, p)``.  Every operation is exact
+(see ``FieldSpec``).
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import ge, neg
+from operator import ge, index, neg
 from typing import Iterable, Union
 
 from .errors import ParseError, RingMismatchError, UnknownVariableError
 
 Exponents = tuple  # exponent tuple, one nonnegative int per variable
-Scalar = Union[Fraction, int]
+Scalar = Union[int, Fraction]  # a Fraction only over Q, with denominator > 1
 
 
 # Miller-Rabin with the first 13 prime bases answers exactly below this
@@ -61,7 +63,44 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The coefficient field: Q when ``characteristic`` is 0, else F_p."""
+    """The coefficient field: Q when ``characteristic`` is 0, else F_p.
+
+    Over F_p a scalar is an ``int`` in [0, p).  Over Q every scalar the
+    library makes is an ``int``, or a ``Fraction`` whose denominator is
+    greater than 1: a ``Fraction`` appears only where a division leaves
+    a denominator, and the arithmetic of integral values runs on
+    ``int``, at a small fraction of the cost of a ``Fraction`` operator.
+
+    Why the invariant holds.  The library makes Q scalars in these
+    places only, and each keeps it when its operands do:
+
+    * ``of_int``, ``zero`` and ``one`` return ints, and ``scalar``, the
+      one coercion of the public constructors, returns an int for an
+      integral value and a ``Fraction`` in lowest terms otherwise.
+    * ``add``, ``sub`` and ``mul`` return ``s.numerator`` when their
+      result s has denominator 1; ``int`` has both attributes, with
+      ``n.numerator == n``.  ``inv`` returns ``Fraction(d, n)`` for n/d,
+      normalised the same way, so +-1 gives back an int, and ``div`` is
+      ``mul`` by ``inv``.
+    * ``neg`` negates: -n is an int and -(n/d) keeps its denominator.
+    * ``linalg._subtract``, the one Q arithmetic outside this class,
+      normalises its result in the same way.
+
+    Every other scalar is one of these passed on unchanged, or an int
+    literal such as the 1 of a unit column.
+
+    Why no output changes.  Where the invariant puts an int, the code
+    before it held a ``Fraction`` of the same value, and an ``int`` and
+    a ``Fraction`` of equal value compare equal and hash equal
+    (``hash(Fraction(n)) == hash(n)``).  So everything that reads
+    scalars sees the same thing: dict values and term maps, ``is_zero``,
+    the monic tests ``!= 1`` of ``linalg.rref`` and ``lc == one()`` of
+    the Groebner engine, sorting, and ``Polynomial.__eq__`` and
+    ``__hash__``.  Mixed arithmetic gives the same values.  All text
+    goes through ``format_polynomial``, whose ``_integerized`` reads
+    ``c.denominator`` and computes ``int(c * lcm)``; both give the same
+    result on an int.
+    """
 
     characteristic: int = 0
 
@@ -88,28 +127,54 @@ class FieldSpec:
 
     def of_int(self, n: int) -> Scalar:
         if self.characteristic == 0:
-            return Fraction(n)
+            return n
         return n % self.characteristic
 
+    def scalar(self, c) -> Scalar:
+        """The canonical scalar of ``c``, an int or a ``Fraction``.
+
+        Over Q, an int for an integral value, else the ``Fraction`` in
+        lowest terms; over F_p, n/d becomes n * d^(-1) mod p, and
+        ``ValueError`` when p divides d.  Anything else, a float
+        included, raises ``ValueError``: the rule that
+        ``newton.MonomialIdealData`` applies to exponents.
+        """
+        if isinstance(c, Fraction):
+            n, d = c.numerator, c.denominator
+        else:
+            try:
+                n, d = index(c), 1
+            except TypeError:
+                raise ValueError(f"a coefficient must be an int or a Fraction, got {c!r}") from None
+        p = self.characteristic
+        if p == 0:
+            return n if d == 1 else Fraction(n, d)
+        if d % p == 0:
+            raise ValueError(f"{c!r} has no value in F_{p}: its denominator is divisible by {p}")
+        return n * pow(d, -1, p) % p
+
     def zero(self) -> Scalar:
-        return self.of_int(0)
+        return 0
 
     def one(self) -> Scalar:
-        return self.of_int(1)
+        return 1
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         if self.characteristic == 0:
-            return a + b
+            s = a + b
+            return s.numerator if s.denominator == 1 else s
         return (a + b) % self.characteristic
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
         if self.characteristic == 0:
-            return a - b
+            s = a - b
+            return s.numerator if s.denominator == 1 else s
         return (a - b) % self.characteristic
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         if self.characteristic == 0:
-            return a * b
+            s = a * b
+            return s.numerator if s.denominator == 1 else s
         return (a * b) % self.characteristic
 
     def neg(self, a: Scalar) -> Scalar:
@@ -121,7 +186,8 @@ class FieldSpec:
         if self.characteristic == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / a
+            s = Fraction(a.denominator, a.numerator)
+            return s.numerator if s.denominator == 1 else s
         if a % self.characteristic == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.characteristic - 2, self.characteristic)
@@ -166,7 +232,7 @@ class RingContext:
         return self.constant(1)
 
     def constant(self, c) -> "Polynomial":
-        c = self.field_spec.of_int(c) if isinstance(c, int) else c
+        c = self.field_spec.scalar(c)
         if self.field_spec.is_zero(c):
             return Polynomial(self, {})
         return Polynomial(self, {(0,) * self.nvars: c})
@@ -181,7 +247,7 @@ class RingContext:
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise ValueError("exponent length does not match ring")
-        c = self.field_spec.of_int(coeff) if isinstance(coeff, int) else coeff
+        c = self.field_spec.scalar(coeff)
         if self.field_spec.is_zero(c):
             return Polynomial(self, {})
         return Polynomial(self, {exps: c})
@@ -389,7 +455,7 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         fld = self.ring.field_spec
-        c = fld.of_int(c) if isinstance(c, int) else c
+        c = fld.scalar(c)
         if fld.is_zero(c):
             return self.ring.zero()
         return Polynomial(self.ring, {u: fld.mul(cv, c) for u, cv in self.terms.items()})

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -757,6 +758,39 @@ def test_module_closure_requires_artinian_base():
     B = LocalAlgebraPresentation(RXY, ideal(RXY, "x"))
     with pytest.raises(NotArtinianError):
         module_jet_closure(ModulePresentation(B, 1, []), 1)
+
+
+def _coefficients(objects):
+    for obj in objects:
+        if isinstance(obj, Polynomial):
+            yield from obj.terms.values()
+        elif isinstance(obj, FreeModuleElement):
+            yield from _coefficients(obj.components)
+        elif isinstance(obj, Ideal):
+            yield from _coefficients(obj.generators)
+            yield from _coefficients(obj.groebner_basis())
+
+
+def test_q_pipeline_stores_no_integral_fraction():
+    # FieldSpec's invariant over Q: a scalar is an int, or a Fraction with
+    # a denominator > 1.  The non-monic modulus puts true fractions into
+    # the monic bases, and into each output below.
+    P = LocalAlgebraPresentation(
+        RXY, ideal(RXY, "3*x*y^2 + 5*x^3", "5*y^3 + 3*x*y", "2*x^3 + 2*x^2 + 3*x^2*y", "x^5", "y^5")
+    )
+    rep = jet_closure(P, ideal(RXY, "2*x + 3*y"), 1)
+    soc = socle_and_gorenstein(P)
+    rel = FreeModuleElement(RXY, [pp("3*x^2 + 2*y^2", RXY), pp("3*x + 2*y", RXY)])
+    mod = module_jet_closure(ModulePresentation(P, 2, [rel]), 1)
+    outputs = {
+        "jet_closure": [rep.replacement, rep.closure, *rep.closure_generators, *rep.kernel_basis],
+        "socle_and_gorenstein": soc.basis,
+        "module_jet_closure": mod.kernel_basis,
+    }
+    for name, objects in outputs.items():
+        coefficients = list(_coefficients(objects))
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in coefficients), name
+        assert any(type(c) is Fraction for c in coefficients), name
 
 
 def test_module_persistence_under_quotient_surjection():

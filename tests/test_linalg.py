@@ -20,8 +20,16 @@ FIELDS = (
 
 def _scalar(rng, fld):
     if fld.characteristic == 0:
-        return Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+        return fld.scalar(Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))))
     return rng.randrange(fld.characteristic)
+
+
+def _assert_canonical(vectors, fld):
+    """Every entry is an int, or over Q a Fraction with denominator > 1:
+    ``FieldSpec``'s invariant, kept by the elimination on canonical input."""
+    for vec in vectors:
+        for x in vec.values():
+            assert type(x) is int or (fld.characteristic == 0 and type(x) is Fraction and x.denominator > 1)
 
 
 def _random_dense(rng, fld, nrows, ncols, density):
@@ -58,10 +66,12 @@ def _check(mat, ncols, fld):
     kernel = nullspace_basis(pairs, ncols, fld)
     assert pairs == before  # the input pairs are left alone
     assert all(not fld.is_zero(x) for v in kernel for x in v.values())
+    _assert_canonical(kernel, fld)
     assert [_dense(v, ncols, fld) for v in kernel] == reference_nullspace_basis(mat, ncols, fld)
     before = [dict(r) for r in rows]
     echelon = rref(rows, fld)
     assert rows == before  # the input rows are left alone
+    _assert_canonical(echelon.values(), fld)
     ref_rows, pivots = reference_rref(mat, ncols, fld)
     assert sorted(echelon) == pivots
     assert [_dense(echelon[p], ncols, fld) for p in pivots] == ref_rows
@@ -148,6 +158,7 @@ def test_nullspace_basis_of_pairs_matches_dense_reference():
             kernel = nullspace_basis(pairs, ncols, fld)
             assert pairs == before  # the input pairs are left alone
             assert all(not fld.is_zero(x) for v in kernel for x in v.values())
+            _assert_canonical(kernel, fld)
             expected = reference_pair_kernel(pairs, ncols, fld)
             assert [_dense(v, ncols, fld) for v in kernel] == expected
             shuffled = rng.sample(pairs, len(pairs))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from jetclosure.poly import (
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime_field(2)
+F3 = FieldSpec.prime_field(3)
 F5 = FieldSpec.prime_field(5)
 
 
@@ -217,8 +219,6 @@ def test_print_leading_negative_uses_zero_prefix():
 
 
 def test_print_clears_denominators():
-    from fractions import Fraction
-
     R = ring(["x", "y"])
     p = R.monomial((2, 0)) + R.monomial((0, 1), Fraction(-1, 2))
     assert format_polynomial(p) == "2*x^2 - y"
@@ -257,6 +257,79 @@ def test_parsed_pure_power_is_one_term():
                 assert parse_polynomial(f"{name}^{e}", R) == R.variable(j) ** e
         assert parse_polynomial("3*y^4*x^2*y", R) == R.constant(3) * R.variable(0) ** 2 * R.variable(1) ** 5
         assert parse_polynomial("x^99999999", R).terms == {(99999999, 0, 0): field.one()}
+
+
+# --- scalars over Q and their coercion -----------------------------------
+
+
+def _canonical(x, value):
+    """x equals ``value`` and is an int exactly when the value is integral;
+    otherwise a Fraction with denominator greater than 1."""
+    assert x == value
+    if value.denominator == 1:
+        assert type(x) is int
+    else:
+        assert type(x) is Fraction and x.denominator > 1
+
+
+def test_rational_arithmetic_agrees_with_fraction_and_keeps_integers_as_ints():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.one_of(
+        st.integers(-10**30, 10**30),
+        st.fractions(min_value=-1000, max_value=1000, max_denominator=60),
+    )
+
+    @hypothesis.given(value, value)
+    @hypothesis.settings(max_examples=400, deadline=None)
+    def check(a, b):
+        # ints, integral Fractions and true fractions all go in; every
+        # operation gives the canonical scalar of the Fraction result
+        fa, fb = Fraction(a), Fraction(b)
+        _canonical(Q.add(a, b), fa + fb)
+        _canonical(Q.sub(a, b), fa - fb)
+        _canonical(Q.mul(a, b), fa * fb)
+        ca = Q.scalar(a)
+        _canonical(ca, fa)
+        _canonical(Q.neg(ca), -fa)
+        if fa:
+            _canonical(Q.inv(a), 1 / fa)
+            _canonical(Q.div(b, a), fb / fa)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                Q.inv(a)
+
+    check()
+
+
+CONSTRUCTORS = {
+    "constant": lambda R, c: R.constant(c),
+    "monomial": lambda R, c: R.monomial((1, 0), c),
+    "scale": lambda R, c: R.variable(0).scale(c),
+}
+
+
+@pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+def test_constructors_store_canonical_scalars(make):
+    RQ, R3 = ring(["x", "y"]), ring(["x", "y"], F3)
+    # over F_3, 1/2 is 2 and Fraction(3) is 0
+    half = make(R3, Fraction(1, 2))
+    assert half == make(R3, 2) and [type(c) for c in half.terms.values()] == [int]
+    assert format_polynomial(half) == format_polynomial(make(R3, 2))
+    assert make(R3, Fraction(3)).is_zero()
+    assert make(R3, Fraction(-7, 4)) == make(R3, 2)  # -7 * 4^(-1) = -7 = 2 mod 3
+    # over Q, Fraction(4, 2) is the int 2 and 1/2 stays a Fraction
+    two = list(make(RQ, Fraction(4, 2)).terms.values())
+    assert two == [2] and type(two[0]) is int
+    assert [type(c) for c in make(RQ, Fraction(1, 2)).terms.values()] == [Fraction]
+    assert make(RQ, True) == make(RQ, 1)
+    # 1/3 has no value in F_3; a float is no exact scalar in any field
+    with pytest.raises(ValueError):
+        make(R3, Fraction(1, 3))
+    for R in (RQ, R3):
+        for bad in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError):
+                make(R, bad)
 
 
 # --- primality of the characteristic ------------------------------------

@@ -1,5 +1,5 @@
-"""The package's public names, and the library names that the span
-tracer of ``perfbench/spans.py`` looks up.
+"""The package's public names, the library names that the span tracer
+of ``perfbench/spans.py`` looks up, and the README's library tour.
 
 The tracer wraps functions and methods by name when a benchmark pass
 runs with ``--trace 1``; a renamed or deleted entry point breaks that
@@ -8,7 +8,10 @@ import or change it) and check each entry against the loaded modules.
 """
 
 import ast
+import contextlib
 import importlib
+import io
+import re
 from pathlib import Path
 
 import jetclosure
@@ -16,6 +19,7 @@ from jetclosure.groebner import DEGREVLEX, Ideal
 from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = [
     "CertificateResult", "ClosureReport", "GorensteinWalkthrough",
@@ -72,3 +76,18 @@ def test_groebner_basis_takes_the_order_positionally():
     basis = Ideal.groebner_basis(I, DEGREVLEX)
     assert basis is I.groebner_basis()
     assert [str(g) for g in basis] == ["y^2", "x^2 - y"]
+
+
+def test_readme_tour_prints_what_its_comments_say():
+    # the one python block of the README; each print line ends in a
+    # comment with the line it prints
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    expected = [
+        line.split("#", 1)[1].strip() for line in blocks[0].splitlines() if line.startswith("print(")
+    ]
+    assert expected
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected
