@@ -78,7 +78,6 @@ from .groebner import (
     BuchbergerRun,
     FreeModuleElement,
     Ideal,
-    _block_key,
     _in_radical,
     _nf_terms,
     ideal_contains,
@@ -87,7 +86,7 @@ from .groebner import (
 )
 from .jets import JetRing, Series
 from .linalg import nullspace_basis, rref
-from .poly import Polynomial, RingContext, monomial_divides, walk_order_ideal
+from .poly import Polynomial, RingContext, degrevlex_sorted, monomial_divides, walk_order_ideal
 
 
 class LocalAlgebraPresentation:
@@ -181,7 +180,7 @@ def _echelon_ideal(ring: RingContext, monomials: list, echelon: dict):
     basis = [
         Polynomial(ring, {u: fld.one()}) if u not in index
         else Polynomial(ring, {monomials[c]: x for c, x in echelon[index[u]].items()})
-        for u in sorted(corners, key=DEGREVLEX.key)
+        for u in degrevlex_sorted(corners)
     ]
     return Ideal.with_reduced_basis(ring, basis), standard
 
@@ -192,8 +191,9 @@ def _replacement(ring: RingContext, generators: list, level: int) -> tuple:
     and the ``rref`` of the truncated Macaulay rows x^v g mod m^(level+1),
     deg v <= level - 1, of the ``generators`` (term dicts) of a + I over
     them as columns (proof in ``jet_closure``)."""
-    monomials = [u for by_degree in _monomials_by_weight([1] * ring.nvars, level) for u in by_degree]
-    monomials.sort(key=DEGREVLEX.key, reverse=True)
+    monomials = degrevlex_sorted(
+        (u for by_degree in _monomials_by_weight([1] * ring.nvars, level) for u in by_degree), reverse=True
+    )
     index = {u: c for c, u in enumerate(monomials)}
     rows = []
     for v in monomials:
@@ -742,7 +742,7 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
                 out[w] = c
         return out
 
-    box = sorted(product(range(power), repeat=ring.nvars), key=DEGREVLEX.key, reverse=True)
+    box = degrevlex_sorted(product(range(power), repeat=ring.nvars), reverse=True)
 
     def image(u):
         return {(k, v): c for k, g in enumerate(I.generators) for v, c in times(u, g.terms).items()}
@@ -1011,7 +1011,8 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
 
     rows = [row(b, v) for v in module_rels for b in std]
     pivots = rref(rows, fld)
-    sm = sorted((cu for k, cu in enumerate(pot) if k not in pivots), key=_block_key)
+    # std is in increasing degrevlex: sm is by component, then increasing degrevlex, with no sort
+    sm = [(c, u) for c in range(rank) for u in std if pot_index[c, u] not in pivots]
 
     ladder = _Ladder(MP.base, Ideal(ring))
     ladder.climb(level)

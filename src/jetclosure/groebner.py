@@ -24,6 +24,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     RingContext,
+    degrevlex_sorted,
     minimal_exponents,
     monomial_divides,
     monomial_lcm,
@@ -540,7 +541,7 @@ class StandardMonomialBasis:
 
 def standard_monomial_basis(I: Ideal) -> StandardMonomialBasis:
     lts = I.groebner_basis(DEGREVLEX).leading_exponents()
-    monomials = sorted(_standard_monomials(lts, I.ring.nvars, I.ring.variables), key=DEGREVLEX.key)
+    monomials = degrevlex_sorted(_standard_monomials(lts, I.ring.nvars, I.ring.variables))
     return StandardMonomialBasis(monomials, len(monomials))
 
 
@@ -676,11 +677,6 @@ class FreeModuleElement:
         return f"({', '.join(str(p) for p in self.components)})"
 
 
-def _block_key(key: tuple):
-    """Order (block, exponents) keys by block, then degrevlex."""
-    return (key[0], DEGREVLEX.key(key[1]))
-
-
 def _pot_key(t: tuple) -> tuple:
     """Position over term, degrevlex within a position: a lower position is larger."""
     return (-t[0], DEGREVLEX.key(t[2:]))
@@ -754,7 +750,8 @@ class SubmodulePresentation:
 
 
 def module_standard_monomials(S: SubmodulePresentation) -> list:
-    """All (component, exponents) outside the leading-term module.
+    """All (component, exponents) outside the leading-term module, by
+    component, then increasing degrevlex.
 
     Finite exactly when each surviving component has a pure power of
     every variable among its leading terms; raises otherwise.
@@ -763,6 +760,6 @@ def module_standard_monomials(S: SubmodulePresentation) -> list:
     out = []
     for comp in range(S.rank):
         comp_lts = [u for c, u in lts if c == comp]
-        out += [(comp, u) for u in _standard_monomials(comp_lts, S.ring.nvars, S.ring.variables)]
-    out.sort(key=_block_key)
+        staircase = _standard_monomials(comp_lts, S.ring.nvars, S.ring.variables)
+        out += [(comp, u) for u in degrevlex_sorted(staircase)]
     return out

@@ -45,6 +45,15 @@ class MonomialIdealData:
         self.exponents = tuple(minimal_exponents(vectors))
         self._cuts = []  # (w, c) with w.q >= c on the polyhedron; see newton_membership
 
+    @classmethod
+    def _of_minimal(cls, exponents) -> "MonomialIdealData":
+        """The ideal whose minimal generators are ``exponents``, each once
+        and nonnegative ints: sorted into lex order with no minimal pass."""
+        M = cls.__new__(cls)
+        M.exponents = tuple(sorted(exponents))
+        M._cuts = []
+        return M
+
     @property
     def nvars(self) -> int:
         return len(self.exponents[0])
@@ -248,6 +257,10 @@ def monomial_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
     which no generator divides.  So a generator e that divides v has
     e_j = v_j, and j is the largest index of its support.  The
     generators are bucketed once by that pair.
+
+    The corners are the minimal box members, each once (proofs in
+    ``walk_order_ideal``), so they go to ``MonomialIdealData`` with no
+    second minimal pass.
     """
     zero = (0,) * M.nvars
     if zero in M.exponents:
@@ -266,4 +279,4 @@ def monomial_integral_closure(M: MonomialIdealData) -> MonomialIdealData:
         return newton_membership(v, M)
 
     bounds = [max(e[i] for e in M.exponents) + 1 for i in range(M.nvars)]
-    return MonomialIdealData(walk_order_ideal(bounds, outside)[1])
+    return MonomialIdealData._of_minimal(walk_order_ideal(bounds, outside)[1])

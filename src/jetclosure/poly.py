@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import ge, index, neg
+from operator import ge, index, itemgetter, neg
 from typing import Iterable, Union
 
 from .errors import ParseError, RingMismatchError, UnknownVariableError
@@ -201,17 +201,30 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class RingContext:
-    """A polynomial ring: a coefficient field and an ordered variable list."""
+    """A polynomial ring: a coefficient field and an ordered variable list.
+
+    ``_print_order`` lists the variable indices in the order a printed
+    term writes its factors: a stable sort by ``_factor_sort_key`` of
+    the names, so ties keep the declared order.  A term's factors are
+    those of its support, and the indices of any subset keep, in a
+    stable sort of all of them, the order a stable sort of that subset
+    gives; so printing sorts nothing per term.
+    """
 
     field_spec: FieldSpec
     variables: tuple
     _index: dict = field(default=None, compare=False, repr=False)
+    _print_order: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if len(set(self.variables)) != len(self.variables):
+        names = tuple(self.variables)
+        object.__setattr__(self, "variables", names)
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.variables)})
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(names)})
+        object.__setattr__(
+            self, "_print_order", tuple(sorted(range(len(names)), key=lambda j: _factor_sort_key(names[j])))
+        )
 
     @property
     def nvars(self) -> int:
@@ -336,6 +349,39 @@ def walk_order_ideal(bounds, outside) -> tuple:
     return inside, corners
 
 
+_REVERSED = itemgetter(slice(None, None, -1))
+
+
+def degrevlex_sorted(exponents, reverse=False) -> list:
+    """The exponent tuples ``exponents`` (any iterable of tuples of one
+    length) as a new list in increasing degrevlex order, decreasing when
+    ``reverse``: the order of ``sorted(exponents, key=MonomialOrder.key,
+    reverse=reverse)``, in two stable sorts whose keys, the reversed
+    tuple and ``sum``, are computed in C, with no Python call per
+    element.
+
+    Why this is the order.  In degrevlex u < v iff deg u < deg v, or the
+    degrees are equal and u is larger at the last index where u and v
+    differ (``MonomialOrder.key`` negates the reversed tuple).  That
+    index is the first one where u[::-1] and v[::-1] differ, so at equal
+    degree u < v iff u[::-1] > v[::-1] in lex order.
+
+    * The first pass sorts by the reversed tuple, descending (ascending
+      when ``reverse``), so each degree's tuples are in increasing
+      (decreasing) degrevlex order.  Reversing is one-to-one, so equal
+      keys mean equal tuples, and the order among them is immaterial.
+    * The second pass sorts by the degree, ascending (descending when
+      ``reverse``).  Python's sort is stable, with ``reverse=True`` as
+      well, so it keeps the first pass's order inside each degree.
+
+    Equal tuples are indistinguishable, so the descending list is the
+    exact reverse of the ascending one.
+    """
+    out = sorted(exponents, key=_REVERSED, reverse=not reverse)
+    out.sort(key=sum, reverse=reverse)
+    return out
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """The degree reverse lexicographic order, the one order the library uses.
@@ -345,7 +391,9 @@ class MonomialOrder:
     under monomial multiplication, which makes the order
     multiplicative, and the key of 1 is minimal among exponent tuples.
     Any hashable object with such a ``key`` can stand in for it where a
-    basis is asked for (``Ideal.groebner_basis``).
+    basis is asked for (``Ideal.groebner_basis``).  A list of exponent
+    tuples is sorted by ``degrevlex_sorted``, which gives the order of
+    this ``key`` without a Python call per element.
     """
 
     @classmethod
@@ -478,8 +526,8 @@ class Polynomial:
 
     def sorted_terms(self) -> list:
         """Terms in decreasing degrevlex order."""
-        key = MonomialOrder.degrevlex().key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        terms = self.terms
+        return [(u, terms[u]) for u in degrevlex_sorted(terms, reverse=True)]
 
     def transport(self, target: RingContext, positions: Iterable[int]) -> "Polynomial":
         """Reinterpret in ``target``, sending variable j to ``positions[j]``.
@@ -695,15 +743,13 @@ def _format_term_body(ring: RingContext, u: Exponents, c: int) -> str:
     parts = []
     if c != 1 or not any(u):
         parts.append(str(c))
-    factors = sorted(
-        ((name, e) for name, e in zip(ring.variables, u) if e),
-        key=lambda ne: _factor_sort_key(ne[0]),
-    )
-    for name, e in factors:
+    names = ring.variables
+    for j in ring._print_order:
+        e = u[j]
         if e == 1:
-            parts.append(name)
-        else:
-            parts.append(f"{name}^{e}")
+            parts.append(names[j])
+        elif e:
+            parts.append(f"{names[j]}^{e}")
     return "*".join(parts)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +39,6 @@ from jetclosure.groebner import (
     FreeModuleElement,
     Ideal,
     SubmodulePresentation,
-    _block_key,
     _buchberger,
     colon_ideal,
     ideals_equal,
@@ -509,7 +509,7 @@ def reference_module_jet_closure(MP, level: int) -> list:
             comps[big_index(comp, j)] = d
         return big_gb.normal_form(FreeModuleElement(jet_ctx, comps))._terms()
 
-    columns = sorted(sm, key=_block_key, reverse=True)
+    columns = sorted(sm, key=block_key, reverse=True)
     images = [image(cu) for cu in columns]
     rows = sorted(set().union(*images))
     matrix = [[img.get(r, fld.zero()) for img in images] for r in rows]
@@ -522,9 +522,51 @@ def reference_module_jet_closure(MP, level: int) -> list:
 
 
 # ---------------------------------------------------------------------
-# reference paths: box scans replaced by walks over order ideals, and
-# the Fraction LP replaced by integer pivots and cached cuts
+# reference paths: box scans replaced by walks over order ideals, the
+# Fraction LP replaced by integer pivots and cached cuts, and sorts on a
+# Python key replaced by poly.degrevlex_sorted
 # ---------------------------------------------------------------------
+
+
+def block_key(cu: tuple):
+    """Order (block, exponents) pairs by block, then degrevlex, on the
+    Python key ``MonomialOrder.key``."""
+    return (cu[0], DEGREVLEX.key(cu[1]))
+
+
+def _reference_factor_key(name: str):
+    if "@" in name:
+        prefix, _, idx = name.partition("@")
+        if idx.isdigit():
+            return (prefix, int(idx))
+    return (name, -1)
+
+
+def reference_format_polynomial(p: Polynomial) -> str:
+    """``format_polynomial`` with a Python key sort of the terms and a
+    sort of each term's factors: jet variables grouped by base name,
+    then jet order (``x@2`` before ``x@10``), others by name."""
+    items = sorted(p.terms.items(), key=lambda t: DEGREVLEX.key(t[0]), reverse=True)
+    if not items:
+        return "0"
+    lcm = 1
+    if p.ring.field_spec.characteristic == 0:
+        lcm = math.lcm(*(Fraction(c).denominator for _, c in items))
+    out = ""
+    for k, (u, c) in enumerate(items):
+        c = int(c * lcm)
+        factors = sorted(
+            ((name, e) for name, e in zip(p.ring.variables, u) if e),
+            key=lambda ne: _reference_factor_key(ne[0]),
+        )
+        body = ([str(abs(c))] if abs(c) != 1 or not any(u) else [])
+        body += [name if e == 1 else f"{name}^{e}" for name, e in factors]
+        sign = "-" if c < 0 else "+"
+        if k == 0:
+            out = "0 - " + "*".join(body) if c < 0 else "*".join(body)
+        else:
+            out += f" {sign} " + "*".join(body)
+    return out
 
 
 def box_standard_monomials(lts: list, nvars: int) -> list:

@@ -9,6 +9,9 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
   at most once, its corners the minimal outside points;
 * the one-pass minimal exponents against an all-pairs minimal set;
 * the staircase walk of standard monomials against the box scan;
+* the two-pass degrevlex sort against the sort on ``MonomialOrder.key``,
+  and the orders of standard monomials, ideal and module, against it;
+* printed terms against a sort of each term's factors;
 * the walk of integral closure against one LP at every box point;
 * Newton membership with integer pivots and cached cuts against a
   fresh ``Fraction`` LP per point, and every cached cut valid;
@@ -36,6 +39,7 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from operator import ge
 
 import pytest
@@ -46,6 +50,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     LEX,
     _primary_replacement,
+    block_key,
     box_standard_monomials,
     reference_closure_chain,
     reference_colon_ideal,
@@ -57,6 +62,7 @@ from oracles import (
     reference_matlis_embedding,
     reference_module_jet_closure,
     reference_module_standard_basis,
+    reference_format_polynomial,
     reference_newton_membership,
     reference_socle_and_gorenstein,
 )
@@ -87,10 +93,12 @@ from jetclosure.groebner import (
     _buchberger,
     _interreduce,
     _pot_key,
+    SubmodulePresentation,
     _standard_monomials,
     colon_ideal,
     ideal_contains,
     ideal_sum,
+    module_standard_monomials,
     standard_monomial_basis,
 )
 from jetclosure.jets import fiber_ideal
@@ -103,6 +111,7 @@ from jetclosure.poly import (
     FieldSpec,
     MonomialOrder,
     RingContext,
+    degrevlex_sorted,
     format_polynomial,
     minimal_exponents,
     parse_polynomial,
@@ -293,6 +302,89 @@ def test_standard_monomial_walk_matches_box_scan(case):
 
 
 @st.composite
+def degree_ties(draw):
+    """Up to 40 exponents in 0 to 6 variables, entries 0 to 3, drawn
+    from a pool of at most eight so that repeats are common; half the
+    time the pool is permutations of one exponent, all of one degree."""
+    n = draw(st.integers(0, 6))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    if draw(st.booleans()):
+        exps = st.permutations(draw(exps)).map(tuple)
+    pool = draw(st.lists(exps, min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(degree_ties(), st.booleans())
+@example([], False)
+@example([], True)
+@example([(), ()], True)
+@example([(1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 0, 2), (0, 0, 3)], True)
+def test_degrevlex_sorted_matches_the_key_sort(exponents, reverse):
+    expected = sorted(exponents, key=DEGREVLEX.key, reverse=reverse)
+    assert degrevlex_sorted(exponents, reverse) == expected
+    assert degrevlex_sorted(iter(exponents), reverse=reverse) == expected
+
+
+def test_degrevlex_sorted_takes_a_product_iterator():
+    for n in range(5):
+        box = list(itertools.product(range(3), repeat=n))
+        for reverse in (False, True):
+            got = degrevlex_sorted(itertools.product(range(3), repeat=n), reverse)
+            assert got == sorted(box, key=DEGREVLEX.key, reverse=reverse)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(staircases())
+def test_standard_monomial_orders_match_the_key_sort(case):
+    """Monomial ideals and a rank-2 monomial module: the staircase at
+    component 0, and the pure powers with every other exponent at 1."""
+    lts, n = case
+    R = RingContext(FieldSpec.rationals(), ("w", "x", "y", "z")[:n])
+    expected = sorted(box_standard_monomials(lts, n), key=DEGREVLEX.key)
+    assert standard_monomial_basis(Ideal(R, [R.monomial(u) for u in lts])).monomials == expected
+    second = [u for u in lts if sum(map(bool, u)) == 1] + lts[::2]
+    vectors = [FreeModuleElement(R, [R.monomial(u), R.zero()]) for u in lts]
+    vectors += [FreeModuleElement(R, [R.zero(), R.monomial(u)]) for u in second]
+    blocks = [(c, u) for c, gens in enumerate((lts, second)) for u in box_standard_monomials(gens, n)]
+    module = module_standard_monomials(SubmodulePresentation(R, 2, vectors))
+    assert module == sorted(blocks, key=block_key)
+
+
+PRINT_NAMES = ("x@10", "x@2", "y", "x", "x@0", "y@1", "b", "a@3")
+
+
+@st.composite
+def printed_polynomials(draw):
+    """Polynomials over Q or F_3 in 1 to 6 variables named from jet names
+    (x@2 and x@10 among them) and plain ones, declared in any order (so
+    y before x, too); up to six terms, exponents 0 to 2, coefficients
+    with and without denominators and of either sign."""
+    fld = draw(st.sampled_from((FieldSpec.rationals(), FieldSpec.prime_field(3))))
+    names = draw(st.lists(st.sampled_from(PRINT_NAMES), min_size=1, max_size=6, unique=True))
+    R = RingContext(fld, names)
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    coeffs = st.sampled_from((1, -1, 2, -7, Fraction(1, 2), Fraction(-5, 4)))
+    terms = draw(st.lists(st.tuples(exps, coeffs), max_size=6))
+    return sum((R.monomial(u, c) for u, c in terms), R.zero())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(printed_polynomials())
+def test_format_polynomial_matches_the_factor_sort(p):
+    assert format_polynomial(p) == reference_format_polynomial(p)
+
+
+def test_format_polynomial_prints_jet_order_and_declared_names():
+    Q = FieldSpec.rationals()
+    R = RingContext(Q, ("x@10", "x@2", "y@0"))
+    assert format_polynomial(parse_polynomial("x@10*x@2 - y@0*x@10", R)) == "x@2*x@10 - x@10*y@0"
+    R = RingContext(Q, ("y", "x"))
+    p = parse_polynomial("x*y^2 + 3*y - x^2", R)
+    assert format_polynomial(p) == reference_format_polynomial(p) == "x*y^2 - x^2 + 3*y"
+
+
+@st.composite
 def term_generators(draw):
     """(terms, key, field, tagged): single-term generators in 1 to 3
     variables over Q, F_2 or F_3 with nonzero coefficients, as ideal
@@ -343,20 +435,30 @@ def test_integral_closure_walk_matches_box_scan(M):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(monomial_ideals())
 def test_integral_closure_keeps_only_minimal_points(M):
-    handed = []
+    """The closure is built once, from the walk's corners, with no
+    second minimal pass: the corners must be minimal and distinct."""
+    handed, checked = [], []
+    of_minimal = MonomialIdealData._of_minimal.__func__
+    init = MonomialIdealData.__init__
 
-    class Recording(MonomialIdealData):
-        def __init__(self, exponents):
-            handed.append(list(exponents))
-            super().__init__(handed[-1])
+    def recording(cls, exponents):
+        handed.append(list(exponents))
+        return of_minimal(cls, handed[-1])
+
+    def recording_init(self, exponents):
+        checked.append(exponents)
+        init(self, exponents)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(newton, "MonomialIdealData", Recording)
+        mp.setattr(MonomialIdealData, "_of_minimal", classmethod(recording))
+        mp.setattr(MonomialIdealData, "__init__", recording_init)
         closure = monomial_integral_closure(M)
     unit = (0,) * M.nvars in M.exponents  # closed as it is
     assert len(handed) == (not unit)
+    assert not checked
     for points in handed:
         assert sorted(points) == list(closure.exponents)
+        assert minimal_exponents(points) == sorted(points)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
