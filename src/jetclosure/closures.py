@@ -33,7 +33,11 @@ memo, the truncated basis of J' and the kernel vectors of level l - 1
 are extended to level l, not rebuilt, so the whole climb runs one J'
 engine, truncated at each level's weight, and reduces each weight-l
 row once, at level l; only the a' echelon, the weight-l kernel step
-and the closure echelon are built per level.  ``module_jet_closure``,
+and the closure echelon are built per level.  A certificate is about
+the local ring at the origin: C_l ⊆ (a + I)S_m, read off the ladder's
+a' echelons by one count, the kernel empty and a'_l, a'_(l+1) with as
+many standard monomials (proof in ``certify_arc_closed``), so it runs
+no Buchberger on S.  ``module_jet_closure``,
 ``jsc_membership`` and ``universal_jet_image`` climb one fresh ladder
 each, and no other code builds a basis of J'.  Every normal form
 modulo J', of a closure row, a module relation row or a jet image, has
@@ -80,8 +84,6 @@ from .groebner import (
     Ideal,
     _in_radical,
     _nf_terms,
-    ideal_contains,
-    ideal_sum,
     standard_monomial_basis,
 )
 from .jets import JetRing, Series
@@ -227,6 +229,9 @@ class _Ladder:
       for later;
     * the kernel vectors of the last level closed, a basis of
       C_(l-1)/a'_(l-1) on the standard monomials of a'_(l-1).
+    * the a' echelon of the last level asked (``replacement``), which a
+      certificate builds one level ahead for its count and the next
+      step reuses.
 
     Closing level l (``step``) builds the a' echelon and reduces the
     weight-l rows only, on the span of C_(l-1)/a'_l (proof in
@@ -297,6 +302,7 @@ class _Ladder:
         self.rows: dict = {}  # (u, i) -> NF(phi(D_i x^u)) modulo J'_level, at this level only
         self.closed = -1  # the last level closed by ``step``
         self.kernel: list = []  # {u: c}: the canonical basis of C_closed/a'_closed
+        self._replaced: tuple = (None, None)  # (level, (monomials, echelon)) of the last a' built
 
     def climb(self, level: int) -> None:
         """Extend the series and the truncated basis of J' up to
@@ -326,6 +332,14 @@ class _Ladder:
     def _reduce_row(self, u: tuple, i: int) -> dict:
         return self.normal_form(self.series.coefficient({u: self.fld.one()}, i))
 
+    def replacement(self, level: int) -> tuple:
+        """(monomials, echelon) of a'_level (``_replacement``), kept for
+        the last level asked, so that ``step`` reads the one that
+        ``certify_arc_closed`` built ahead of it."""
+        if self._replaced[0] != level:
+            self._replaced = (level, _replacement(self.ring, self.generators, level))
+        return self._replaced[1]
+
     def step(self) -> tuple:
         """Close the next level l and return (monomials, echelon) of a'_l
         (``_replacement``); ``kernel`` becomes the canonical basis of
@@ -342,7 +356,7 @@ class _Ladder:
         level = self.closed + 1
         self.climb(level)
         fld = self.fld
-        monomials, echelon = _replacement(self.ring, self.generators, level)
+        monomials, echelon = self.replacement(level)
         index = {u: c for c, u in enumerate(monomials)}
         span = [{index[u]: x for u, x in v.items()} for v in self.kernel]
         for c, u in enumerate(monomials):
@@ -525,9 +539,10 @@ def cumulative_closure_chain(P: LocalAlgebraPresentation, a: Ideal, max_level: i
 class CertificateResult:
     """Outcome of the finite-level arc-closedness certificate.
 
-    ``certified`` soundly implies the arc closure equals the ideal; a
-    negative answer implies nothing (non-m-primary ideals typically
-    never certify at a finite level).
+    ``certified`` soundly implies that the arc closure of a in the local
+    algebra (S/I)_m at the origin is a itself: some C_l lies in
+    (a + I)S_m.  A negative answer implies nothing (an ideal that is not
+    m-primary in the local ring never certifies at a finite level).
     """
 
     certified: bool
@@ -540,29 +555,57 @@ class CertificateResult:
 
 
 def certify_arc_closed(P: LocalAlgebraPresentation, a: Ideal, max_level: int) -> CertificateResult:
-    """Look for a level l <= ``max_level`` at which C_l comes back down to a + I.
+    """Look for a level l <= ``max_level`` at which C_l comes back down to
+    a + I in the local ring at the origin, that is C_l ⊆ (a + I)S_m, S_m
+    the polynomial ring localised at m = (x_1, ..., x_n).
 
     C_l is the level-l jet closure; it is also the intersection of the
     closures up to level l, because the closures descend (proof in
     ``cumulative_closure_chain``).  ``certified`` is True when some C_l
-    equals a + I; ``level`` is the least such l, the chain stops there,
-    and the answer soundly implies that the arc closure of a is a + I.
-    A negative answer claims nothing about the arc closure: every C_l
-    contains m^(l+1), so an ideal that is not m-primary never certifies
-    at a finite level.
+    lies in (a + I)S_m; ``level`` is the least such l, the chain stops
+    there, and the answer soundly implies that the arc closure of a in
+    the local algebra (S/I)_m is a itself.  A negative answer claims nothing about
+    the arc closure: every C_l contains m^(l+1), so an ideal that is not
+    m-primary in S_m never certifies at a finite level.
 
-    Only C_l ⊆ a + I is tested: C_l is T_l, which contains a + I at
-    every level (``cumulative_closure_chain``).
+    The test is one count on the ladder's a' echelons.  Let
+    a'_l = a + I + m^(l+1), so that C_l = T_l ⊇ a'_l
+    (``cumulative_closure_chain``), and let K_l = C_l/a'_l be the
+    level's kernel.  Then C_l ⊆ (a + I)S_m iff K_l = 0 and
+    a'_l = a'_(l+1).
+
+    (⇐) K_l = 0 gives C_l = a'_l.  a'_l = a'_(l+1) gives
+    m^(l+1) ⊆ a + I + m^(l+2), so in S_m the finitely generated module
+    M = (m^(l+1) + (a + I))S_m / (a + I)S_m has M = mM, and M = 0 by
+    Nakayama: m^(l+1) ⊆ (a + I)S_m.  Hence C_l = a'_l ⊆ (a + I)S_m.
+
+    (⇒) C_l contains m^(l+1), so m^(l+1) ⊆ (a + I)S_m, and a'_l and
+    a'_(l+1) both localise to (a + I)S_m.  An m-primary ideal q is
+    contracted from S_m: if s f lies in q with s not in m, then s is a
+    unit modulo q, S/q being local with maximal ideal m/q, so f lies in
+    q.  So a'_l = a'_(l+1) = (a + I)S_m ∩ S, which contains C_l; as C_l
+    contains a'_l, C_l = a'_l and K_l = 0.
+
+    One count.  a'_(l+1) ⊆ a'_l, and both contain m^(l+2), so they are
+    equal iff S/a'_l and S/a'_(l+1) have the same dimension, the number
+    of standard monomials: ``dim_quotient`` of level l, and the columns
+    of level l + 1 (every monomial of degree <= l + 1) less the pivots
+    of its echelon (``_echelon_ideal``).  That echelon is built only
+    when K_l = 0, once: ``_Ladder.replacement`` keeps it for the step
+    to level l + 1.  So the certificate runs one engine, the ladder's,
+    and no Buchberger on S.
     """
     _check_level(max_level)
     _check_proper(P, a)
-    target = ideal_sum(a, P.modulus)
     chain = []
     ladder = _Ladder(P, a)
     for level in range(max_level + 1):
-        chain.append(jet_closure(P, a, level, ladder).closure)
-        if ideal_contains(target, chain[-1]):
-            return CertificateResult(True, level, max_level, chain)
+        report = jet_closure(P, a, level, ladder)
+        chain.append(report.closure)
+        if not report.kernel_basis:
+            monomials, echelon = ladder.replacement(level + 1)
+            if len(monomials) - len(echelon) == report.dim_quotient:
+                return CertificateResult(True, level, max_level, chain)
     return CertificateResult(False, None, max_level, chain)
 
 

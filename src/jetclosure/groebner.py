@@ -432,18 +432,6 @@ def ideal_member(f: Polynomial, I: Ideal) -> bool:
     return I.groebner_basis(DEGREVLEX).contains(f)
 
 
-def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    """I + J; the other operand itself, with its cached bases, when one
-    side has no generators."""
-    if I.ring != J.ring:
-        raise RingMismatchError("ideal sum requires a common ring")
-    if not I.generators:
-        return J
-    if not J.generators:
-        return I
-    return Ideal(I.ring, I.generators + J.generators)
-
-
 def ideal_contains(I: Ideal, J: Ideal) -> bool:
     """True when J is a subset of I (checked on generators)."""
     G = I.groebner_basis(DEGREVLEX)

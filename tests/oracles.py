@@ -50,6 +50,18 @@ from jetclosure.newton import MonomialIdealData
 from jetclosure.poly import Polynomial, RingContext, monomial_divides, walk_order_ideal
 
 
+def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
+    """I + J; the other operand itself, with its cached bases, when one
+    side has no generators."""
+    if I.ring != J.ring:
+        raise RingMismatchError("ideal sum requires a common ring")
+    if not I.generators:
+        return J
+    if not J.generators:
+        return I
+    return Ideal(I.ring, I.generators + J.generators)
+
+
 def reference_rref(rows: list, ncols: int, fld):
     """Dense Gauss-Jordan on a copy of ``rows`` (lists of scalars):
     (the nonzero rows of the reduced row echelon form, pivot columns)."""
@@ -739,6 +751,28 @@ def reference_closure_chain(P, a, max_level: int) -> list:
         closure = Ideal(P.ring, reference_jet_closure(P, a, level)[1])
         chain.append(reference_intersect_ideals(chain[-1], closure) if chain else closure)
     return chain
+
+
+def reference_local_certificate(P, a, max_level: int) -> tuple:
+    """(level, chain) of the certificate in the local ring at the origin,
+    by its definition: ``level`` is the least l <= ``max_level`` at which
+    every generator g of ``reference_closure_chain``'s C_l lies in
+    (a + I)S_m, or None, and ``chain`` is C_0, ..., C_level (to
+    ``max_level`` when None).  g lies in (a + I)S_m iff s g lies in
+    a + I for some s not in m, iff the colon (a + I : g) has a generator
+    with a nonzero constant term."""
+    target = ideal_sum(a, P.modulus)
+    fld = P.ring.field_spec
+
+    def local_member(g):
+        colon = reference_colon_ideal(target, Ideal(P.ring, [g]))
+        return any(not fld.is_zero(s.constant_term()) for s in colon.generators)
+
+    chain = reference_closure_chain(P, a, max_level)
+    for level, closure in enumerate(chain):
+        if all(local_member(g) for g in closure.generators):
+            return level, chain[: level + 1]
+    return None, chain
 
 
 # ---------------------------------------------------------------------

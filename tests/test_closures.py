@@ -33,18 +33,19 @@ from jetclosure.groebner import (
     SubmodulePresentation,
     ideal_contains,
     ideal_member,
-    ideal_sum,
     ideals_equal,
     module_standard_monomials,
 )
 from oracles import (
     FIBER_SHORTCUT_CASES,
+    ideal_sum,
     in_row_span,
     maximal_ideal_power,
     rank,
     reference_closure_chain,
     reference_jet_closure,
     reference_jsc_membership,
+    reference_local_certificate,
     reference_module_jet_closure,
     reference_socle_and_gorenstein,
     reference_universal_jet_image,
@@ -285,6 +286,30 @@ def test_chain_and_certificate_match_reference_intersections():
         assert cert.certified == (level is not None) and cert.level == level
         assert len(cert.chain) == (CHAIN_LEVEL + 1 if level is None else level + 1)
         assert all(ideals_equal(c, r) for c, r in zip(cert.chain, reference))
+
+
+# (modulus, ideal, certifying level) over Q in k[x, y]: each a + I has
+# zeros away from the origin, and C_l lies in (a + I)S_m, not in a + I.
+LOCAL_CERTIFICATES = [
+    ((), ("x - x^2", "y"), 0),
+    ((), ("x^2 - x^3", "y^2 - y^3"), 2),
+    (("x^2 - x^3", "y^2"), (), 2),
+]
+
+
+def test_certificates_answer_for_the_local_ring():
+    """Certificates that hold in the local ring at the origin, where
+    1 - x and 1 - y are units, though no C_l lies in a + I: the level
+    and the chain match the oracle's test by the definition."""
+    R = ring("xy")
+    for mod, gens, level in LOCAL_CERTIFICATES:
+        P, a = LocalAlgebraPresentation(R, ideal(R, *mod)), ideal(R, *gens)
+        cert = certify_arc_closed(P, a, 4)
+        assert cert.certified and cert.level == level
+        expected_level, chain = reference_local_certificate(P, a, 4)
+        assert expected_level == level and len(cert.chain) == level + 1
+        assert all(ideals_equal(c, r) for c, r in zip(cert.chain, chain))
+        assert not any(ideal_contains(ideal_sum(a, P.modulus), c) for c in cert.chain)
 
 
 # (variables, modulus, ideal, field, kernel dimension at each level).

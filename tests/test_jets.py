@@ -1,10 +1,10 @@
 import itertools
 import random
 
-from oracles import FIBER_SHORTCUT_CASES, drop_base_point, reference_fiber_ideal, reference_hs_derivations
+from oracles import FIBER_SHORTCUT_CASES, drop_base_point, ideal_sum, reference_fiber_ideal, reference_hs_derivations
 
 from jetclosure.closures import LocalAlgebraPresentation, _Ladder, universal_jet_image
-from jetclosure.groebner import Ideal, ideal_member, ideal_sum, ideals_equal
+from jetclosure.groebner import Ideal, ideal_member, ideals_equal
 from jetclosure.jets import JetRing, Series, fiber_ideal, hs_derivations, jet_ideal
 from jetclosure.poly import FieldSpec, Polynomial, RingContext, parse_polynomial
 

@@ -24,6 +24,10 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 * one level ladder climbed through every level against fresh closures,
   the running-intersection chain and normal forms modulo the untruncated
   fiber ideal;
+* certificates, one count on the ladder's a' echelons, against their
+  definition in the local ring at the origin by colon ideals, units and
+  zeros away from the origin included, with no basis on S and each a'
+  echelon built once;
 * the socle read off the table of monomial normal forms against a
   normal form per product and a dense kernel;
 * the Matlis embedding and the walkthrough, read off echelons, against
@@ -40,7 +44,7 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 import itertools
 from collections import Counter
 from fractions import Fraction
-from operator import ge
+from operator import ge, mul
 
 import pytest
 
@@ -52,6 +56,7 @@ from oracles import (
     _primary_replacement,
     block_key,
     box_standard_monomials,
+    ideal_sum,
     reference_closure_chain,
     reference_colon_ideal,
     reference_fiber_ideal,
@@ -59,6 +64,7 @@ from oracles import (
     reference_hs_derivations,
     reference_integral_closure,
     reference_jet_closure,
+    reference_local_certificate,
     reference_matlis_embedding,
     reference_module_jet_closure,
     reference_module_standard_basis,
@@ -97,7 +103,6 @@ from jetclosure.groebner import (
     _standard_monomials,
     colon_ideal,
     ideal_contains,
-    ideal_sum,
     module_standard_monomials,
     standard_monomial_basis,
 )
@@ -532,6 +537,39 @@ def test_closures_contain_replacement_and_chain_descends(inputs):
 
 
 @st.composite
+def local_inputs(draw):
+    """(presentation, a) in k[x,y] over Q, F_2 or F_3: a holds one or two
+    pure powers x^p, y^q (1 <= p, q <= 3) and at most one germ, the
+    modulus zero or one germ, and each generator is multiplied by a unit
+    at the origin: 1, 1 + x, 1 - y or 2 + xy (not over F_2, where it is
+    xy).  The units other than 1 vanish away from the origin, so a + I
+    often has zeros there too, and C_l lies in (a + I)S_m but not in
+    a + I."""
+    R = RingContext(draw(st.sampled_from(FIELDS)), ("x", "y"))
+    units = [parse_polynomial(t, R) for t in ("1", "1 + x", "1 - y", "2 + x*y")]
+    unit = st.sampled_from([u for u in units if not R.field_spec.is_zero(u.constant_term())])
+    power = st.sampled_from([R.monomial(u) for e in (1, 2, 3) for u in ((e, 0), (0, e))])
+    powers, germ = st.builds(mul, power, unit), st.builds(mul, germs(R), unit)
+    a = Ideal(R, draw(st.lists(powers, min_size=1, max_size=2)) + draw(st.lists(germ, max_size=1)))
+    modulus = Ideal(R, draw(st.lists(germ, max_size=1)))
+    return LocalAlgebraPresentation(R, modulus), a
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(local_inputs())
+def test_certificate_matches_the_local_oracle(inputs):
+    """The certified level and the chain, read off the ladder's a'
+    echelons by one count, match the definition: the least level at
+    which every generator of C_l has a colon into a + I that is not
+    inside m."""
+    P, a = inputs
+    level, chain = reference_local_certificate(P, a, 4)
+    cert = certify_arc_closed(P, a, 4)
+    assert cert.certified == (level is not None) and cert.level == level
+    assert [c.groebner_basis().elements for c in cert.chain] == [c.groebner_basis().elements for c in chain]
+
+
+@st.composite
 def reordered_generators(draw):
     """(ring, order, generators, the generators permuted and each scaled
     by a nonzero constant).  Buchberger has no work budget, so inputs
@@ -642,30 +680,30 @@ def test_jet_closure_runs_no_buchberger_on_the_base_ring(monkeypatch):
 
 def _certify_engines(monkeypatch, a: Ideal) -> int:
     """The engines one certificate of ``a`` at level 2 runs, after
-    checking that it computes one base-ring basis, that of a + I."""
+    checking that it computes no base-ring basis: its test is a count on
+    the ladder's a' echelons."""
     computed = _computed_bases(monkeypatch)
     runs = _engine_runs(monkeypatch)
     cert = certify_arc_closed(LocalAlgebraPresentation(a.ring), a, 6)
     assert cert.certified and cert.level == 2
-    assert computed == [a.ring]
+    assert computed == []
     return len(runs)
 
 
 def test_certify_runs_buchberger_on_the_base_ring_once(monkeypatch):
     """A certificate of a monomial a runs one engine, the J' engine
-    climbed through every level: the basis of a + I for the containment
-    test is its minimal terms, with no engine."""
+    climbed through every level."""
     R = RingContext(FieldSpec.prime_field(3), ("x", "y"))
     a = Ideal(R, [R.monomial((2, 0)), R.monomial((0, 2))])
     assert _certify_engines(monkeypatch, a) == 1
 
 
-def test_certify_of_a_non_monomial_ideal_runs_two_engines(monkeypatch):
-    """The same ideal given as (x^2 + y^3, y^2) runs an engine for the
-    basis of a + I too, and still one J' engine."""
+def test_certify_of_a_non_monomial_ideal_runs_one_engine(monkeypatch):
+    """The same ideal given as (x^2 + y^3, y^2) runs the one J' engine
+    too: no basis of a + I is needed."""
     R = RingContext(FieldSpec.prime_field(3), ("x", "y"))
     a = Ideal(R, [R.monomial((2, 0)) + R.monomial((0, 3)), R.monomial((0, 2))])
-    assert _certify_engines(monkeypatch, a) == 2
+    assert _certify_engines(monkeypatch, a) == 1
 
 
 def test_walkthrough_runs_buchberger_on_the_base_ring_once(monkeypatch):
@@ -849,6 +887,32 @@ def test_certify_reduces_each_row_and_s_pair_once(monkeypatch):
         assert not cert.certified and len(cert.chain) == 6
         assert rows and max(rows.values()) == 1
         assert pairs and max(pairs.values()) == 1
+
+
+def test_each_replacement_echelon_is_built_once(monkeypatch):
+    """A chain to level L builds the a' echelon of each level once, L + 1
+    in all; a certificate to max-level L builds each of the levels
+    0, ..., L + 1 at most once, the level after a step with an empty
+    kernel read ahead for its count and kept for the next step."""
+    built = []
+    raw = closures._replacement
+
+    def replacement(ring, generators, level):
+        built.append(level)
+        return raw(ring, generators, level)
+
+    monkeypatch.setattr(closures, "_replacement", replacement)
+    R = RingContext(FieldSpec.rationals(), ("x", "y"))
+    for mod, gens in (((), ("x^2", "y^3")), ((), ("x^2 - x^3", "y^2 - y^3")), (("x^2",), ("x*y", "y^4")), ((), ("x*y",))):
+        P = LocalAlgebraPresentation(R, Ideal(R, [parse_polynomial(t, R) for t in mod]))
+        a = Ideal(R, [parse_polynomial(t, R) for t in gens])
+        built.clear()
+        cumulative_closure_chain(P, a, 4)
+        assert built == [0, 1, 2, 3, 4]
+        built.clear()
+        cert = certify_arc_closed(P, a, 4)
+        assert max(Counter(built).values()) == 1 and set(built) <= set(range(6))
+        assert built[: len(cert.chain)] == list(range(len(cert.chain)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
