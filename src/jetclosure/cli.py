@@ -18,7 +18,10 @@ Each command is one ``COMMANDS`` entry: a handler that returns only the
 report fields it sets.
 
 Exit codes: 0 on success, 1 on a domain error, 2 on a parse or usage
-error, 3 on an internal error (a failed invariant of the library).
+error, 3 on an internal error (a failed invariant of the library).  A
+reader that closes stdout before the report is written, as
+``| head -1`` or ``| grep -q`` do, still gets 0 and no traceback: the
+command ran, and the rest of the report is dropped.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -445,7 +449,11 @@ def main(argv=None) -> int:
         return 3
     elapsed_ms = int((time.monotonic() - started) * 1000)
     print(f"completed in {elapsed_ms} ms", file=sys.stderr)
-    print(report.to_json() if args.json else report.to_text())
+    try:
+        print(report.to_json() if args.json else report.to_text(), flush=True)
+    except BrokenPipeError:
+        # the flush at exit would raise again: point stdout at the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

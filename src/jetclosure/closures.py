@@ -47,12 +47,21 @@ module Buchberger.  Only ``jsc_membership`` runs the ladder's engine on
 to completion, and each of its radical tests resumes a copy of that
 completed run with one more variable (``groebner._in_radical``).
 
-The Artinian quotient S/I is a finite-dimensional algebra, and the
+The Artinian side answers for the local algebra (S/I)_m as well.  One
+gate, ``LocalAlgebraPresentation._local_modulus``, computed once per
+presentation, gives its modulus: the m-primary component of I, which
+is I itself when I is m-primary and I + (x_1^N, ..., x_n^N),
+N = dim S/I, otherwise; it raises NotArtinian when S/I is
+infinite-dimensional.  The socle, the Matlis embedding, the walkthrough
+and the module closures read that modulus, written I below, and its
+standard monomials off the gate, and no other code decides whether a
+modulus is Artinian.  S/I is a finite-dimensional algebra, and the
 base-ring side of the Gorenstein pipeline runs on its echelons, with
-one Buchberger on S for the input modulus: the Matlis colon
-(m_N : I) is m_N plus the kernel of f -> (f g_k mod m_N)_k, read off by
-the same ``_echelon_ideal`` (``matlis_embedding``); each walkthrough
-stage I + (g) is a rank-one update of I's reduced basis
+one Buchberger on S for the input modulus (and one more for the
+component when the input has zeros away from the origin): the Matlis
+colon (m_N : I) is m_N plus the kernel of f -> (f g_k mod m_N)_k,
+read off by the same ``_echelon_ideal`` (``matlis_embedding``); each
+walkthrough stage I + (g) is a rank-one update of I's reduced basis
 (``gorenstein_walkthrough``); and the standard basis of a module
 presentation is the non-pivot set of one echelon of normal forms
 (``module_jet_closure``).  The multiplication matrices of the socle and
@@ -64,6 +73,7 @@ exponent shifts mod m_N.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import product
 from operator import add, mul
@@ -92,7 +102,14 @@ from .poly import Polynomial, RingContext, degrevlex_sorted, monomial_divides, w
 
 
 class LocalAlgebraPresentation:
-    """A local algebra presented as (polynomial ring at the origin)/I."""
+    """A local algebra presented as (polynomial ring at the origin)/I.
+
+    Everything here answers for the local ring (S/I)_m, S the polynomial
+    ring and m = (x_1, ..., x_n).  The closures and certificates are
+    local by construction; the Artinian side (socle, Matlis embedding,
+    walkthrough, module closures) reads the modulus of the local algebra
+    off ``_local_modulus``, which needs S/I finite-dimensional.
+    """
 
     def __init__(self, ring: RingContext, modulus: Ideal = None):
         if modulus is None:
@@ -104,17 +121,46 @@ class LocalAlgebraPresentation:
                 raise NotProperError("modulus generator has a nonzero constant term")
         self.ring = ring
         self.modulus = modulus
+        self._local = None  # (q, standard monomials of q), once computed
+        self._lock = threading.Lock()
 
     def __repr__(self):
         return f"LocalAlgebraPresentation(vars={self.ring.variables}, modulus={self.modulus!r})"
 
+    def _local_modulus(self) -> tuple:
+        """(q, the standard monomials of q in increasing degrevlex), q the
+        m-primary component of I, so that S/q = (S/I)_m; computed once per
+        presentation, under a lock, so threads that share the
+        presentation share one answer and one Buchberger run.
 
-def _artinian_standard_basis(I: Ideal):
-    """Standard monomials of an m-primary ideal; NotArtinian otherwise."""
-    try:
-        return standard_monomial_basis(I)
-    except InfiniteDimensionalError as exc:
-        raise NotArtinianError("the modulus is not m-primary") from exc
+        Let N = dim S/I; NotArtinian if S/I is infinite-dimensional.  If
+        every x_j^N lies in I (a zero entry of I's table of monomial
+        normal forms), q is I itself; otherwise q = I + (x_1^N, ..., x_n^N).
+
+        Proof.  The origin is a zero of I, as no generator has a constant
+        term, so I, zero-dimensional, has an m-primary component q_0, and
+        I S_m = q_0 S_m.  dim S/q_0 <= dim S/I = N, and the ideals
+        (m^k + q_0)/q_0 of the local ring S/q_0 descend strictly until
+        they reach 0 (Nakayama), so m^N ⊆ q_0 and q ⊆ q_0.  The pure powers
+        give V(q) = {0}, so q is m-primary, and I ⊆ q gives
+        q S_m = I S_m = q_0 S_m.  An m-primary ideal is contracted from S_m
+        (``certify_arc_closed``), so q = q_0.  I is m-primary iff I = q_0,
+        iff every x_j^N lies in I: the pure powers are enough, and m^N is
+        never needed.
+        """
+        with self._lock:
+            if self._local is None:
+                try:
+                    sm = standard_monomial_basis(self.modulus)
+                except InfiniteDimensionalError as exc:
+                    raise NotArtinianError("the modulus is not m-primary") from exc
+                powers = [_pure_power(self.ring.nvars, j, sm.colength) for j in range(self.ring.nvars)]
+                q, table = self.modulus, self.modulus.groebner_basis(DEGREVLEX)
+                if any(map(table.monomial_normal_form, powers)):
+                    q = Ideal(self.ring, q.generators + tuple(map(self.ring.monomial, powers)))
+                    sm = standard_monomial_basis(q)
+                self._local = (q, sm.monomials)
+            return self._local
 
 
 def _check_level(level: int) -> None:
@@ -683,19 +729,20 @@ class SocleReport:
 
 
 def socle_and_gorenstein(P: LocalAlgebraPresentation) -> SocleReport:
-    """Socle of the Artinian quotient and the Gorenstein flag.
+    """Socle of the Artinian local algebra S/q and the Gorenstein flag, q
+    the modulus of the local algebra (``_local_modulus``).
 
     The socle is the kernel of v -> (x_1 v, ..., x_n v) on the standard
-    monomial basis; the quotient is Gorenstein exactly when it is
+    monomial basis of q; the quotient is Gorenstein exactly when it is
     one-dimensional.  The column of x^u in the multiplication matrix of
     x_j is NF(x^(u + e_j)), read off the basis's table
     (``GroebnerBasis.monomial_normal_form``).
     """
     ring = P.ring
     fld = ring.field_spec
-    sm = _artinian_standard_basis(P.modulus)
-    basis = P.modulus.groebner_basis(DEGREVLEX)
-    columns = sm.monomials[::-1]
+    q, std = P._local_modulus()
+    basis = q.groebner_basis(DEGREVLEX)
+    columns = std[::-1]
 
     def image(u):
         return {
@@ -710,7 +757,7 @@ def socle_and_gorenstein(P: LocalAlgebraPresentation) -> SocleReport:
         for vec in nullspace_basis(pairs, len(columns), fld)
     ]
     polys.sort(key=lambda p: DEGREVLEX.key(p.leading_term(DEGREVLEX)[0]))
-    return SocleReport(basis=polys, gorenstein=len(polys) == 1, colength=sm.colength)
+    return SocleReport(basis=polys, gorenstein=len(polys) == 1, colength=len(std))
 
 
 def _pure_power(nvars: int, j: int, n: int) -> tuple:
@@ -744,7 +791,8 @@ def _generates_colon(w: Polynomial, box: list, times, dim: int) -> bool:
 
 
 def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding:
-    """Embed the Gorenstein quotient S/I into S/(x_1^N, ..., x_n^N).
+    """Embed the Gorenstein quotient S/I into S/(x_1^N, ..., x_n^N), I
+    here the modulus of the local algebra (``_local_modulus``).
 
     The witness w generates (m_N : I) modulo m_N; the embedding sends
     the class of f to the class of f*w.  Injectivity is certified by
@@ -764,10 +812,10 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
     """
     ring = P.ring
     fld = ring.field_spec
-    I = P.modulus
     soc = socle_and_gorenstein(P)
     if not soc.gorenstein:
         raise NotGorensteinError("the quotient is not Gorenstein")
+    I, std = P._local_modulus()
     I_basis = I.groebner_basis(DEGREVLEX)
     for j, name in enumerate(ring.variables):
         if I_basis.monomial_normal_form(_pure_power(ring.nvars, j, power)):
@@ -804,7 +852,7 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
         raise InternalError("witness verification failed: dimension mismatch")
     images = [
         (ring.monomial(u), Polynomial(ring, times(u, witness.terms)))
-        for u in standard_monomial_basis(I).monomials
+        for u in std
     ]
     return MatlisEmbedding(
         power=power,
@@ -817,23 +865,19 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
 
 
 def smallest_containing_power(P: LocalAlgebraPresentation) -> int:
-    """Least N with every pure power x_j^N inside the modulus.
+    """Least N with every pure power x_j^N inside the modulus q of the
+    local algebra (``_local_modulus``).
 
-    An m-primary I of colength L has m^L ⊆ I: the ideals (m^k + I)/I,
-    k = 0, 1, ..., of the local ring S/I descend strictly until they
-    reach 0 (Nakayama), and S/I has length L.  So every x_j^L lies in
-    I, and finding no N <= L + 1 proves that I is not m-primary.  The colength
-    counted here is that of S/I over the whole affine space, which is L
-    when I is m-primary; a modulus of finite colength with zeros away
-    from the origin reaches this point and is rejected.
+    q is m-primary, of colength L >= 1, so m^L ⊆ q: the ideals
+    (m^k + q)/q, k = 0, 1, ..., of the local ring S/q descend strictly
+    until they reach 0 (Nakayama), and S/q has length L.  So every x_j^L
+    lies in q, and the search ends by N = L.
     """
-    basis = P.modulus.groebner_basis(DEGREVLEX)
-    bound = _artinian_standard_basis(P.modulus).colength + 1
-    nvars = P.ring.nvars
-    for n in range(1, bound + 1):
-        if not any(basis.monomial_normal_form(_pure_power(nvars, j, n)) for j in range(nvars)):
+    q, std = P._local_modulus()
+    basis = q.groebner_basis(DEGREVLEX)
+    for n in range(1, len(std) + 1):
+        if not any(basis.monomial_normal_form(_pure_power(P.ring.nvars, j, n)) for j in range(P.ring.nvars)):
             return n
-    raise NotArtinianError("the modulus is not m-primary")
 
 
 @dataclass
@@ -853,9 +897,15 @@ class GorensteinWalkthrough:
 
 
 def gorenstein_walkthrough(P: LocalAlgebraPresentation, max_level: int) -> GorensteinWalkthrough:
-    """Reduce an Artinian quotient to a Gorenstein one by socle quotients.
+    """Reduce an Artinian local algebra to a Gorenstein one by socle
+    quotients.
 
-    Each step quotients by a one-dimensional socle ideal (g), dropping
+    The first stage is the local algebra S/q, q the modulus of
+    ``_local_modulus``.  Each stage reads its own presentation's gate for
+    its printed modulus and its rank-one update, and the next stage's
+    gate for the length check, so each stage lists its standard
+    monomials once.  Each step quotients by a one-dimensional socle
+    ideal (g), dropping
     the length by exactly one, until the socle is one-dimensional; the
     Gorenstein stage gets its Matlis embedding.  Every stage carries an
     arc-closedness certificate for the zero ideal up to ``max_level``.
@@ -885,27 +935,22 @@ def gorenstein_walkthrough(P: LocalAlgebraPresentation, max_level: int) -> Goren
     while True:
         soc = socle_and_gorenstein(current)
         cert = certify_arc_closed(current, Ideal(ring, []), max_level)
+        modulus = current._local_modulus()[0]
+        g = None if soc.gorenstein else soc.basis[0]  # smallest leading term: the canonical reduction step
+        stages.append(WalkthroughStage(modulus, soc.colength, soc.basis, soc.gorenstein, g, cert))
         if soc.gorenstein:
-            stages.append(
-                WalkthroughStage(current.modulus, soc.colength, soc.basis, True, None, cert)
-            )
             break
-        g = soc.basis[0]  # smallest leading term: the canonical reduction step
-        stages.append(
-            WalkthroughStage(current.modulus, soc.colength, soc.basis, False, g, cert)
-        )
         lt, lc = g.leading_term(DEGREVLEX)
         monic = g.scale(fld.inv(lc))
         basis = [monic]
-        I_basis = current.modulus.groebner_basis(DEGREVLEX)
+        I_basis = modulus.groebner_basis(DEGREVLEX)
         for h, u in zip(I_basis, I_basis.leading_exponents()):
             if not monomial_divides(lt, u):
                 basis.append(h - monic.scale(h.terms[lt]) if lt in h.terms else h)
         basis.sort(key=lambda h: DEGREVLEX.key(h.leading_term(DEGREVLEX)[0]))
-        next_modulus = Ideal.with_reduced_basis(ring, basis)
-        if standard_monomial_basis(next_modulus).colength != soc.colength - 1:
+        current = LocalAlgebraPresentation(ring, Ideal.with_reduced_basis(ring, basis))
+        if len(current._local_modulus()[1]) != soc.colength - 1:
             raise InternalError("socle quotient did not drop the length by one")
-        current = LocalAlgebraPresentation(ring, next_modulus)
     embedding = matlis_embedding(current, smallest_containing_power(current))
     return GorensteinWalkthrough(stages=stages, embedding=embedding)
 
@@ -1014,26 +1059,29 @@ def module_jet_closure(MP: ModulePresentation, level: int) -> ModuleClosureRepor
     for the columns largest first.  (The Macaulay matrices of Lazard,
     1983, graded by weight.)
 
-    The standard basis of M/N by linear algebra.  Let U be generated by
-    the relations of M/N and by I e_c, and W be its image in
-    (S/I)^rank, written on the columns (c, u), u a standard monomial of
-    I.  W is spanned by the rows NF_I(x^b r), b standard and r a relation
-    of M/N, as x^a is congruent mod I to a combination of those x^b.
+    The standard basis of M/N by linear algebra.  M/N is a module over
+    the local algebra: in this paragraph I is the modulus q of
+    ``_local_modulus``.  The ladder above is that of the input modulus,
+    whose J' is that of q, as jets based at the origin see only the
+    local ring.  Let U be generated by the relations of M/N and by
+    I e_c, and W be its image in (S/I)^rank, written on the columns
+    (c, u), u a standard monomial of I.  W is spanned by the rows
+    NF_I(x^b r), b standard and r a relation of M/N, as x^a is
+    congruent mod I to a combination of those x^b.
     Order the columns position over term, largest first.  Let f in U be
     led by (c, u), u standard.  The normal form keeps a standard leading
     term, so NF_I(f), which lies in W, is led by (c, u) too, and (c, u)
     is a pivot of the echelon of W; each row lies in U, and (c, u) lies
     in LT(U) whenever u is in LT(I).  So the standard monomials of U
     are the non-pivot columns, the same as those of its module
-    Groebner basis (``module_standard_monomials``), even when I has
-    zeros away from the origin.
+    Groebner basis (``module_standard_monomials``).
     """
     _check_level(level)
     ring = MP.base.ring
     fld = ring.field_spec
     rank = MP.rank
-    std = _artinian_standard_basis(MP.base.modulus).monomials
-    I_basis = MP.base.modulus.groebner_basis(DEGREVLEX)
+    I, std = MP.base._local_modulus()
+    I_basis = I.groebner_basis(DEGREVLEX)
     module_rels = list(MP.relations) + list(MP.submodule)
 
     pot = [(c, u) for c in range(rank) for u in reversed(std)]

@@ -23,6 +23,10 @@ class NotProperError(DomainError):
 
 
 class NotArtinianError(DomainError):
+    """S/I is infinite-dimensional, so the Artinian commands have no
+    finite local algebra to work on; a modulus with zeros away from the
+    origin is answered for its local algebra at the origin instead."""
+
     code = "NotArtinian"
 
 

@@ -22,14 +22,15 @@ from jetclosure.closures import (
     GorensteinWalkthrough,
     LocalAlgebraPresentation,
     MatlisEmbedding,
+    ModulePresentation,
     SocleReport,
     WalkthroughStage,
-    _artinian_standard_basis,
     certify_arc_closed,
-    smallest_containing_power,
 )
 from jetclosure.errors import (
+    InfiniteDimensionalError,
     InternalError,
+    NotArtinianError,
     NotGorensteinError,
     PowersNotContainedError,
     RingMismatchError,
@@ -470,9 +471,10 @@ def reference_jsc_membership(P, a, f: Polynomial, level: int) -> bool:
 
 def reference_module_standard_basis(MP) -> list:
     """The (component, exponents) basis of M/N off the module Buchberger
-    basis of its working relations, the base checked Artinian first."""
-    _artinian_standard_basis(MP.base.modulus)
-    return module_standard_monomials(SubmodulePresentation(MP.base.ring, MP.rank, MP.working_relations()))
+    basis of its working relations, over the local base
+    ``reference_local_presentation``."""
+    local = ModulePresentation(reference_local_presentation(MP.base), MP.rank, MP.relations, MP.submodule)
+    return module_standard_monomials(SubmodulePresentation(MP.base.ring, MP.rank, local.working_relations()))
 
 
 def reference_module_jet_closure(MP, level: int) -> list:
@@ -480,7 +482,11 @@ def reference_module_jet_closure(MP, level: int) -> list:
     jet ring: the base modulus's fiber ideal, x@0 included, times every
     coordinate, plus the t-shifted jets of each relation; column jets from
     ``reference_hs_derivations``, columns ordered as in ``module_jet_closure``,
-    and the kernel from the dense ``reference_nullspace_basis``."""
+    and the kernel from the dense ``reference_nullspace_basis``.  The
+    columns are those of the local base (``reference_module_standard_basis``);
+    the fiber ideal is that of the input modulus I, which equals that of
+    its m-primary component, as jets based at the origin see only the
+    local ring (S/I)_m."""
     ring = MP.base.ring
     fld = ring.field_spec
     rank = MP.rank
@@ -776,21 +782,51 @@ def reference_local_certificate(P, a, max_level: int) -> tuple:
 
 
 # ---------------------------------------------------------------------
-# reference paths: the socle, the Matlis colon and the walkthrough
-# stages by Buchberger and a fresh normal form per product, replaced by
-# the table of monomial normal forms, echelons over S/m_N and rank-one
-# updates
+# reference paths: the local modulus as I + m^N, and the socle, the
+# Matlis colon and the walkthrough stages by Buchberger and a fresh
+# normal form per product, replaced by the table of monomial normal
+# forms, echelons over S/m_N and rank-one updates
 # ---------------------------------------------------------------------
+
+
+def reference_local_modulus(P) -> Ideal:
+    """I + m^N with N = dim S/I: the m-primary component of I, so that
+    S/(I + m^N) is the local algebra (S/I)_m.  By the Chinese remainder
+    theorem: I is the intersection of its primary components, m^N lies
+    in the m-primary one (its colength is at most N) and is coprime to
+    the others.  NotArtinian when S/I is infinite-dimensional."""
+    try:
+        n = standard_monomial_basis(P.modulus).colength
+    except InfiniteDimensionalError as exc:
+        raise NotArtinianError("the modulus is not m-primary") from exc
+    return ideal_sum(P.modulus, Ideal(P.ring, maximal_ideal_power(P.ring, n)))
+
+
+def reference_local_presentation(P) -> LocalAlgebraPresentation:
+    """The presentation of (S/I)_m by ``reference_local_modulus``."""
+    return LocalAlgebraPresentation(P.ring, reference_local_modulus(P))
+
+
+def reference_containing_power(P) -> int:
+    """Least N with every x_j^N in the m-primary modulus, one normal form
+    per pure power; N is at most the colength."""
+    basis = P.modulus.groebner_basis(DEGREVLEX)
+    bound = standard_monomial_basis(P.modulus).colength
+    return next(
+        n for n in range(1, bound + 1)
+        if all(basis.contains(P.ring.variable(j) ** n) for j in range(P.ring.nvars))
+    )
 
 
 def reference_socle_and_gorenstein(P) -> SocleReport:
     """The socle with one ``normal_form`` of the product x_j * x^u per
     column u and variable j, and its kernel from the dense
     ``reference_nullspace_basis``; columns ordered as in
-    ``socle_and_gorenstein``."""
+    ``socle_and_gorenstein``, on ``reference_local_presentation``."""
+    P = reference_local_presentation(P)
     ring = P.ring
     fld = ring.field_spec
-    sm = _artinian_standard_basis(P.modulus)
+    sm = standard_monomial_basis(P.modulus)
     basis = P.modulus.groebner_basis(DEGREVLEX)
     columns = sorted(sm.monomials, key=DEGREVLEX.key, reverse=True)
     images = [
@@ -815,7 +851,9 @@ def reference_matlis_embedding(P, power: int) -> MatlisEmbedding:
     """The Matlis embedding with the colon (m_N : I) from ``colon_ideal``,
     its dimension from two staircase counts, the witness found by
     ``ideals_equal`` on each candidate of the colon's reduced basis, and
-    the socle from ``reference_socle_and_gorenstein``."""
+    the socle from ``reference_socle_and_gorenstein``, on
+    ``reference_local_presentation``."""
+    P = reference_local_presentation(P)
     ring = P.ring
     I = P.modulus
     soc = reference_socle_and_gorenstein(P)
@@ -846,10 +884,10 @@ def reference_gorenstein_walkthrough(P, max_level: int) -> GorensteinWalkthrough
     """The walkthrough with each next modulus I + (g) generated by I's
     generators and g, its basis left to Buchberger, each socle from
     ``reference_socle_and_gorenstein`` and the embedding from
-    ``reference_matlis_embedding``."""
+    ``reference_matlis_embedding``, from ``reference_local_presentation``."""
     ring = P.ring
     stages = []
-    current = P
+    current = reference_local_presentation(P)
     while True:
         soc = reference_socle_and_gorenstein(current)
         cert = certify_arc_closed(current, Ideal(ring, []), max_level)
@@ -861,5 +899,5 @@ def reference_gorenstein_walkthrough(P, max_level: int) -> GorensteinWalkthrough
         current = LocalAlgebraPresentation(ring, next_modulus)
         if standard_monomial_basis(next_modulus).colength != soc.colength - 1:
             raise InternalError("socle quotient did not drop the length by one")
-    embedding = reference_matlis_embedding(current, smallest_containing_power(current))
+    embedding = reference_matlis_embedding(current, reference_containing_power(current))
     return GorensteinWalkthrough(stages, embedding)

@@ -5,9 +5,12 @@ import sys
 import pytest
 
 from jetclosure.cli import Session, UsageError, build_parser, main, parse_session, run_command
-from jetclosure.errors import ParseError
+from jetclosure.closures import LocalAlgebraPresentation, ModulePresentation, module_jet_closure
+from jetclosure.errors import NotArtinianError, ParseError
+from jetclosure.groebner import Ideal, standard_monomial_basis
 from jetclosure.jets import JetRing
-from jetclosure.poly import FieldSpec, RingContext, parse_polynomial
+from jetclosure.poly import FieldSpec, RingContext, format_polynomial, parse_polynomial
+from oracles import reference_local_modulus
 
 SESSION = """# toy session
 field Q
@@ -376,15 +379,73 @@ def test_main_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert captured.err == "internal error: no single witness generates the colon ideal modulo the powers\n"
 
 
-def test_walkthrough_of_a_modulus_with_zeros_away_from_the_origin_exits_1(tmp_path, capsys):
-    # finite colength but not m-primary: a domain error, not an internal one
-    for modulus in ("x^2 - x, y", "x^3 - x^2, y^2, x*y"):
+def test_walkthrough_of_a_modulus_with_zeros_away_from_the_origin_answers_locally(tmp_path, capsys):
+    # finite colength but not m-primary: the walkthrough starts from the
+    # m-primary component, k = S/(x, y) and S/(x^2, x*y, y^2)
+    for modulus, stage in (("x^2 - x, y", "(y, x), colength: 1"), ("x^3 - x^2, y^2, x*y", "(y^2, x*y, x^2), colength: 3")):
         path = tmp_path / "far.session"
         path.write_text(f"field Q\nvars x y\nideal i: {modulus}\n", encoding="utf-8")
-        assert _main(["walkthrough", "--session", str(path), "--modulus", "i", "--max-level", "2"]) == 1
+        assert _main(["walkthrough", "--session", str(path), "--modulus", "i", "--max-level", "2"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: NotArtinian: the modulus is not m-primary\n"
+        assert f"stages: {{modulus: {stage}, " in captured.out
+        assert captured.err.startswith("completed in ")
+
+
+def test_artinian_commands_answer_for_the_local_ring(tmp_path, capsys):
+    """socle, matlis --power 3 and walkthrough on the CLI, and
+    module_jet_closure, give for a modulus I with zeros away from the
+    origin the answers of I + m^N (N = dim S/I, ``reference_local_modulus``),
+    whose quotients are the local algebras k[x, y]/(x^2, y^2) and k.  A
+    modulus that is m-primary only locally, with S/I infinite, is still
+    refused."""
+    R = RingContext(FieldSpec.rationals(), ("x", "y"))
+    path = tmp_path / "local.session"
+    for modulus, colength, socle in (("x^2 - x^3, y^2", 4, ["x*y"]), ("x^2 - x, y", 1, ["1"])):
+        P = LocalAlgebraPresentation(R, Ideal(R, [parse_polynomial(t, R) for t in modulus.split(", ")]))
+        local = reference_local_modulus(P)
+        assert standard_monomial_basis(local).colength == colength
+        text = ", ".join(map(format_polynomial, local.generators))
+        path.write_text(f"field Q\nvars x y\nideal i: {modulus}\nideal q: {text}\n", encoding="utf-8")
+        for command, *options in (["socle"], ["matlis", "--power", "3"], ["walkthrough", "--max-level", "2"]):
+            reports = []
+            for name in ("i", "q"):
+                assert _main([command, "--session", str(path), "--modulus", name, *options, "--json"]) == 0
+                reports.append(json.loads(capsys.readouterr().out))
+                del reports[-1]["inputs"]
+            assert reports[0] == reports[1]
+            if command == "socle":
+                assert reports[0]["dims"]["colength"] == colength and reports[0]["generators"] == socle
+        reports = [
+            module_jet_closure(ModulePresentation(base, 1), 2)
+            for base in (P, LocalAlgebraPresentation(R, local))
+        ]
+        assert reports[0].dim_module == reports[1].dim_module == colength
+        assert reports[0].kernel_basis == reports[1].kernel_basis == []
+    path.write_text("field Q\nvars x y\nideal i: x - x*y, y - y^2\n", encoding="utf-8")
+    assert _main(["socle", "--session", str(path), "--modulus", "i"]) == 1
+    assert capsys.readouterr().err == "error: NotArtinian: the modulus is not m-primary\n"
+    P = LocalAlgebraPresentation(R, Ideal(R, [parse_polynomial(t, R) for t in ("x - x*y", "y - y^2")]))
+    with pytest.raises(NotArtinianError):
+        module_jet_closure(ModulePresentation(P, 1), 2)
+
+
+def test_closed_stdout_exits_0_with_no_traceback(tmp_path):
+    # the reader exits before the CLI writes: printing the report, and the
+    # interpreter's flush at exit, meet a closed pipe
+    path = tmp_path / "s.session"
+    path.write_text(SESSION, encoding="utf-8")
+    reader = subprocess.Popen([sys.executable, "-c", ""], stdin=subprocess.PIPE)
+    reader.wait(timeout=60)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jetclosure.cli", "chain", "--session", str(path), "--ideal", "b", "--max-level", "3"],
+            stdout=reader.stdin, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        reader.stdin.close()
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr.startswith("completed in ")
 
 
 def test_text_report_keeps_nested_lists_apart(tmp_path, capsys):

@@ -664,17 +664,29 @@ def test_matlis_requires_gorenstein():
         )
 
 
-def test_smallest_containing_power_rejects_zeros_away_from_the_origin():
+def test_smallest_containing_power_is_that_of_the_local_modulus():
     # finite colength, but not m-primary: no pure power of x lies in the
-    # modulus, and the walkthrough stops at the embedding with exit 1
-    for texts in (("x^2 - x", "y"), ("x^3 - x^2", "y^2", "x*y")):
+    # modulus, and the power is that of its m-primary component, (x, y)
+    # and (x^2, x*y, y^2); the walkthrough reaches its embedding
+    for texts, power in ((("x^2 - x", "y"), 1), (("x^3 - x^2", "y^2", "x*y"), 2)):
         P = LocalAlgebraPresentation(RXY, ideal(RXY, *texts))
-        with pytest.raises(NotArtinianError, match="the modulus is not m-primary"):
-            smallest_containing_power(P)
-        with pytest.raises(NotArtinianError, match="the modulus is not m-primary"):
-            gorenstein_walkthrough(P, 1)
+        assert smallest_containing_power(P) == power
+        assert gorenstein_walkthrough(P, 1).embedding.power == power
     P = LocalAlgebraPresentation(RXY, ideal(RXY, "x^2 - y^3", "y^4"))
     assert smallest_containing_power(P) == 4
+
+
+def test_walkthrough_walks_each_stage_staircase_once(monkeypatch):
+    """Each stage reads its modulus, its colength and the next stage's
+    length check off one local modulus per presentation, so a 3-stage
+    walkthrough lists standard monomials 3 times, once per stage."""
+    walks = []
+    staircase = closures.standard_monomial_basis
+    monkeypatch.setattr(closures, "standard_monomial_basis", lambda I: walks.append(I) or staircase(I))
+    P = LocalAlgebraPresentation(RXY, ideal(RXY, "x^4", "y^4", "x^2*y^2 + 2*x^3*y", "x*y^3"))
+    walk = gorenstein_walkthrough(P, 1)
+    assert [stage.colength for stage in walk.stages] == [11, 10, 9]
+    assert len(walks) == 3
 
 
 def test_matlis_embedding_is_injective_on_standard_basis():
@@ -1212,41 +1224,50 @@ def _table_runs(P, level):
             mod.standard_basis, mod.kernel_basis)
 
 
-def test_shared_modulus_tables_under_thread_stress():
-    """More threads than cores share one modulus, so one reduced basis and
-    its table, with a switch interval of a microsecond: in each of five
-    rounds on a fresh modulus, every run equals a single-thread run, and
-    every table entry equals its normal form."""
+def test_shared_modulus_tables_under_thread_stress(monkeypatch):
+    """More threads than cores share one presentation, so one local
+    modulus, one reduced basis and its table, with a switch interval of a
+    microsecond: in each of five rounds on a fresh presentation, every
+    run equals a single-thread run, every table entry equals its normal
+    form, and the local modulus is computed once
+    (``LocalAlgebraPresentation._local_modulus``): one staircase for an
+    m-primary modulus, and two, I's and that of its one Buchberger run,
+    for (x^2 - x^3, y^2), which has a zero away from the origin."""
     import os
     import sys
     import threading
 
-    gens = ("x^2 - y^3", "y^4")
     R = ring("xy", F3)
-    expected = _table_runs(LocalAlgebraPresentation(R, ideal(R, *gens)), 1)
+    walks = []
+    staircase = closures.standard_monomial_basis
+    monkeypatch.setattr(closures, "standard_monomial_basis", lambda I: walks.append(I) or staircase(I))
     workers = 2 * (os.cpu_count() or 1) + 2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            shared = LocalAlgebraPresentation(R, ideal(R, *gens))
-            results = [None] * workers
-            start = threading.Barrier(workers)
+        for gens, gate_walks in ((("x^2 - y^3", "y^4"), 1), (("x^2 - x^3", "y^2"), 2)):
+            expected = _table_runs(LocalAlgebraPresentation(R, ideal(R, *gens)), 1)
+            for _ in range(5):
+                shared = LocalAlgebraPresentation(R, ideal(R, *gens))
+                walks.clear()
+                results = [None] * workers
+                start = threading.Barrier(workers)
 
-            def work(slot):
-                start.wait(timeout=60)
-                results[slot] = _table_runs(shared, 1)
+                def work(slot):
+                    start.wait(timeout=60)
+                    results[slot] = _table_runs(shared, 1)
 
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-                assert not t.is_alive()
-            assert all(r == expected for r in results)
-            basis = shared.modulus.groebner_basis()
-            assert basis._monomial_nfs
-            for u, nf in basis._monomial_nfs.items():
-                assert nf == basis.normal_form(R.monomial(u)).terms
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+                assert all(r == expected for r in results)
+                assert len(walks) == gate_walks
+                basis = shared._local_modulus()[0].groebner_basis()
+                assert basis._monomial_nfs
+                for u, nf in basis._monomial_nfs.items():
+                    assert nf == basis.normal_form(R.monomial(u)).terms
     finally:
         sys.setswitchinterval(interval)

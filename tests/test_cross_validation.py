@@ -151,9 +151,11 @@ def test_elimination_matches_sympy_lex_filter():
 
 @pytest.mark.parametrize("field,domain", [(Q, QQ), (F5, GF(5))])
 def test_socle_is_the_common_nullspace_of_sympy_multiplication_matrices(field, domain):
-    """The socle of S/I is the common kernel of the multiplication maps
-    by x and y on S/I, here built from sympy's own basis and ``reduced``
-    on the standard monomials that its leading monomials leave."""
+    """The socle of the local algebra (S/I)_m is the common kernel of the
+    multiplication maps by x and y on S/q, q = I + (x^N, y^N) the
+    m-primary component of I (N = dim S/I), here built from sympy's own
+    basis of q and ``reduced`` on the standard monomials that its
+    leading monomials leave."""
     from sympy.polys.matrices import DomainMatrix
 
     from jetclosure.closures import LocalAlgebraPresentation, socle_and_gorenstein
@@ -161,6 +163,20 @@ def test_socle_is_the_common_nullspace_of_sympy_multiplication_matrices(field, d
     rng = random.Random(5150)
     R = RingContext(field, ("x", "y"))
     xs = sympy.symbols("x y")
+
+    def staircase(exprs):
+        """sympy's grevlex basis of ``exprs`` and its standard monomials,
+        None when the quotient is infinite-dimensional or zero."""
+        G = sympy.groebner(exprs, *xs, order="grevlex", domain=domain)
+        lms = [sympy.Poly(g, *xs, domain=domain).monoms(order="grevlex")[0] for g in G.exprs]
+        bounds = [min((u[j] for u in lms if u[1 - j] == 0), default=None) for j in range(2)]
+        if None in bounds or (0, 0) in lms:
+            return G, None
+        return G, [
+            u for u in itertools.product(range(bounds[0]), range(bounds[1]))
+            if not any(u[0] >= v[0] and u[1] >= v[1] for v in lms)
+        ]
+
     checked = 0
     while checked < 16:
         corners = [(rng.randrange(1, 3), rng.randrange(1, 3)) for _ in range(rng.randrange(3))]
@@ -168,15 +184,10 @@ def test_socle_is_the_common_nullspace_of_sympy_multiplication_matrices(field, d
         tails = [_random_poly(rng, R, terms=rng.randrange(2)) for _ in gens]
         gens = [g + R.constant(-t.constant_term()) + t for g, t in zip(gens, tails)]
         exprs = [sum(sympy.Rational(str(c)) * xs[0] ** u[0] * xs[1] ** u[1] for u, c in g.terms.items()) for g in gens]
-        G = sympy.groebner([e for e in exprs if e != 0], *xs, order="grevlex", domain=domain)
-        lms = [sympy.Poly(g, *xs, domain=domain).monoms(order="grevlex")[0] for g in G.exprs]
-        bounds = [min((u[j] for u in lms if u[1 - j] == 0), default=None) for j in range(2)]
-        if None in bounds or (0, 0) in lms:
+        G, standard = staircase([e for e in exprs if e != 0])
+        if standard is None:
             continue
-        standard = [
-            u for u in itertools.product(range(bounds[0]), range(bounds[1]))
-            if not any(u[0] >= v[0] and u[1] >= v[1] for v in lms)
-        ]
+        G, standard = staircase(list(G.exprs) + [xs[0] ** len(standard), xs[1] ** len(standard)])
         index = {u: k for k, u in enumerate(standard)}
         n = len(standard)
         rows = [[domain.zero] * n for _ in range(2 * n)]
