@@ -10,7 +10,9 @@ a' and the closure both contain m^(level+1), so each is a subspace of
 S/m^(level+1): a' is the span of the truncated multiples of the
 generators of a + I, the closure adds the kernel vectors, and their
 standard monomials and reduced degrevlex bases are read off one sparse
-exact echelon each (``_echelon_ideal``), with no Buchberger on S.
+exact echelon each (``_echelon_ideal``), with no Buchberger on S.  Both
+echelons are written over one shared table of columns per number of
+variables and level (``_columns``).
 
 A column's jets lie in the fiber ideal of a' iff they do after setting
 the base point x@0 to 0, so the normal forms are taken in the pointed
@@ -73,10 +75,13 @@ exponent shifts mod m_N.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 from operator import add, mul
+from types import MappingProxyType
 
 from .errors import (
     InfiniteDimensionalError,
@@ -188,15 +193,30 @@ def _monomials_by_weight(weights: list, top: int) -> list:
     return by_weight
 
 
-def _echelon_ideal(ring: RingContext, monomials: list, echelon: dict):
+@functools.lru_cache(maxsize=64)
+def _columns(nvars: int, level: int) -> tuple:
+    """(monomials, index): every monomial in ``nvars`` variables of degree
+    <= ``level``, largest first in degrevlex, as a tuple, and the
+    read-only mapping {monomial: column}.  These are the columns of every
+    a' and closure echelon at ``level``; the degree-<= k ones, k <= level,
+    are the last C(nvars + k, nvars), as degrevlex follows the degree.
+    One table per (nvars, level) is shared by every caller and thread,
+    so neither part can be written."""
+    monomials = tuple(degrevlex_sorted(
+        (u for by_degree in _monomials_by_weight([1] * nvars, level) for u in by_degree), reverse=True
+    ))
+    return monomials, MappingProxyType({u: c for c, u in enumerate(monomials)})
+
+
+def _echelon_ideal(ring: RingContext, monomials, index, box: tuple, echelon: dict):
     """(b, standard monomials of b, largest first) for b = V + M.
 
     M is the monomial ideal whose standard monomials are ``monomials``,
-    the columns, listed largest first in degrevlex: x^u lies in M iff u
-    is not a column.  V is the span of ``echelon``, a reduced echelon
-    form (``rref``) over the columns, so that a row's pivot is its
-    largest monomial.  b carries its reduced degrevlex basis, read off
-    the echelon.
+    the columns, listed largest first in degrevlex, with ``index`` the
+    mapping {monomial: column}: x^u lies in M iff u is not a column.  V is
+    the span of ``echelon``, a reduced echelon form (``rref``) over the
+    columns, so that a row's pivot is its largest monomial.  b carries
+    its reduced degrevlex basis, read off the echelon.
 
     Leading terms.  Let f = v + h lie in b, v in V and h in M.  As M is a
     monomial ideal, every term of h lies in M and no term of v does, so
@@ -210,7 +230,7 @@ def _echelon_ideal(ring: RingContext, monomials: list, echelon: dict):
 
     Reading off.  A minimal generator u of LT(b) has every u - e_j
     standard, a column, so u_j is at most the largest column exponent
-    in x_j plus 1: the box of the largest column exponents plus 2 holds
+    in x_j plus 1: ``box``, the largest column exponents plus 2, holds
     it.  ``walk_order_ideal`` over that box, with "not a standard
     monomial of b" as the predicate (closed upward, as LT(b) is an
     ideal), returns these minimal generators as its corners.  The
@@ -220,11 +240,9 @@ def _echelon_ideal(ring: RingContext, monomials: list, echelon: dict):
     For u in M, not a column, it is x^u itself.
     """
     fld = ring.field_spec
-    index = {u: c for c, u in enumerate(monomials)}
     standard = [u for c, u in enumerate(monomials) if c not in echelon]
     free = set(standard)
-    bounds = [max(u[j] for u in monomials) + 2 for j in range(ring.nvars)]
-    corners = walk_order_ideal(bounds, lambda u: u not in free)[1]
+    corners = walk_order_ideal(box, lambda u: u not in free)[1]
     basis = [
         Polynomial(ring, {u: fld.one()}) if u not in index
         else Polynomial(ring, {monomials[c]: x for c, x in echelon[index[u]].items()})
@@ -235,24 +253,34 @@ def _echelon_ideal(ring: RingContext, monomials: list, echelon: dict):
 
 def _replacement(ring: RingContext, generators: list, level: int) -> tuple:
     """(monomials, echelon) of a' = a + I + m^(level+1) below its m^(level+1):
-    every monomial of degree <= ``level``, largest first in degrevlex,
-    and the ``rref`` of the truncated Macaulay rows x^v g mod m^(level+1),
-    deg v <= level - 1, of the ``generators`` (term dicts) of a + I over
-    them as columns (proof in ``jet_closure``)."""
-    monomials = degrevlex_sorted(
-        (u for by_degree in _monomials_by_weight([1] * ring.nvars, level) for u in by_degree), reverse=True
-    )
-    index = {u: c for c, u in enumerate(monomials)}
+    the columns of ``_columns(nvars, level)``, and the ``rref`` over them
+    of the truncated Macaulay rows x^v g mod m^(level+1) of the
+    ``generators`` (nonzero term dicts) of a + I, deg v <= level - 1
+    (proof in ``jet_closure``).
+
+    Only the rows and terms that survive the truncation are built.  Let
+    ord g, at least 1, be the least degree of a term of g.  Every term
+    of x^v g has degree at least deg v + ord g, so for
+    deg v > level - ord g the whole row lies in m^(level+1) and is zero;
+    the shifts kept, deg v <= level - ord g, are the last columns of the
+    table.  In a kept row, a term x^(u+v) with deg u > level - deg v lies
+    in m^(level+1) and is dropped, and every other one is a column, its
+    terms of degree ord g among them.  So the rows built are exactly the
+    nonzero truncated Macaulay rows, and their ``rref``, the reduced
+    echelon form of their span, which does not depend on the order of
+    the rows, is that of all of them.
+    """
+    n = ring.nvars
+    monomials, index = _columns(n, level)
     rows = []
-    for v in monomials:
-        if sum(v) < level:
-            for g in generators:
-                row = {}
-                for u, x in g.items():
-                    c = index.get(tuple(map(add, u, v)))
-                    if c is not None:
-                        row[c] = x
-                rows.append(row)
+    for g in generators:
+        order = min(map(sum, g))
+        if order > level:
+            continue
+        terms = [(sum(u), u, x) for u, x in g.items()]
+        for v in monomials[len(monomials) - comb(n + level - order, n):]:
+            room = level - sum(v)
+            rows.append({index[tuple(map(add, u, v))]: x for d, u, x in terms if d <= room})
     return monomials, rref(rows, ring.field_spec)
 
 
@@ -386,8 +414,8 @@ class _Ladder:
             self._replaced = (level, _replacement(self.ring, self.generators, level))
         return self._replaced[1]
 
-    def step(self) -> tuple:
-        """Close the next level l and return (monomials, echelon) of a'_l
+    def step(self) -> dict:
+        """Close the next level l and return the echelon of a'_l
         (``_replacement``); ``kernel`` becomes the canonical basis of
         C_l/a'_l.
 
@@ -402,8 +430,8 @@ class _Ladder:
         level = self.closed + 1
         self.climb(level)
         fld = self.fld
-        monomials, echelon = self.replacement(level)
-        index = {u: c for c, u in enumerate(monomials)}
+        monomials, index = _columns(self.n, level)
+        echelon = self.replacement(level)[1]
         span = [{index[u]: x for u, x in v.items()} for v in self.kernel]
         for c, u in enumerate(monomials):
             if sum(u) < level:
@@ -427,7 +455,7 @@ class _Ladder:
             for vec in nullspace_basis(pairs, len(monomials), fld)
         ]
         self.closed = level
-        return monomials, echelon
+        return echelon
 
 
 @dataclass
@@ -501,14 +529,15 @@ def jet_closure(P: LocalAlgebraPresentation, a: Ideal, level: int, ladder: _Ladd
     if ladder.closed >= level:
         raise InternalError("the ladder has closed this level already")
     while ladder.closed < level:
-        monomials, aprime = ladder.step()
-    index = {u: c for c, u in enumerate(monomials)}
-    replacement, columns = _echelon_ideal(ring, monomials, aprime)
+        aprime = ladder.step()
+    monomials, index = _columns(ring.nvars, level)
+    box = (level + 2,) * ring.nvars
+    replacement, columns = _echelon_ideal(ring, monomials, index, box, aprime)
     kernel = ladder.kernel
     closure = replacement
     if kernel:
         kernel_rows = [{index[u]: x for u, x in t.items()} for t in kernel]
-        closure = _echelon_ideal(ring, monomials, rref(list(aprime.values()) + kernel_rows, fld))[0]
+        closure = _echelon_ideal(ring, monomials, index, box, rref(list(aprime.values()) + kernel_rows, fld))[0]
     return ClosureReport(
         presentation=P,
         ideal=a,
@@ -839,7 +868,8 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
         return {(k, v): c for k, g in enumerate(I.generators) for v, c in times(u, g.terms).items()}
 
     kernel = nullspace_basis([({c: fld.one()}, image(u)) for c, u in enumerate(box)], len(box), fld)
-    colon = _echelon_ideal(ring, box, rref(kernel, fld))[0]
+    index = {u: c for c, u in enumerate(box)}
+    colon = _echelon_ideal(ring, box, index, (power + 1,) * ring.nvars, rref(kernel, fld))[0]
     colon_dim = len(kernel)
     witness = next(
         (w for w in colon.generators
@@ -988,7 +1018,16 @@ class ModulePresentation:
                     raise RingMismatchError(f"{what} does not match the module")
 
     def working_relations(self) -> list:
-        """Relations of M/N over the ambient ring, base ideal included."""
+        """Relations of M/N over the ambient ring, base ideal included.
+
+        The base ideal here is the input modulus I, not the modulus q of
+        the local algebra (``LocalAlgebraPresentation._local_modulus``)
+        that ``module_jet_closure`` answers for, so these relations
+        present a quotient of (S/I)^rank: over (x^2 - x^3, y^2) at rank 1
+        they leave 6 standard monomials, where the local module has 4.
+        A local build first replaces the base by its local modulus, as
+        ``tests/oracles.py::reference_module_standard_basis`` does.
+        """
         ring = self.base.ring
         rels = list(self.relations) + list(self.submodule)
         for g in self.base.modulus.generators:

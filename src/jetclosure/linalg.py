@@ -1,13 +1,13 @@
 """Exact sparse linear algebra over a FieldSpec.
 
 A row is a dict {column: scalar} with no zero entries, columns are
-integers, and a row's pivot is its least column.  One elimination,
-``rref``, serves every caller: the truncated echelons that
-``closures`` reads ideals off, and the one augmented echelon from
-which ``nullspace_basis``, the library's only kernel routine, reads
-every kernel: of the level ladder's weight-l rows, of the socle and
-Matlis maps, and of module closures modulo their relation rows.  No
-dense matrix is built.
+integers, and a row's pivot is its least column.  One elimination, a
+forward and a backward pass, serves every caller: the truncated
+echelons that ``closures`` reads ideals off (``rref``), and the one
+augmented echelon from which ``nullspace_basis``, the library's only
+kernel routine, reads every kernel: of the level ladder's weight-l
+rows, of the socle and Matlis maps, and of module closures modulo their
+relation rows.  No dense matrix is built.
 """
 
 from __future__ import annotations
@@ -36,15 +36,22 @@ def rref(rows, fld: FieldSpec) -> dict:
     Each row is monic at its pivot and has no entry at another pivot.
     The reduced echelon form of a subspace is unique, so the result
     does not depend on the order or the redundancy of ``rows``; the
-    input rows are not changed.
+    input rows are not changed.  It is the forward pass (``_forward``)
+    followed by the backward pass over every pivot (``_backward``).
+    """
+    echelon = _forward(rows, fld)
+    _backward(echelon, sorted(echelon, reverse=True), fld.characteristic)
+    return echelon
 
-    A forward pass reduces each row by the pivots found so far until
-    its least column is a new pivot (or the row is zero), and makes it
-    monic there unless it is already; subtracting a row with pivot q
-    removes column q and touches only larger columns, so this ends.
-    The backward pass then clears the other pivot columns, largest
-    pivot first: the rows with larger pivots are already reduced, so
-    subtracting one adds entries only at non-pivot columns.
+
+def _forward(rows, fld: FieldSpec) -> dict:
+    """An echelon of the span of ``rows``, as {pivot: row}, each row monic
+    at its pivot, not yet cleared at the other pivots.
+
+    Each row is reduced by the pivots found so far until its least
+    column is a new pivot (or the row is zero), and made monic there
+    unless it is already; subtracting a row with pivot q removes column
+    q and touches only larger columns, so this ends.
     """
     p = fld.characteristic
     echelon: dict = {}
@@ -60,11 +67,22 @@ def rref(rows, fld: FieldSpec) -> dict:
                 echelon[lead] = r
                 break
             _subtract(r, r[lead], other, p)
-    for lead in sorted(echelon, reverse=True):
+    return echelon
+
+
+def _backward(echelon: dict, leads, p: int) -> None:
+    """Clear, in place, the other pivot columns of the ``echelon`` rows at
+    ``leads``, listed largest first, where every pivot larger than one
+    of ``leads`` is in ``leads`` too.  A row's entries lie at columns
+    larger than its pivot, and the rows with larger pivots are already
+    cleared when it is reached, so subtracting one adds entries only at
+    non-pivot columns.  The rows at ``leads`` end as those of ``rref``:
+    each is cleared by the same rows, in the same order.
+    """
+    for lead in leads:
         row = echelon[lead]
         for col in [k for k in row if k != lead and k in echelon]:
             _subtract(row, row[col], echelon[col], p)
-    return echelon
 
 
 def nullspace_basis(pairs: list, ncols: int, fld: FieldSpec) -> list:
@@ -93,7 +111,11 @@ def nullspace_basis(pairs: list, ncols: int, fld: FieldSpec) -> list:
     0 on every row led by an image column, its entry at that pivot; so
     the rows led by a vector column span the (0, w), and as each has no
     entry at another's pivot they are a basis, the reduced echelon form
-    of K in the reversed column order.
+    of K in the reversed column order.  Only those rows are cleared
+    (``_backward``): every vector column is larger than every image
+    column, so their pivots are the largest, and a row led by a vector
+    column has entries only at vector columns, so the rows led by image
+    columns, which are dropped, never enter their clearing.
 
     The canonical basis.  Call c a free column of K when c is the
     largest column of some nonzero vector of K.  For each free c, K
@@ -118,8 +140,7 @@ def nullspace_basis(pairs: list, ncols: int, fld: FieldSpec) -> list:
         row = {keys.setdefault(k, -1 - len(keys)): x for k, x in image.items()}
         row.update((top - c, x) for c, x in v.items())
         rows.append(row)
-    echelon = rref(rows, fld)
-    return [
-        {top - k: x for k, x in echelon[p].items()}
-        for p in sorted((p for p in echelon if p >= 0), reverse=True)
-    ]
+    echelon = _forward(rows, fld)
+    leads = sorted((p for p in echelon if p >= 0), reverse=True)
+    _backward(echelon, leads, fld.characteristic)
+    return [{top - k: x for k, x in echelon[p].items()} for p in leads]

@@ -1224,20 +1224,33 @@ def _table_runs(P, level):
             mod.standard_basis, mod.kernel_basis)
 
 
+def _ladder_runs(P, a, level):
+    """A certificate and a closure chain of a to ``level``, as plain
+    values that compare equal across runs."""
+    cert = certify_arc_closed(P, a, level)
+    chain = cumulative_closure_chain(P, a, level)
+    return cert.certified, cert.level, [c.generators for c in cert.chain], [c.generators for c in chain]
+
+
 def test_shared_modulus_tables_under_thread_stress(monkeypatch):
     """More threads than cores share one presentation, so one local
-    modulus, one reduced basis and its table, with a switch interval of a
-    microsecond: in each of five rounds on a fresh presentation, every
-    run equals a single-thread run, every table entry equals its normal
-    form, and the local modulus is computed once
-    (``LocalAlgebraPresentation._local_modulus``): one staircase for an
-    m-primary modulus, and two, I's and that of its one Buchberger run,
-    for (x^2 - x^3, y^2), which has a zero away from the origin."""
+    modulus, one reduced basis and its table, and every column table of
+    the a' and closure echelons (``closures._columns``), with a switch
+    interval of a microsecond: in each of five rounds on a fresh
+    presentation and an emptied table cache, every run, the certificates
+    and closure chains included, equals a single-thread run, every table
+    entry equals its normal form, every column table is still every
+    monomial of bounded degree with its index unwritten, and the local
+    modulus is computed once (``LocalAlgebraPresentation._local_modulus``):
+    one staircase for an m-primary modulus, and two, I's and that of its
+    one Buchberger run, for (x^2 - x^3, y^2), which has a zero away from
+    the origin."""
     import os
     import sys
     import threading
 
     R = ring("xy", F3)
+    a, top = ideal(R, "x^2 + y^3"), 5
     walks = []
     staircase = closures.standard_monomial_basis
     monkeypatch.setattr(closures, "standard_monomial_basis", lambda I: walks.append(I) or staircase(I))
@@ -1246,16 +1259,18 @@ def test_shared_modulus_tables_under_thread_stress(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for gens, gate_walks in ((("x^2 - y^3", "y^4"), 1), (("x^2 - x^3", "y^2"), 2)):
-            expected = _table_runs(LocalAlgebraPresentation(R, ideal(R, *gens)), 1)
+            P = LocalAlgebraPresentation(R, ideal(R, *gens))
+            expected = _table_runs(P, 1), _ladder_runs(P, a, top)
             for _ in range(5):
                 shared = LocalAlgebraPresentation(R, ideal(R, *gens))
                 walks.clear()
+                closures._columns.cache_clear()
                 results = [None] * workers
                 start = threading.Barrier(workers)
 
                 def work(slot):
                     start.wait(timeout=60)
-                    results[slot] = _table_runs(shared, 1)
+                    results[slot] = _table_runs(shared, 1), _ladder_runs(shared, a, top)
 
                 threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
                 for t in threads:
@@ -1269,5 +1284,10 @@ def test_shared_modulus_tables_under_thread_stress(monkeypatch):
                 assert basis._monomial_nfs
                 for u, nf in basis._monomial_nfs.items():
                     assert nf == basis.normal_form(R.monomial(u)).terms
+                for level in range(top + 2):
+                    monomials, index = closures._columns(2, level)
+                    assert sorted(monomials) == [u for u in itertools.product(range(level + 1), repeat=2)
+                                                 if sum(u) <= level]
+                    assert index == {u: c for c, u in enumerate(monomials)}
     finally:
         sys.setswitchinterval(interval)

@@ -21,6 +21,9 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 * each jet closure contains a' and the cumulative chain descends;
 * a' read off its truncated echelon against Buchberger on its
   generators, in 0 to 3 variables at levels 0 to 6;
+* the pruned Macaulay rows of a' against every truncated row, in 1 to 3
+  variables at levels 0 to 8, and the shared column table against a
+  sort of every monomial of bounded degree;
 * one level ladder climbed through every level against fresh closures,
   the running-intersection chain and normal forms modulo the untruncated
   fiber ideal;
@@ -107,6 +110,7 @@ from jetclosure.groebner import (
     standard_monomial_basis,
 )
 from jetclosure.jets import fiber_ideal
+from jetclosure.linalg import rref
 from jetclosure.newton import (
     MonomialIdealData,
     monomial_integral_closure,
@@ -633,6 +637,76 @@ def test_truncated_replacement_matches_buchberger(inputs):
     assert rep.dim_quotient == standard.colength
     closure = Ideal(rep.closure.ring, reference.generators + tuple(rep.kernel_basis))
     assert rep.closure_generators == closure.groebner_basis().elements
+
+
+def _degree_exponents(draw, n: int, d: int) -> tuple:
+    """An exponent of degree ``d`` in ``n`` >= 1 variables."""
+    u = []
+    for _ in range(n - 1):
+        u.append(draw(st.integers(0, d - sum(u))))
+    return tuple(u) + (d - sum(u),)
+
+
+@st.composite
+def macaulay_inputs(draw):
+    """(ring, generators as term dicts, level) in 1 to 3 variables over
+    Q, F_2, F_3 or F_32003, levels 0 to 8: up to three nonzero
+    generators, each drawn as a term of degree 1 to 4, coefficient 1, and
+    up to three more terms of that degree up to four above it, which may
+    cancel, so the order is 1 to 4 or more."""
+    fld = draw(st.sampled_from(ALL_FIELDS))
+    n = draw(st.integers(1, 3))
+    R = RingContext(fld, ("x", "y", "z")[:n])
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.integers(1, 4))
+        g = R.monomial(_degree_exponents(draw, n, order))
+        for _ in range(draw(st.integers(0, 3))):
+            u = _degree_exponents(draw, n, draw(st.integers(order, order + 4)))
+            g = g + R.monomial(u, fld.of_int(draw(st.integers(-3, 3))))
+        if not g.is_zero():
+            generators.append(g.terms)
+    return R, generators, draw(st.integers(0, 8))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(macaulay_inputs())
+def test_pruned_replacement_matches_every_macaulay_row(inputs):
+    """``_replacement`` builds only the shifts x^v with
+    deg v <= level - ord g and only the terms of degree <= level; its
+    echelon equals that of every x^v g mod m^(level+1), deg v <= level - 1,
+    built here with no pruning over a box scan of the shifts."""
+    R, generators, level = inputs
+    monomials = degrevlex_sorted(
+        (u for u in itertools.product(range(level + 1), repeat=R.nvars) if sum(u) <= level), reverse=True
+    )
+    index = {u: c for c, u in enumerate(monomials)}
+    rows = []
+    for v in itertools.product(range(level), repeat=R.nvars):
+        if sum(v) <= level - 1:
+            for g in generators:
+                shifted = {tuple(map(sum, zip(u, v))): x for u, x in g.items()}
+                rows.append({index[w]: x for w, x in shifted.items() if sum(w) <= level})
+    columns, echelon = closures._replacement(R, generators, level)
+    assert columns == tuple(monomials)
+    assert echelon == rref(rows, R.field_spec)
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_column_table_is_every_monomial_largest_first(nvars):
+    """``_columns(n, l)`` is every monomial of degree <= l, largest first in
+    degrevlex, as a tuple, with its {monomial: column} index; one table
+    per (n, l), handed out again on every call, whose index refuses
+    writes."""
+    for level in range(9 if nvars < 4 else 6):
+        everything = (u for u in itertools.product(range(level + 1), repeat=nvars) if sum(u) <= level)
+        expected = degrevlex_sorted(everything, reverse=True)
+        monomials, index = closures._columns(nvars, level)
+        assert monomials == tuple(expected)
+        assert index == {u: c for c, u in enumerate(expected)}
+        assert closures._columns(nvars, level)[1] is index
+        with pytest.raises(TypeError):
+            index[monomials[0]] = -1
 
 
 def _computed_bases(monkeypatch) -> list:
