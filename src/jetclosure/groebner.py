@@ -3,11 +3,13 @@
 One Buchberger engine, ``BuchbergerRun``, computes reduced Groebner
 bases of ideals (degrevlex) and of submodules of free modules (position
 over term), run to completion (``_buchberger``) or, for the jet
-closures, resumed one weight at a time.
-They are the canonical normal-form oracle behind membership, colon
-ideals and intersections (both read off one submodule basis), radical
-membership (``_in_radical``, which resumes a run with one extra
-variable) and standard-monomial counting.
+closures, resumed one weight at a time.  Generators enter it only
+through ``BuchbergerRun.add``, one at a time, each reduced on those
+already in; ``_buchberger`` feeds them least leading term first.
+The reduced bases are the canonical normal-form oracle behind
+membership, colon ideals and intersections (both read off one
+submodule basis), radical membership (``_in_radical``, which resumes a
+run with one extra variable) and standard-monomial counting.
 """
 
 from __future__ import annotations
@@ -82,37 +84,17 @@ def _monic_terms(terms: dict, key, fld: FieldSpec) -> dict:
     return {u: fld.mul(c, inv) for u, c in terms.items()}
 
 
-def _interreduce(term_dicts: list, key, fld: FieldSpec) -> list:
-    polys = [_monic_terms(t, key, fld) for t in term_dicts if t]
-    changed = True
-    while changed:
-        changed = False
-        out: list = []
-        odata: list = []  # _basis_data(out), grown with out
-        pdata = _basis_data(polys, key)
-        for i, p in enumerate(polys):
-            others = odata + pdata[i + 1 :]
-            r = _nf_terms(p, others, key, fld) if others else p
-            if r != p:
-                changed = True
-            if r:
-                r = _monic_terms(r, key, fld)
-                out.append(r)
-                odata += _basis_data([r], key)
-        polys = out
-    return polys
-
-
 class BuchbergerRun:
     """The one Buchberger engine: a run that can stop and resume.
 
-    ``add`` takes in generators, ``run`` reduces S-pairs, and
-    ``reduced`` reads off the reduced basis of everything taken in so
-    far.  Normal selection (least pair ``weight`` first, ties by
-    generator index) with the coprime, monomial-pair (see ``_append``)
-    and chain criteria prunes pairs; ``weight`` is the total degree
-    unless the caller grades the ring otherwise.  ``_buchberger`` is
-    the run to completion.
+    ``add`` takes in a generator, reduced on the basis so far (the one
+    way in: only the run itself calls ``_append``), ``run`` reduces
+    S-pairs, and ``reduced`` reads off the reduced basis of everything
+    taken in so far.  Normal selection (least pair ``weight`` first,
+    ties by generator index) with the coprime, monomial-pair (see
+    ``_append``) and chain criteria prunes pairs; ``weight`` is the
+    total degree unless the caller grades the ring otherwise.
+    ``_buchberger`` is the run to completion.
 
     Stopping early.  ``run(bound)`` leaves every pair whose lcm weighs
     more than ``bound`` on the heap, and a later ``run`` takes it up.
@@ -308,8 +290,20 @@ def _in_radical(run: BuchbergerRun, h: dict) -> bool:
 
 def _buchberger(term_dicts: list, key, fld: FieldSpec, tagged: bool = False) -> list:
     """Reduced Groebner basis of the ideal or submodule generated by
-    ``term_dicts``: a ``BuchbergerRun`` on the interreduced generators,
-    run to completion.
+    ``term_dicts``: a ``BuchbergerRun`` that takes the nonzero
+    generators in with ``add``, least leading term first, and runs to
+    completion.
+
+    The reduced basis is canonical for (ideal, order), so the order in
+    which generators enter changes no output, only the work.  Least
+    first, each generator enters reduced on every one whose leading
+    term lies below its own, as in the incremental design of Gebauer
+    and Moeller (1988), and the coefficients stay small.  In input
+    order they can blow up: over Q, the intersection of
+    (-y^2 - 2y, -3z^2 - y, 2xy - 3) and (-x^2 + 3yz, 2x^2 + 3z^2 + 1)
+    in k[x, y, z] reaches 79,290-bit coefficients and takes 40.8 s in
+    input order, against 30 bits and 0.015 s least first (Python 3.11,
+    one core of a 2-vCPU host).
 
     Term generators run no engine: their reduced basis is their minimal
     exponents (``minimal_exponents``), each with coefficient 1, sorted
@@ -321,8 +315,8 @@ def _buchberger(term_dicts: list, key, fld: FieldSpec, tagged: bool = False) -> 
     if all(len(t) == 1 for t in term_dicts):
         return [{u: fld.one()} for u in minimal_exponents(set().union(*term_dicts), key)]
     engine = BuchbergerRun(key, fld, tagged)
-    for g in _interreduce(term_dicts, key, fld):
-        engine._append(g)  # monic, and reduced on the others already
+    for g in sorted(filter(None, term_dicts), key=lambda t: key(max(t, key=key))):
+        engine.add(g)
     engine.run()
     return engine.reduced()
 
@@ -426,12 +420,6 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.generators) or '0'})"
 
 
-def ideal_member(f: Polynomial, I: Ideal) -> bool:
-    if f.ring != I.ring:
-        raise RingMismatchError("polynomial does not live in the ideal's ring")
-    return I.groebner_basis(DEGREVLEX).contains(f)
-
-
 def ideal_contains(I: Ideal, J: Ideal) -> bool:
     """True when J is a subset of I (checked on generators)."""
     G = I.groebner_basis(DEGREVLEX)
@@ -451,7 +439,7 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
         return True
     run = BuchbergerRun(DEGREVLEX.key, I.ring.field_spec)
     for g in I.groebner_basis(DEGREVLEX):
-        run._append(g.terms)  # monic
+        run.add(g.terms)
     return _in_radical(run, f.terms)
 
 

@@ -404,18 +404,6 @@ class MonomialOrder:
         return (sum(u), tuple(map(neg, reversed(u))))
 
 
-def compare_monomials(order: MonomialOrder, u: Exponents, v: Exponents) -> int:
-    """Return -1, 0, or 1 as x^u is below, equal to, or above x^v."""
-    if len(u) != len(v):
-        raise ValueError("exponent tuples have different lengths")
-    ku, kv = order.key(u), order.key(v)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
-
-
 class Polynomial:
     """A polynomial in canonical form: no zero coefficients are stored.
 

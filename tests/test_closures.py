@@ -32,7 +32,6 @@ from jetclosure.groebner import (
     Ideal,
     SubmodulePresentation,
     ideal_contains,
-    ideal_member,
     ideals_equal,
     module_standard_monomials,
 )

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,11 +11,13 @@ from oracles import (
     brute_force_member,
     eliminate_variables,
     monomial_ideal_intersection,
+    reference_colon_ideal,
     reference_intersect_ideals,
     reference_radical_member,
     truncated_module_member,
 )
 
+from jetclosure import groebner
 from jetclosure.errors import InfiniteDimensionalError, RingMismatchError
 from jetclosure.groebner import (
     DEGREVLEX,
@@ -25,7 +28,6 @@ from jetclosure.groebner import (
     _buchberger,
     _in_radical,
     colon_ideal,
-    ideal_member,
     ideals_equal,
     intersect_ideals,
     module_standard_monomials,
@@ -191,7 +193,7 @@ def test_normal_form_is_linear_and_idempotent():
         nf_f, nf_g = G.normal_form(f), G.normal_form(g)
         assert G.normal_form(f + g) == nf_f + nf_g
         assert G.normal_form(nf_f) == nf_f
-        assert (G.normal_form(f - g).is_zero()) == ideal_member(f - g, I)
+        assert (G.normal_form(f - g).is_zero()) == I.groebner_basis().contains(f - g)
 
 
 # --- membership -------------------------------------------------------
@@ -199,12 +201,12 @@ def test_normal_form_is_linear_and_idempotent():
 
 def test_member_multiple_of_generator():
     R = ring(["x", "y"])
-    assert ideal_member(pp("x*y", R), ideal(R, "x"))
+    assert ideal(R, "x").groebner_basis().contains(pp("x*y", R))
 
 
 def test_member_degree_one_not_in_degree_two_ideal():
     R = ring(["x", "y"])
-    assert not ideal_member(pp("x", R), ideal(R, "x^2", "x*y"))
+    assert not ideal(R, "x^2", "x*y").groebner_basis().contains(pp("x", R))
 
 
 def test_member_against_brute_force_oracle():
@@ -213,14 +215,14 @@ def test_member_against_brute_force_oracle():
     gens = [pp("x^2 - y", R), pp("y^2", R)]
     I = Ideal(R, gens)
     assert brute_force_member(pp("x^4", R), gens, 8)
-    assert ideal_member(pp("x^4", R), I)
+    assert I.groebner_basis().contains(pp("x^4", R))
     assert not brute_force_member(pp("x^3", R), gens, 8)
-    assert not ideal_member(pp("x^3", R), I)
+    assert not I.groebner_basis().contains(pp("x^3", R))
 
 
 def test_member_ring_mismatch():
     with pytest.raises(RingMismatchError):
-        ideal_member(pp("x", ring(["x"])), ideal(ring(["x", "y"]), "x"))
+        ideal(ring(["x", "y"]), "x").groebner_basis().contains(pp("x", ring(["x"])))
 
 
 # --- radical membership ----------------------------------------------
@@ -250,7 +252,7 @@ def test_radical_consistent_with_small_powers():
         f = R.zero()
         for _ in range(3):
             f = f + R.monomial((rng.randrange(3), rng.randrange(3)), rng.randrange(-3, 4))
-        if any(ideal_member(f ** n, I) for n in range(1, 7)):
+        if any(I.groebner_basis().contains(f ** n) for n in range(1, 7)):
             assert radical_member(f, I)
 
 
@@ -361,7 +363,7 @@ def test_intersection_contained_in_both():
     I, J = ideal(R, "x^2", "y^3"), ideal(R, "x*y - y^2")
     meet = intersect_ideals(I, J)
     for g in meet.generators:
-        assert ideal_member(g, I) and ideal_member(g, J)
+        assert I.groebner_basis().contains(g) and J.groebner_basis().contains(g)
 
 
 def test_colon_univariate_degree_count():
@@ -393,7 +395,7 @@ def test_colon_times_divisor_lands_in_ideal():
     C = colon_ideal(I, J)
     for c in C.generators:
         for j in J.generators:
-            assert ideal_member(c * j, I)
+            assert I.groebner_basis().contains(c * j)
 
 
 # --- standard monomials -----------------------------------------------
@@ -659,6 +661,35 @@ def test_intersection_matches_the_tag_variable_reference():
                 got = intersect_ideals(I, J)
                 want = reference_intersect_ideals(I, J)
                 assert got.groebner_basis().elements == want.groebner_basis().elements
+
+
+def test_coefficients_stay_small_where_generator_order_grew_them(monkeypatch):
+    # The engine takes generators in least leading term first.  In input
+    # order the intersection below grew coefficients of 79,290 bits, and
+    # interreducing the generators before the run grew the colon's to
+    # 53,484 bits; least first, neither passes 30.
+    largest = 0
+    nf_terms = groebner._nf_terms
+
+    def recorded(*args):
+        nonlocal largest
+        terms = nf_terms(*args)
+        for c in map(Fraction, terms.values()):
+            largest = max(largest, c.numerator.bit_length(), c.denominator.bit_length())
+        return terms
+
+    monkeypatch.setattr(groebner, "_nf_terms", recorded)
+    R3, R2 = ring(["x", "y", "z"]), ring(["x", "y"])
+    I = ideal(R3, "0 - y^2 - 2*y", "0 - 3*z^2 - y", "2*x*y - 3")
+    J = ideal(R3, "0 - x^2 + 3*y*z", "2*x^2 + 3*z^2 + 1")
+    K = ideal(R2, "0 - y + 3", "4*x^3 + 5*x*y^2 - 4", "0 - x^3 + 4*x^2*y", "0 - 4*x*y^2 - 4*x^2")
+    L = ideal(R2, "x", "0 - 3*x^2 - x*y")
+    meet = intersect_ideals(I, J).groebner_basis().elements
+    colon = colon_ideal(K, L).groebner_basis().elements
+    assert largest <= 64
+    monkeypatch.undo()
+    assert meet == reference_intersect_ideals(I, J).groebner_basis().elements
+    assert colon == reference_colon_ideal(K, L).groebner_basis().elements
 
 
 def test_colon_dimension_from_multiplication_sequence():

@@ -10,7 +10,6 @@ from jetclosure.poly import (
     FieldSpec,
     MonomialOrder,
     RingContext,
-    compare_monomials,
     format_polynomial,
     parse_polynomial,
 )
@@ -95,28 +94,27 @@ def test_ring_mismatch_raises():
 
 def test_compare_lex_ignores_degree():
     order = LEX
-    assert compare_monomials(order, (1, 0), (0, 2)) == 1
+    assert order.key((1, 0)) > order.key((0, 2))
 
 
 def test_compare_degrevlex_degree_dominates():
     order = MonomialOrder.degrevlex()
-    assert compare_monomials(order, (1, 0), (0, 2)) == -1
+    assert order.key((1, 0)) < order.key((0, 2))
 
 
 def test_compare_reflexive():
+    # equal keys exactly for equal exponents: a total order, not a preorder
+    box = [(a, b) for a in range(4) for b in range(4)]
     for order in (LEX, MonomialOrder.degrevlex(), EliminationOrder(1)):
-        assert compare_monomials(order, (2, 1), (2, 1)) == 0
-
-
-def test_compare_length_mismatch():
-    with pytest.raises(ValueError):
-        compare_monomials(LEX, (1,), (1, 0))
+        for u in box:
+            for v in box:
+                assert (order.key(u) == order.key(v)) == (u == v)
 
 
 def test_elimination_block_ranks_head_variables_first():
     order = EliminationOrder(1)
     # any monomial touching the first variable beats any monomial avoiding it
-    assert compare_monomials(order, (1, 0, 0), (0, 5, 5)) == 1
+    assert order.key((1, 0, 0)) > order.key((0, 5, 5))
 
 
 def _random_monomial(rng, nvars, max_exp=4):
@@ -129,10 +127,10 @@ def test_orders_are_multiplicative():
     for _ in range(300):
         u, v, w = (_random_monomial(rng, 3) for _ in range(3))
         for order in orders:
-            if compare_monomials(order, u, v) == -1:
+            if order.key(u) < order.key(v):
                 uu = tuple(a + b for a, b in zip(u, w))
                 vv = tuple(a + b for a, b in zip(v, w))
-                assert compare_monomials(order, uu, vv) == -1
+                assert order.key(uu) < order.key(vv)
 
 
 def test_degrevlex_key_is_degree_then_negated_reversed_exponents():
@@ -151,7 +149,7 @@ def test_unit_monomial_is_minimal():
         for _ in range(100):
             u = _random_monomial(rng, 3)
             if u != one:
-                assert compare_monomials(order, one, u) == -1
+                assert order.key(one) < order.key(u)
 
 
 def _random_poly(rng, R, max_deg=3, max_terms=5):

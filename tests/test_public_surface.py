@@ -31,13 +31,13 @@ PUBLIC = [
     "NotGorensteinError", "NotProperError", "ParseError", "PowersNotContainedError",
     "RingMismatchError", "UnknownVariableError",
     "FreeModuleElement", "GroebnerBasis", "Ideal", "ModuleGroebnerBasis",
-    "SubmodulePresentation", "colon_ideal", "ideal_member", "ideals_equal",
+    "SubmodulePresentation", "colon_ideal", "ideals_equal",
     "intersect_ideals", "module_standard_monomials", "radical_member",
     "standard_monomial_basis",
     "JetIdeal", "JetRing", "fiber_ideal", "hs_derivations", "jet_ideal",
     "universal_jet_image",
     "MonomialIdealData", "monomial_integral_closure", "newton_membership",
-    "FieldSpec", "MonomialOrder", "Polynomial", "RingContext", "compare_monomials",
+    "FieldSpec", "MonomialOrder", "Polynomial", "RingContext",
     "format_polynomial", "parse_polynomial",
 ]
 

@@ -15,7 +15,9 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 * the walk of integral closure against one LP at every box point;
 * Newton membership with integer pivots and cached cuts against a
   fresh ``Fraction`` LP per point, and every cached cut valid;
-* reduced bases of permuted and rescaled generators;
+* reduced bases of permuted and rescaled generators, and of generator
+  lists shuffled, reversed or repeated with zeros mixed in, ideal and
+  module terms alike;
 * colon ideals from one submodule basis against intersections with
   principal ideals;
 * each jet closure contains a' and the cumulative chain descends;
@@ -100,7 +102,6 @@ from jetclosure.groebner import (
     FreeModuleElement,
     Ideal,
     _buchberger,
-    _interreduce,
     _pot_key,
     SubmodulePresentation,
     _standard_monomials,
@@ -420,8 +421,8 @@ def term_generators(draw):
 def test_term_basis_matches_the_engine(case):
     terms, key, fld, tagged = case
     engine = BuchbergerRun(key, fld, tagged)
-    for g in _interreduce(terms, key, fld):
-        engine._append(g)
+    for g in terms:  # input order, unsorted
+        engine.add(g)
     engine.run()
     assert repr(_buchberger(terms, key, fld, tagged)) == repr(engine.reduced())  # coefficient types too
 
@@ -602,6 +603,45 @@ def test_reduced_basis_ignores_generator_order_and_scaling(case):
 
 
 ALL_FIELDS = FIELDS + (FieldSpec.prime_field(32003),)
+
+
+@st.composite
+def engine_inputs(draw):
+    """(generators, variant, key, field, tagged): two to four generators
+    of one to three terms over Q, F_2, F_3 or F_32003, of degree 1 to 3
+    in 1 or 2 variables and 1 to 2 in 3, as ideal terms or as module
+    terms tagged at positions 1 and 2, with a zero generator among them;
+    the variant is the list shuffled, reversed or with some generators
+    repeated, and up to two more zeros.  Buchberger has no work budget,
+    so inputs stay small."""
+    fld = draw(st.sampled_from(ALL_FIELDS))
+    n = draw(st.integers(1, 3))
+    tagged = draw(st.booleans())
+    top = 3 if n < 3 else 2
+    exps = st.tuples(*[st.integers(0, top)] * n).filter(lambda u: 1 <= sum(u) <= top)
+    if tagged:
+        exps = st.tuples(st.integers(1, 2), exps).map(lambda pu: (pu[0], -pu[0]) + pu[1])
+    nonzero = st.integers(-4, 4).filter(lambda c: c % (fld.characteristic or 5))
+    coeff = st.tuples(nonzero, nonzero).map(lambda ab: fld.div(fld.of_int(ab[0]), fld.of_int(ab[1])))
+    gens = draw(st.lists(st.dictionaries(exps, coeff, min_size=1, max_size=3), min_size=2, max_size=4))
+    gens.insert(draw(st.integers(0, len(gens))), {})
+    how = draw(st.sampled_from(("shuffled", "reversed", "repeated")))
+    if how == "shuffled":
+        variant = draw(st.permutations(gens))
+    elif how == "reversed":
+        variant = gens[::-1]
+    else:
+        variant = gens + draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+    variant = variant + [{}] * draw(st.integers(0, 2))
+    return gens, variant, (_pot_key if tagged else DEGREVLEX.key), fld, tagged
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(engine_inputs())
+def test_buchberger_ignores_generator_order(case):
+    gens, variant, key, fld, tagged = case
+    want = repr(_buchberger(gens, key, fld, tagged))
+    assert repr(_buchberger(variant, key, fld, tagged)) == want  # coefficient types too
 
 
 @st.composite
