@@ -277,11 +277,11 @@ def _closure(session, args):
 def _chain(session, args):
     P = _presentation(session, args)
     a = session.ideal(args.ideal)
-    chain = cumulative_closure_chain(P, a, args.max_level)
+    chain = [_canonical_gens(c) for c in cumulative_closure_chain(P, a, args.max_level)]
     return dict(
         inputs={"ideal": _strs(a.generators), "modulus": _strs(P.modulus.generators), "maxLevel": args.max_level},
-        outputs={"chain": [_canonical_gens(c) for c in chain]},
-        generators=_canonical_gens(chain[-1]),
+        outputs={"chain": chain},
+        generators=chain[-1],
     )
 
 
@@ -289,11 +289,12 @@ def _certify(session, args):
     P = _presentation(session, args)
     a = session.ideal(args.ideal)
     cert = certify_arc_closed(P, a, args.max_level)
+    certificate = _certificate_dict(cert)
     return dict(
         inputs={"ideal": _strs(a.generators), "modulus": _strs(P.modulus.generators), "maxLevel": args.max_level},
         outputs={"certified": cert.certified, "level": cert.level},
-        generators=_canonical_gens(cert.chain[-1]),
-        certificate=_certificate_dict(cert),
+        generators=certificate["chain"][-1],
+        certificate=certificate,
     )
 
 

@@ -19,9 +19,9 @@ the base point x@0 to 0, so the normal forms are taken in the pointed
 jet ring k[x@1, ..., x@level], modulo the image J' of the fiber ideal
 of a + I, which is that of a' (see ``jet_closure``).  So the
 m^(level+1) generators, most of a' at high levels, never reach
-Buchberger, and neither do the n base-point variables; the column jets
-grow along the staircase of a', one truncated series multiplication per
-monomial (``jets.Series``).  Module closures and jet-support
+Buchberger, and neither do the n base-point variables; each column jet
+is read off its closed form, one term per choice of partitions of the
+excess (``jets.Series``).  Module closures and jet-support
 membership work in the pointed jet ring too, on the same series and J'
 (``_Ladder``).
 
@@ -30,12 +30,12 @@ arc-closedness certificate are the level-by-level closures themselves,
 with no ideal intersection, and each level is one step from the one
 before: C_l is the part of C_(l-1) whose weight-l jet phi(D_l f) lies
 in J'_l (proof in ``cumulative_closure_chain``).  A certificate, a
-chain or a single closure climbs them on one ``_Ladder``: the series
-memo, the truncated basis of J' and the kernel vectors of level l - 1
-are extended to level l, not rebuilt, so the whole climb runs one J'
-engine, truncated at each level's weight, and reduces each weight-l
-row once, at level l; only the a' echelon, the weight-l kernel step
-and the closure echelon are built per level.  A certificate is about
+chain or a single closure climbs them on one ``_Ladder``: the truncated
+basis of J' and the kernel vectors of level l - 1 are extended to level
+l, not rebuilt, so the whole climb runs one J' engine, truncated at
+each level's weight, and reduces each weight-l row once, at level l;
+only the a' echelon, the weight-l kernel step and the closure echelon
+are built per level.  A certificate is about
 the local ring at the origin: C_l ⊆ (a + I)S_m, read off the ladder's
 a' echelons by one count, the kernel empty and a'_l, a'_(l+1) with as
 many standard monomials (proof in ``certify_arc_closed``), so it runs
@@ -295,8 +295,8 @@ class _Ladder:
     ``universal_jet_image`` each climb a fresh one to their level.  The
     ladder keeps what level l - 1 computed and level l extends:
 
-    * the pointed series memo (``Series``), one t-power more per level,
-      which every phi(D_i f) is read off;
+    * the pointed series (``Series``), raised one t-power per level,
+      which every phi(D_i f) is read off in closed form, with no memo;
     * the truncated basis of J'_l, one resumable ``BuchbergerRun`` that
       takes in the generators phi(D_l g) of weight l at level l and
       reduces the S-pairs of weight at most l, leaving the heavier ones
@@ -379,7 +379,7 @@ class _Ladder:
         self._replaced: tuple = (None, None)  # (level, (monomials, echelon)) of the last a' built
 
     def climb(self, level: int) -> None:
-        """Extend the series and the truncated basis of J' up to
+        """Raise the series and extend the truncated basis of J' up to
         ``level``, forgetting the rows of the level before."""
         while self.level < level:
             self.level += 1
@@ -839,9 +839,14 @@ def matlis_embedding(P: LocalAlgebraPresentation, power: int) -> MatlisEmbedding
     exponent shift, truncated mod m_N (``times``), and x_j^N lies in I
     iff the table entry NF(x_j^N) is zero.
     """
+    return _matlis_embedding(P, power, socle_and_gorenstein(P))
+
+
+def _matlis_embedding(P: LocalAlgebraPresentation, power: int, soc: SocleReport) -> MatlisEmbedding:
+    """``matlis_embedding`` on the socle report ``soc`` of P, which
+    ``gorenstein_walkthrough`` has computed at its last stage."""
     ring = P.ring
     fld = ring.field_spec
-    soc = socle_and_gorenstein(P)
     if not soc.gorenstein:
         raise NotGorensteinError("the quotient is not Gorenstein")
     I, std = P._local_modulus()
@@ -981,7 +986,7 @@ def gorenstein_walkthrough(P: LocalAlgebraPresentation, max_level: int) -> Goren
         current = LocalAlgebraPresentation(ring, Ideal.with_reduced_basis(ring, basis))
         if len(current._local_modulus()[1]) != soc.colength - 1:
             raise InternalError("socle quotient did not drop the length by one")
-    embedding = matlis_embedding(current, smallest_containing_power(current))
+    embedding = _matlis_embedding(current, smallest_containing_power(current), soc)
     return GorensteinWalkthrough(stages=stages, embedding=embedding)
 
 

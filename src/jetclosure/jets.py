@@ -15,8 +15,10 @@ series and the fiber ideal image of ``closures._Ladder``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from operator import add
+from itertools import chain
+from math import factorial
 
 from .groebner import Ideal
 from .poly import FieldSpec, Polynomial, RingContext
@@ -57,178 +59,133 @@ class JetRing:
 
 
 class Series:
-    """Truncated series of monomials, one t-power at a time.
+    """D_i(x^u) in closed form, read off partitions of the excess.
 
     Under x_j -> x_j@first t^first + ... + x_j@level t^level (first = 0
     in the full jet ring, 1 in the pointed one), the coefficient of t^i
-    in the series of x^u is D_i(x^u), phi(D_i x^u) when pointed.  Each
-    memoized monomial keeps [D_0, ..., D_level] as term dicts, D_i over
-    the jet variables of order <= i only: x_j@k has weight k, D_i(x^u)
-    is weighted-homogeneous of weight i, and every variable of order
-    > i has weight > i.  So D_i(x^u) does not change when the level
-    grows: a series starts at level 0, ``extend`` raises the level by
-    adding one coefficient to every memoized monomial, and
-    ``coefficient`` pads D_i to the variables of the series' level.
-    The level-l variables are level-major (``JetRing``): those of order
-    <= i come first, and padding appends zeros.
+    in the series of x^u is D_i(x^u), phi(D_i x^u) when pointed.  It
+    involves the jet variables of order <= i only, so it does not change
+    when the level grows: ``extend`` raises the level, and
+    ``coefficient`` writes D_i over the variables of the series' level,
+    level-major (``JetRing``), those of order <= i first.
 
-    One multiplication per monomial.  The series of 1 and of each x_j
-    are written down; every other memoized monomial u is the product of
-    the series of two memoized divisors a, b with a + b = u, and stores
-    them, so ``extend`` reads its new coefficient off theirs:
-    D_l(x^u) = sum_(i+k=l) D_i(x^a) D_k(x^b) (Leibniz), the factors
-    already extended since they were memoized first.  A monomial u not
-    in the memo is reached by walking down to it (``_factors``):
+    The closed form.  Let E = i - first * deg u, the excess.  D_i(x^u)
+    has one term for each choice, per variable j, of a partition
+    lambda_j of an excess e_j into at most u_j parts, with
+    sum_j e_j = E.  That term puts u_j - |lambda_j| on x_j@first and
+    m_v(lambda_j), the number of parts v of lambda_j, on x_j@(first + v);
+    its coefficient is the product over j of the falling factorial
+    u_j (u_j - 1) ... (u_j - |lambda_j| + 1) over prod_v m_v(lambda_j)!.
 
-    * u - e_j in the memo, j the last variable of u: u = (u - e_j) + e_j.
-      Along a staircase, closed under division and asked for in
-      increasing degree, this is every step: one multiplication by a
-      one-term series per monomial of the staircase, and no other
-      monomial is memoized.
-    * a pure power x_j^e, e >= 2, with x_j^(e-1) not memoized: the square
-      of x_j^(e/2) for even e, else x_j^(e-1) times x_j.  This is
-      square-and-multiply: the exponent at least halves every two
-      steps, so x_j^e costs at most 2 log2(e) multiplications, not e.
-    * any other u: the product of the rest of u and x_j^(u_j), two
-      divisors with fewer variables, each reached the same way.
-
-    Every memoized monomial divides one that was asked for, and costs
-    one multiplication, whatever the order of the walk.  From an empty
-    memo, x^u costs at most sum_j (2 log2(u_j) + 1) of them: the third
-    case splits off one variable at a time, each as a pure power.
-
-    Zeros without a walk.  The series of x_j starts at t^first, so that
-    of x^u is t^(first * deg u) times a power series.  If first * deg u
-    > level, every coefficient up to t^level is zero, and u gets the
-    zero series without entering the memo; in the pointed ring a
-    monomial of degree above the level costs nothing, whatever its
-    exponents.  A monomial enters the memo only at a level where its
-    series can be nonzero, and so do its divisors.
+    Proof.  By the multinomial theorem, (sum_k x_j@k t^k)^(u_j) is the
+    sum, over multiplicities (m_k)_(k >= first) with sum_k m_k = u_j, of
+    u_j! / prod_k m_k! times prod_k x_j@k^(m_k) t^(sum_k k m_k): the
+    count of the ways to take x_j@k from m_k of the u_j factors.  Write
+    k = first + v; then sum_k k m_k = first u_j + sum_(v >= 1) v m_(first+v),
+    so the m_(first+v), v >= 1, are the multiplicities of a partition
+    lambda_j of e_j = sum_v v m_(first+v) with |lambda_j| <= u_j parts,
+    m_first = u_j - |lambda_j|, and u_j! / (m_first! prod_v m_v!) is
+    the coefficient above.  The product over j has t-degree
+    first * deg u + sum_j e_j, so D_i collects the choices with
+    sum_j e_j = E.  Every order first + v <= first + E <= i (for u != 1)
+    lies in the series, so truncating at t^(level+1) drops nothing.
+    Two choices give two different monomials, since the choice is read
+    back off the exponents of x_j@(first + v), and two monomials x^u give
+    disjoint terms, since the exponents of x_j@k sum to u_j.  Each
+    coefficient is a positive integer, so nothing cancels: ``coefficient``
+    writes D_i f term by term, maps each coefficient into the field once
+    and drops those that vanish mod p.  A huge u_j costs
+    at most E factors of its falling factorial, and a monomial with
+    E < 0 (degree above the level when pointed) costs nothing.
     """
 
     def __init__(self, nvars: int, first: int, fld: FieldSpec):
         self.n, self.first, self.fld = nvars, first, fld
         self.level = 0
-        self.memo: dict = {}  # u -> [D_0(x^u), ..., D_level(x^u)]
-        self.factors: dict = {}  # u -> (a, b), or None for 1 and the x_j
-        zero = (0,) * nvars
-        self._insert(zero, None)
-        for j in range(nvars):
-            self._insert(zero[:j] + (1,) + zero[j + 1:], None)
 
     def width(self, i: int) -> int:
         """The number of jet variables of order <= i."""
         return self.n * (i + 1 - self.first)
 
-    def _base(self, u: tuple, i: int) -> dict:
-        """D_i of 1 or of x_j: 1 at t^0, or the variable x_j@i."""
-        if not any(u):
-            return {(0,) * self.width(0): self.fld.one()} if i == 0 else {}
-        if i < self.first:
-            return {}
-        k = (i - self.first) * self.n + u.index(1)
-        w = self.width(i)
-        return {(0,) * k + (1,) + (0,) * (w - k - 1): self.fld.one()}
-
-    def _product(self, a: tuple, b: tuple, i: int) -> dict:
-        """D_i(x^(a+b)) = sum_(k <= i) D_(i-k)(x^a) D_k(x^b)."""
-        fld, w = self.fld, self.width(i)
-        A, B = self.memo[a], self.memo[b]
-        out: dict = {}
-        for k in range(i + 1):
-            da, db = A[i - k], B[k]
-            if not da or not db:
-                continue
-            pa, pb = (0,) * (w - self.width(i - k)), (0,) * (w - self.width(k))
-            for v, c in da.items():
-                v = v + pa
-                for y, d in db.items():
-                    z = tuple(map(add, v, y + pb))
-                    s = fld.add(out.get(z, 0), fld.mul(c, d))
-                    if fld.is_zero(s):
-                        out.pop(z, None)
-                    else:
-                        out[z] = s
-        return out
-
-    def _insert(self, u: tuple, factors) -> None:
-        self.factors[u] = factors
-        if factors is None:
-            self.memo[u] = [self._base(u, i) for i in range(self.level + 1)]
-        else:
-            self.memo[u] = [self._product(*factors, i) for i in range(self.level + 1)]
-
-    def _factors(self, u: tuple) -> tuple:
-        """Two divisors a, b of u with a + b = u (see the class docstring)."""
-        support = [j for j, e in enumerate(u) if e]
-        j = support[-1]
-        e_j = tuple(int(k == j) for k in range(len(u)))
-        step = u[:j] + (u[j] - 1,) + u[j + 1:]
-        if step in self.memo:
-            return step, e_j
-        if len(support) == 1:
-            if u[j] % 2:
-                return step, e_j
-            half = u[:j] + (u[j] // 2,) + u[j + 1:]
-            return half, half
-        return u[:j] + (0,) + u[j + 1:], (0,) * j + u[j:]
-
-    def series(self, u: tuple) -> list:
-        """[D_0(x^u), ..., D_level(x^u)], walking u into the memo."""
-        if self.first * sum(u) > self.level:
-            return [{}] * (self.level + 1)
-        stack = [u]
-        while stack:
-            v = stack[-1]
-            if v in self.memo:
-                stack.pop()
-                continue
-            a, b = self._factors(v)
-            missing = [f for f in (a, b) if f not in self.memo]
-            if missing:
-                stack += missing
-            else:
-                stack.pop()
-                self._insert(v, (a, b))
-        return self.memo[u]
-
     def extend(self) -> None:
-        """Raise the level by one: one new coefficient per memoized monomial."""
+        """Raise the level by one."""
         self.level += 1
-        for u, factors in self.factors.items():
-            self.memo[u].append(
-                self._base(u, self.level) if factors is None else self._product(*factors, self.level)
-            )
 
     def coefficient(self, f: dict, i: int) -> dict:
         """D_i of the polynomial with terms ``f``, over the jet variables of the series' level."""
-        fld = self.fld
-        pad = (0,) * (self.width(self.level) - self.width(i))
+        fld, n, first = self.fld, self.n, self.first
+        orders, w = self.level + 1 - first, self.width(self.level)
+        zero, pad = (0,) * orders, (0,) * (w - n)
+        rows: dict = {}  # (u_j, e_j) -> [(exponents of x_j@first .. x_j@level, coefficient)]
         out: dict = {}
         for u, c in f.items():
-            for v, x in self.series(u)[i].items():
-                v = v + pad
-                s = fld.add(out.get(v, 0), fld.mul(c, x))
-                if fld.is_zero(s):
-                    out.pop(v, None)
-                else:
-                    out[v] = s
+            deg = sum(u)
+            excess = i - first * deg
+            if not deg:  # D_0(1) = 1, and D_i(1) = 0 for i > 0
+                if i == 0:
+                    out[(0,) * w] = c
+            elif excess == 0:  # the one partition: x@first^u
+                out[u + pad] = c
+            elif excess > 0:
+                last = max(j for j in range(n) if u[j])
+                chosen = [(excess, (), 1)]  # (excess left, exponents of x_1 .. x_j, coefficient)
+                for j, e in enumerate(u):
+                    if not e:
+                        chosen = [(left, vs + (zero,), k) for left, vs, k in chosen]
+                        continue
+                    grown = []
+                    for left, vs, k in chosen:
+                        for ej in (left,) if j == last else range(left + 1):
+                            choices = rows.get((e, ej))
+                            if choices is None:
+                                choices = rows[e, ej] = [(v + zero[len(v):], m) for v, m in _partitions(e, ej)]
+                            grown += [(left - ej, vs + (v,), k * m) for v, m in choices]
+                    chosen = grown
+                for _, vs, k in chosen:
+                    x = fld.mul(c, k)
+                    if not fld.is_zero(x):
+                        out[tuple(chain.from_iterable(zip(*vs)))] = x
         return out
 
 
+@functools.lru_cache(maxsize=4096)
+def _partitions(exponent: int, excess: int) -> tuple:
+    """((u - |lambda|, m_1, ..., m_e), u^(|lambda|) / prod_v m_v!) for
+    each partition lambda of e = ``excess`` into at most u = ``exponent``
+    parts, m_v its number of parts v (``Series``)."""
+    out = []
+    for m in _multiplicities(excess, excess):
+        parts = sum(m)
+        if parts <= exponent:
+            k = 1
+            for t in range(parts):
+                k *= exponent - t
+            for mv in m:
+                k //= factorial(mv)
+            out.append(((exponent - parts,) + m, k))
+    return tuple(out)
+
+
+def _multiplicities(e: int, v: int):
+    """(m_1, ..., m_v) with sum_s s m_s = e: the partitions of e into
+    parts of size <= v."""
+    if v == 0:
+        if e == 0:
+            yield ()
+        return
+    for mv in range(e // v + 1):
+        for head in _multiplicities(e - v * mv, v - 1):
+            yield head + (mv,)
+
+
 def _derivations(polys: list, jr: JetRing) -> list:
-    """[D_0 f, ..., D_l f] in ``jr`` for each f in ``polys``, on one walk.
+    """[D_0 f, ..., D_l f] in ``jr`` for each f in ``polys``.
 
     Each D_i is linear, so D_i f is the sum of c * D_i(x^u) over the
-    terms c*x^u of f.  The monomials are walked in increasing degree, so
-    that a staircase among them is walked one step per monomial
-    (``Series``).
+    terms c*x^u of f, each read off its closed form (``Series``).
     """
     series = Series(jr.base.nvars, 0, jr.base.field_spec)
-    for _ in range(jr.level):
-        series.extend()
-    for u in sorted({u for f in polys for u in f.terms}, key=sum):
-        series.series(u)
+    series.level = jr.level
     return [
         [Polynomial(jr.context, series.coefficient(f.terms, i)) for i in range(jr.level + 1)]
         for f in polys
@@ -237,7 +194,7 @@ def _derivations(polys: list, jr: JetRing) -> list:
 
 def hs_derivations(f: Polynomial, level: int) -> list:
     """[D_0 f, ..., D_level f] in the level-``level`` jet ring of f's ring,
-    on the series walk of ``Series``."""
+    in the closed form of ``Series``."""
     return _derivations([f], JetRing(f.ring, level))[0]
 
 
@@ -254,7 +211,7 @@ class JetIdeal:
 
 
 def jet_ideal(I: Ideal, level: int) -> JetIdeal:
-    """D_0 g, ..., D_level g for each generator g of I, on one walk."""
+    """D_0 g, ..., D_level g for each generator g of I."""
     jr = JetRing(I.ring, level)
     return JetIdeal(jr, I, [d for ds in _derivations(I.generators, jr) for d in ds])
 

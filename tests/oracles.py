@@ -381,7 +381,8 @@ def reference_hs_derivations(f: Polynomial, level: int) -> list:
     For every term c*x^u the truncated series c, then c times
     (x_j@0 + x_j@1 t + ... + x_j@level t^level) once per unit of u_j,
     variables in ascending order, is multiplied out here; ``jets``
-    shares one memoized walk over all the monomials instead.
+    reads each D_i(x^u) off its closed form over partitions of the
+    excess (``jets.Series``) instead.
     """
     jr = JetRing(f.ring, level)
     ring = jr.context

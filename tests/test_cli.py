@@ -292,8 +292,8 @@ def test_parser_is_built_once_and_shared_across_runs(tmp_path, capsys):
 
 
 def test_huge_exponent_certify_answers_at_once(tmp_path):
-    # x^99999999 has no pointed jets up to level 3, and the series walk
-    # skips it; walking it one degree at a time never ended
+    # x^99999999 has no pointed jets up to level 3, and the series reads
+    # no term of it; walking it one degree at a time never ended
     path = tmp_path / "huge.session"
     path.write_text("field Q\nvars x y z\nideal h: x^99999999, y, z\n", encoding="utf-8")
     argv = ["certify", "--session", str(path), "--ideal", "h", "--max-level", "3"]
@@ -312,8 +312,9 @@ def test_huge_exponent_certify_answers_at_once(tmp_path):
 
 
 def test_huge_exponent_in_the_full_jet_ring_answers_at_once(tmp_path):
-    # in the full jet ring x^N has a nonzero series at every level; the
-    # walk reaches it by square-and-multiply, not one degree at a time
+    # in the full jet ring x^N has a nonzero series at every level; its
+    # closed form D_i(x^N) takes at most i factors of N(N-1)...(N-i+1),
+    # not N series products
     N = 99999999
     path = tmp_path / "huge.session"
     path.write_text(f"field Q\nvars x y\nideal h: x^{N}, y\n", encoding="utf-8")

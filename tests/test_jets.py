@@ -306,7 +306,7 @@ def pointed_ring(R, level):
 
 def pointed_series(R, monomials, level):
     """{u: [phi(D_0 x^u), ..., phi(D_level x^u)]} in the pointed jet ring,
-    walked in increasing degree on one pointed ``Series`` extended to ``level``."""
+    read off one pointed ``Series`` extended to ``level``."""
     series = Series(R.nvars, 1, R.field_spec)
     for _ in range(level):
         series.extend()
@@ -319,8 +319,8 @@ def pointed_series(R, monomials, level):
 
 
 def test_pointed_jets_match_the_per_term_reference_on_a_box():
-    # the boxes hold monomials of degree above the level, whose series
-    # the walk returns as zeros without walking
+    # the boxes hold monomials of degree above the level, whose excess is
+    # negative: the series reads them as zeros
     for field in SHORTCUT_FIELDS:
         for names, side in ((("x", "y"), 6), (("x", "y", "z"), 4)):
             R = ring(names, field)
@@ -334,7 +334,8 @@ def test_pointed_jets_match_the_per_term_reference_on_a_box():
 
 
 def test_pointed_jets_fill_in_missing_divisors():
-    # both monomials have degree 5: zero at level 4, walked at 5 and 6
+    # both monomials have degree 5: zero at level 4, read off partitions
+    # of the excess at 5 and 6
     R = ring(["x", "y", "z"], FieldSpec.prime_field(3))
     for level in (4, 5, 6):
         jets = pointed_series(R, [(3, 0, 2), (0, 4, 1)], level)

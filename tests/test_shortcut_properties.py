@@ -26,6 +26,9 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 * the pruned Macaulay rows of a' against every truncated row, in 1 to 3
   variables at levels 0 to 8, and the shared column table against a
   sort of every monomial of bounded degree;
+* the closed form of the jets D_i(x^u), full and pointed, against the
+  series multiplied out term by term, in 1 to 3 variables at levels 0
+  to 6, and D_1 to D_3 of a huge power against its falling factorials;
 * one level ladder climbed through every level against fresh closures,
   the running-intersection chain and normal forms modulo the untruncated
   fiber ideal;
@@ -61,6 +64,7 @@ from oracles import (
     _primary_replacement,
     block_key,
     box_standard_monomials,
+    drop_base_point,
     ideal_sum,
     reference_closure_chain,
     reference_colon_ideal,
@@ -110,7 +114,7 @@ from jetclosure.groebner import (
     module_standard_monomials,
     standard_monomial_basis,
 )
-from jetclosure.jets import fiber_ideal
+from jetclosure.jets import Series, fiber_ideal
 from jetclosure.linalg import rref
 from jetclosure.newton import (
     MonomialIdealData,
@@ -120,6 +124,7 @@ from jetclosure.newton import (
 from jetclosure.poly import (
     FieldSpec,
     MonomialOrder,
+    Polynomial,
     RingContext,
     degrevlex_sorted,
     format_polynomial,
@@ -749,6 +754,62 @@ def test_column_table_is_every_monomial_largest_first(nvars):
             index[monomials[0]] = -1
 
 
+@st.composite
+def series_inputs(draw):
+    """(f, level, first): a polynomial of one to four terms in 1 to 3
+    variables over Q, F_2, F_3 or F_32003, each exponent at most the
+    level plus 2, so at, below and above it, at levels 0 to 6; first is
+    0 (the full jet ring) or 1 (the pointed one).  Over F_p many of the
+    multinomial coefficients of the closed form vanish."""
+    fld = draw(st.sampled_from(ALL_FIELDS))
+    n = draw(st.integers(1, 3))
+    R = RingContext(fld, ("x", "y", "z")[:n])
+    level = draw(st.integers(0, 6))
+    exps = st.tuples(*[st.integers(0, level + 2)] * n)
+    coeff = st.integers(-5, 5).map(fld.of_int).filter(lambda c: not fld.is_zero(c))
+    terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=4))
+    return Polynomial(R, terms), level, draw(st.integers(0, 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(series_inputs())
+@example((Polynomial(RingContext(FieldSpec.rationals(), ("x",)), {(0,): 1}), 0, 1))
+@example((Polynomial(RingContext(FieldSpec.prime_field(2), ("x", "y")), {(0, 0): 1, (2, 1): 1}), 0, 1))
+@example((Polynomial(RingContext(FieldSpec.prime_field(3), ("x", "y", "z")), {(0, 0, 0): 2, (3, 0, 3): 1}), 6, 0))
+def test_series_closed_form_matches_the_reference(case):
+    """``Series.coefficient`` against the series multiplied out term by
+    term, with every x@0 set to 0 in the pointed ring; the constant
+    monomial at level 0 of the pointed ring, whose D_0 is 1 over no
+    variables, included."""
+    f, level, first = case
+    R = f.ring
+    series = Series(R.nvars, first, R.field_spec)
+    for _ in range(level):
+        series.extend()
+    for i, d in enumerate(reference_hs_derivations(f, level)):
+        want = drop_base_point(d, level).terms if first else d.terms
+        assert series.coefficient(f.terms, i) == want
+
+
+@pytest.mark.parametrize("fld", ALL_FIELDS)
+def test_series_of_a_huge_power_is_the_falling_factorial(fld):
+    """D_1, D_2, D_3 of x^N, N = 99999999, in the full jet ring k[x@0, ..., x@3]:
+    N x@0^(N-1) x@1; N(N-1)/2 x@0^(N-2) x@1^2 + N x@0^(N-1) x@2; and
+    N(N-1)(N-2)/6 x@0^(N-3) x@1^3 + N(N-1) x@0^(N-2) x@1 x@2 + N x@0^(N-1) x@3."""
+    N = 99999999
+    series = Series(1, 0, fld)
+    for _ in range(3):
+        series.extend()
+    expected = {
+        1: {(N - 1, 1, 0, 0): N},
+        2: {(N - 2, 2, 0, 0): N * (N - 1) // 2, (N - 1, 0, 1, 0): N},
+        3: {(N - 3, 3, 0, 0): N * (N - 1) * (N - 2) // 6, (N - 2, 1, 1, 0): N * (N - 1), (N - 1, 0, 0, 1): N},
+    }
+    for i, terms in expected.items():
+        want = {u: fld.of_int(c) for u, c in terms.items() if not fld.is_zero(fld.of_int(c))}
+        assert series.coefficient({(N,): fld.one()}, i) == want
+
+
 def _computed_bases(monkeypatch) -> list:
     """The rings of the ideals whose degrevlex basis Buchberger computes
     from now on (a basis not yet in the ideal's cache)."""
@@ -832,6 +893,19 @@ def test_walkthrough_runs_buchberger_on_the_base_ring_once(monkeypatch):
     assert len(walk.stages) == 3 and walk.embedding.colon_quotient_dim == 4
     assert computed == [R]
     assert runs and not any(run.tagged for run in runs)
+
+
+def test_walkthrough_computes_each_socle_once(monkeypatch):
+    """One socle per stage: the Matlis embedding of the Gorenstein stage
+    takes the socle report its stage computed."""
+    calls = []
+    socle = closures.socle_and_gorenstein
+    monkeypatch.setattr(closures, "socle_and_gorenstein", lambda P: calls.append(P) or socle(P))
+    R = RingContext(FieldSpec.rationals(), ("x", "y"))
+    P = LocalAlgebraPresentation(R, Ideal(R, [R.monomial((3, 0)), R.monomial((1, 1)), R.monomial((0, 4))]))
+    walk = gorenstein_walkthrough(P, 1)
+    assert len(calls) == len(walk.stages) == 3
+    assert _embedding(walk.embedding) == _embedding(matlis_embedding(calls[-1], walk.embedding.power))
 
 
 @st.composite
