@@ -17,6 +17,9 @@ wrap a list nested in a list or a mapping in parentheses, as in
 Each command is one ``COMMANDS`` entry: a handler that returns only the
 report fields it sets.
 
+The session file is read as bytes and decoded once as UTF-8; a byte
+that is not UTF-8 is a parse error at its line and column.
+
 Exit codes: 0 on success, 1 on a domain error, 2 on a parse or usage
 error, 3 on an internal error (a failed invariant of the library).  A
 reader that closes stdout before the report is written, as
@@ -79,6 +82,25 @@ def _valid_variable_name(name: str) -> bool:
     if not name or not name[0].isalpha():
         return False
     return all(ch.isalnum() or ch == "_" for ch in name)
+
+
+def _decode_session(data: bytes) -> str:
+    """The text of a session file's bytes, decoded once as UTF-8.
+
+    Line ends are left as they are: ``parse_session`` splits lines with
+    ``str.splitlines``, which takes \\r\\n, \\r and \\n alike, as reading
+    in text mode did.  A byte sequence that is not UTF-8 is a
+    ``ParseError`` at the line and column (in characters, counted as
+    ``parse_session`` counts them) where it starts.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "?" stands for the bad byte, so that a line it starts is counted
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}", len(lines), len(lines[-1])
+        ) from None
 
 
 def parse_session(text: str) -> Session:
@@ -430,8 +452,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     started = time.monotonic()
     try:
-        with open(args.session, "r", encoding="utf-8") as handle:
-            session = parse_session(handle.read())
+        with open(args.session, "rb") as handle:
+            session = parse_session(_decode_session(handle.read()))
         report = run_command(session, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -10,7 +10,9 @@ a' and the closure both contain m^(level+1), so each is a subspace of
 S/m^(level+1): a' is the span of the truncated multiples of the
 generators of a + I, the closure adds the kernel vectors, and their
 standard monomials and reduced degrevlex bases are read off one sparse
-exact echelon each (``_echelon_ideal``), with no Buchberger on S.  Both
+exact echelon each (``_echelon_ideal``), with no Buchberger on S; the
+echelon names each basis element's leading exponent, and the basis
+keeps it (``Ideal.with_reduced_basis``).  Both
 echelons are written over one shared table of columns per number of
 variables and level (``_columns``).
 
@@ -237,18 +239,20 @@ def _echelon_ideal(ring: RingContext, monomials, index, box: tuple, echelon: dic
     reduced basis element at u is the monic element of b led by u whose
     other terms are all standard.  For a pivot u it is the echelon row
     at u: monic, in V, and its other entries are at non-pivot columns.
-    For u in M, not a column, it is x^u itself.
+    For u in M, not a column, it is x^u itself.  Either way it is led
+    by u, so the sorted corners are the leading exponents that the
+    basis keeps, and none is searched for again.
     """
     fld = ring.field_spec
     standard = [u for c, u in enumerate(monomials) if c not in echelon]
     free = set(standard)
-    corners = walk_order_ideal(box, lambda u: u not in free)[1]
+    leading = degrevlex_sorted(walk_order_ideal(box, lambda u: u not in free)[1])
     basis = [
         Polynomial(ring, {u: fld.one()}) if u not in index
         else Polynomial(ring, {monomials[c]: x for c, x in echelon[index[u]].items()})
-        for u in degrevlex_sorted(corners)
+        for u in leading
     ]
-    return Ideal.with_reduced_basis(ring, basis), standard
+    return Ideal.with_reduced_basis(ring, basis, leading), standard
 
 
 def _replacement(ring: RingContext, generators: list, level: int) -> tuple:
@@ -961,7 +965,8 @@ def gorenstein_walkthrough(P: LocalAlgebraPresentation, max_level: int) -> Goren
     coefficient of LT(g) in h (monic g).  That has the leading term of
     h, which is larger than LT(g) when c is not 0, and its other terms
     are standard monomials of I other than LT(g).  So the next modulus
-    comes with its reduced basis and runs no Buchberger.
+    comes with its reduced basis, led by LT(g) and the kept LT(h), and
+    runs no Buchberger.
     """
     ring = P.ring
     fld = ring.field_spec
@@ -977,13 +982,14 @@ def gorenstein_walkthrough(P: LocalAlgebraPresentation, max_level: int) -> Goren
             break
         lt, lc = g.leading_term(DEGREVLEX)
         monic = g.scale(fld.inv(lc))
-        basis = [monic]
+        by_leading = {lt: monic}
         I_basis = modulus.groebner_basis(DEGREVLEX)
         for h, u in zip(I_basis, I_basis.leading_exponents()):
             if not monomial_divides(lt, u):
-                basis.append(h - monic.scale(h.terms[lt]) if lt in h.terms else h)
-        basis.sort(key=lambda h: DEGREVLEX.key(h.leading_term(DEGREVLEX)[0]))
-        current = LocalAlgebraPresentation(ring, Ideal.with_reduced_basis(ring, basis))
+                by_leading[u] = h - monic.scale(h.terms[lt]) if lt in h.terms else h
+        leading = degrevlex_sorted(by_leading)
+        basis = [by_leading[u] for u in leading]
+        current = LocalAlgebraPresentation(ring, Ideal.with_reduced_basis(ring, basis, leading))
         if len(current._local_modulus()[1]) != soc.colength - 1:
             raise InternalError("socle quotient did not drop the length by one")
     embedding = _matlis_embedding(current, smallest_containing_power(current), soc)

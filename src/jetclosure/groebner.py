@@ -10,6 +10,12 @@ The reduced bases are the canonical normal-form oracle behind
 membership, colon ideals and intersections (both read off one
 submodule basis), radical membership (``_in_radical``, which resumes a
 run with one extra variable) and standard-monomial counting.
+
+A basis built outside the engine, read off an echelon
+(``closures._echelon_ideal``) or by a rank-one update
+(``closures.gorenstein_walkthrough``), enters through
+``Ideal.with_reduced_basis`` with the leading exponents its builder
+already knows, so ``GroebnerBasis`` searches for no leading term.
 """
 
 from __future__ import annotations
@@ -40,14 +46,16 @@ DEGREVLEX = MonomialOrder.degrevlex()
 # ---------------------------------------------------------------------
 
 
-def _basis_data(term_dicts: list, key) -> list:
-    """Precompute (leading exps, tail items) for monic reducers."""
-    data = []
-    for terms in term_dicts:
-        lt = max(terms, key=key)
-        tail = [(v, c) for v, c in terms.items() if v != lt]
-        data.append((lt, tail))
-    return data
+def _basis_data(term_dicts: list, key, leading=None) -> list:
+    """(leading exps, tail items) of each monic reducer; the leading
+    exponents are found with ``key`` unless the caller hands them over
+    as ``leading``, one per term dict."""
+    if leading is None:
+        leading = [max(terms, key=key) for terms in term_dicts]
+    return [
+        (lt, [(v, c) for v, c in terms.items() if v != lt])
+        for terms, lt in zip(term_dicts, leading)
+    ]
 
 
 def _nf_terms(terms: dict, data: list, key, fld: FieldSpec) -> dict:
@@ -327,13 +335,19 @@ def _buchberger(term_dicts: list, key, fld: FieldSpec, tagged: bool = False) -> 
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis, with its normal-form operator."""
+    """A reduced Groebner basis, with its normal-form operator.
 
-    def __init__(self, ring: RingContext, order: MonomialOrder, elements: list):
+    ``leading``, when given, lists each element's leading exponent under
+    ``order``, so that none is searched for again; the read-off bases of
+    ``closures`` know them from the echelon that built them
+    (``Ideal.with_reduced_basis``).
+    """
+
+    def __init__(self, ring: RingContext, order: MonomialOrder, elements: list, leading=None):
         self.ring = ring
         self.order = order
         self.elements = list(elements)
-        self._data = _basis_data([g.terms for g in self.elements], order.key)
+        self._data = _basis_data([g.terms for g in self.elements], order.key, leading)
         self._monomial_nfs: dict = {}  # u -> NF(x^u) terms
 
     def leading_exponents(self) -> list:
@@ -392,12 +406,21 @@ class Ideal:
         self._lock = threading.Lock()
 
     @classmethod
-    def with_reduced_basis(cls, ring: RingContext, basis: list) -> "Ideal":
+    def with_reduced_basis(cls, ring: RingContext, basis: list, leading=None) -> "Ideal":
         """The ideal generated by ``basis``, its reduced degrevlex basis
         sorted by increasing leading term, cached as that basis: asking
-        for it runs no Buchberger."""
-        ideal = cls(ring, basis)
-        ideal._cache[DEGREVLEX] = GroebnerBasis(ring, DEGREVLEX, ideal.generators)
+        for it runs no Buchberger.
+
+        A caller that built ``basis`` itself, in ``ring`` and with no
+        zero element, may hand over its leading exponents as
+        ``leading``; then neither the generators' ring nor their leading
+        terms are checked or searched for again."""
+        if leading is None:
+            ideal = cls(ring, basis)
+        else:
+            ideal = cls(ring)
+            ideal.generators = tuple(basis)
+        ideal._cache[DEGREVLEX] = GroebnerBasis(ring, DEGREVLEX, ideal.generators, leading)
         return ideal
 
     def groebner_basis(self, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:

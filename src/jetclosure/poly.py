@@ -5,12 +5,20 @@ polynomials are immutable term maps from exponent tuple to a nonzero
 scalar.  Over Q a scalar is an ``int`` when its value is an integer and
 a ``fractions.Fraction`` only when a division leaves a denominator; over
 F_p it is a canonical residue in ``[0, p)``.  Every operation is exact
-(see ``FieldSpec``).
+(see ``FieldSpec``).  A prime characteristic is proven prime by
+Miller-Rabin with the fewest bases that are exact below it, read off the
+table of psi_k (``_is_prime``), and inverses are ``pow(a, -1, p)``.
+
+Parsing is linear in the number of terms: ``_parse_term`` builds each
+term's exponent tuple and coefficient directly, ``_parse_poly`` adds the
+terms of a sum into one dict as it reads them, and ``Polynomial``
+arithmetic runs only for a parenthesised factor.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import ge, index, itemgetter, neg
@@ -22,33 +30,44 @@ Exponents = tuple  # exponent tuple, one nonnegative int per variable
 Scalar = Union[int, Fraction]  # a Fraction only over Q, with denominator > 1
 
 
-# Miller-Rabin with the first 13 prime bases answers exactly below this
-# bound, the least composite that is a strong probable prime to all of
-# them (Sorenson and Webster 2017); the first 12 stop at 3.18e23.
+# psi_k (OEIS A014233) is the least odd composite that is a strong
+# probable prime to each of the first k prime bases, so Miller-Rabin with
+# those k bases answers exactly below psi_k (Jaeschke 1993 to k = 8;
+# Jiang and Deng 2014 to k = 11; Sorenson and Webster 2017 for k = 12, 13).
+# A number is tested with the fewest bases that are proven enough: 4 for
+# 2^31 - 1, not 13.  Nothing is proven exact at or above psi_13.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+_MR_EXACT_BELOW = _MR_PSI[-1]
 
 
 def _is_prime(n: int) -> bool:
     """Exact primality of n by deterministic Miller-Rabin.
 
-    Exact for every n below ``_MR_EXACT_BELOW`` (about 3.3e24).  Above
-    it no fixed base set is proven exact, so the test raises
-    ``ValueError`` rather than answer "probably prime".
+    Small factors are divided out first; then n is tested with the first
+    k bases, k the least with n < psi_k (``_MR_PSI``).  Exact for every
+    n below ``_MR_EXACT_BELOW`` (about 3.3e24).  Above it no fixed base
+    set is proven exact, so the test raises ``ValueError`` rather than
+    answer "probably prime".
     """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_EXACT_BELOW:
+    k = bisect_right(_MR_PSI, n) + 1
+    if k > len(_MR_BASES):
         raise ValueError(
             f"cannot decide whether {n} is prime: only n below {_MR_EXACT_BELOW} is supported"
         )
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -190,7 +209,7 @@ class FieldSpec:
             return s.numerator if s.denominator == 1 else s
         if a % self.characteristic == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.characteristic - 2, self.characteristic)
+        return pow(a, -1, self.characteristic)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
@@ -629,66 +648,89 @@ class _TokenStream:
         return self.next()
 
 
-def _parse_factor(ts: _TokenStream, ring: RingContext) -> Polynomial:
-    tok = ts.peek()
-    if tok.kind == "ident":
-        ts.next()
-        try:
-            j = ring.var_index(tok.text)
-        except KeyError:
-            raise UnknownVariableError(tok.text, tok.line, tok.column) from None
-        exps = [0] * ring.nvars
-        exps[j] = 1
-        if ts.peek().kind == "^":
-            ts.next()
-            exps[j] = int(ts.expect("nat").text)
-        return Polynomial(ring, {tuple(exps): ring.field_spec.one()})  # x_j^e is one term
-    if tok.kind == "(":
-        if ts.depth == MAX_NESTING:
-            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column)
-        ts.next()
-        ts.depth += 1
-        p = _parse_poly(ts, ring)
-        ts.expect(")")
-        ts.depth -= 1
-        return p
-    if tok.kind == "nat":
-        ts.next()
-        return ring.constant(int(tok.text))
-    raise ParseError(f"expected a factor, found {tok.text or 'end of input'!r}", tok.line, tok.column)
-
-
 _FACTOR_START = ("ident", "(", "nat")
 
 
-def _parse_term(ts: _TokenStream, ring: RingContext) -> Polynomial:
+def _parse_term(ts: _TokenStream, ring: RingContext) -> dict:
+    """The terms of one product of factors, as a new dict.
+
+    term := nat [["*"] factor] ("*" factor)* | factor ("*" factor)*, and
+    factor := ident ["^" nat] | "(" poly ")" | nat.  A variable power
+    adds to one exponent tuple and a natural number multiplies one int
+    coefficient, which enters the field once at the end (reduction mod p
+    is a ring map), so a term with no parenthesised factor is one term,
+    built with no ``Polynomial`` arithmetic.  Each parenthesised factor
+    is parsed by ``_parse_poly`` and multiplied in, in order.  Tokens are
+    read, and errors raised, in the order of the factor-by-factor
+    parser this replaces (``tests/oracles.py``).
+    """
+    exps = [0] * ring.nvars
+    coeff = 1
+    nested = []
+    more = True
     tok = ts.peek()
-    p = None
-    if tok.kind == "nat":
+    if tok.kind == "nat":  # a leading coefficient may stand alone or be juxtaposed: 2x, 2(x + y)
         ts.next()
-        p = ring.constant(int(tok.text))
-        if ts.peek().kind == "*":
+        coeff = int(tok.text)
+        kind = ts.peek().kind
+        if kind == "*":
             ts.next()
-            p = p * _parse_factor(ts, ring)
-        elif ts.peek().kind in _FACTOR_START:
-            p = p * _parse_factor(ts, ring)
         else:
-            return p
-    else:
-        p = _parse_factor(ts, ring)
-    while ts.peek().kind == "*":
-        ts.next()
-        p = p * _parse_factor(ts, ring)
-    return p
+            more = kind in _FACTOR_START
+    while more:
+        tok = ts.peek()
+        kind = tok.kind
+        if kind == "ident":
+            ts.next()
+            j = ring._index.get(tok.text)
+            if j is None:
+                raise UnknownVariableError(tok.text, tok.line, tok.column)
+            if ts.peek().kind == "^":
+                ts.next()
+                exps[j] += int(ts.expect("nat").text)
+            else:
+                exps[j] += 1
+        elif kind == "nat":
+            ts.next()
+            coeff *= int(tok.text)
+        elif kind == "(":
+            if ts.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column)
+            ts.next()
+            ts.depth += 1
+            nested.append(_parse_poly(ts, ring))
+            ts.expect(")")
+            ts.depth -= 1
+        else:
+            raise ParseError(f"expected a factor, found {tok.text or 'end of input'!r}", tok.line, tok.column)
+        more = ts.peek().kind == "*"
+        if more:
+            ts.next()
+    c = ring.field_spec.of_int(coeff)
+    if not c:
+        return {}
+    if not nested:
+        return {tuple(exps): c}
+    p = Polynomial(ring, {tuple(exps): c})
+    for q in nested:
+        p = p * q
+    return p.terms
 
 
 def _parse_poly(ts: _TokenStream, ring: RingContext) -> Polynomial:
-    p = _parse_term(ts, ring)
+    """poly := term (("+" | "-") term)*, the terms added into one dict as
+    they are read, so a sum of t terms costs O(t) dict updates."""
+    fld = ring.field_spec
+    out = _parse_term(ts, ring)
     while ts.peek().kind in "+-":
-        op = ts.next().kind
-        q = _parse_term(ts, ring)
-        p = p + q if op == "+" else p - q
-    return p
+        combine = fld.add if ts.next().kind == "+" else fld.sub
+        for u, c in _parse_term(ts, ring).items():
+            s = combine(out.get(u, 0), c)
+            if fld.is_zero(s):
+                out.pop(u, None)
+            else:
+                out[u] = s
+    return Polynomial(ring, out)
 
 
 def parse_polynomial(text: str, ring: RingContext) -> Polynomial:
@@ -709,8 +751,13 @@ def _integerized(p: Polynomial) -> list:
 
     Over Q the polynomial is scaled by the (positive) lcm of coefficient
     denominators so that the printed text stays inside the integer
-    grammar; integer-coefficient input is emitted verbatim.
+    grammar; integer-coefficient input is emitted verbatim.  A single
+    term needs neither the sort nor the lcm: its lcm is its own
+    denominator, and c times it is c's numerator (an int over F_p is
+    its own numerator).
     """
+    if len(p.terms) == 1:  # most printed basis elements: c/d * x^u prints as c * x^u
+        return [(u, c.numerator) for u, c in p.terms.items()]
     items = p.sorted_terms()
     if p.ring.field_spec.characteristic != 0:
         return [(u, int(c)) for u, c in items]

@@ -32,8 +32,10 @@ from jetclosure.errors import (
     InternalError,
     NotArtinianError,
     NotGorensteinError,
+    ParseError,
     PowersNotContainedError,
     RingMismatchError,
+    UnknownVariableError,
 )
 from jetclosure.groebner import (
     DEGREVLEX,
@@ -48,7 +50,15 @@ from jetclosure.groebner import (
 )
 from jetclosure.jets import JetRing, fiber_ideal
 from jetclosure.newton import MonomialIdealData
-from jetclosure.poly import Polynomial, RingContext, monomial_divides, walk_order_ideal
+from jetclosure.poly import (
+    MAX_NESTING,
+    Polynomial,
+    RingContext,
+    _TokenStream,
+    monomial_divides,
+    tokenize,
+    walk_order_ideal,
+)
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -586,6 +596,77 @@ def reference_format_polynomial(p: Polynomial) -> str:
         else:
             out += f" {sign} " + "*".join(body)
     return out
+
+
+def _reference_factor(ts: _TokenStream, ring: RingContext) -> Polynomial:
+    tok = ts.peek()
+    if tok.kind == "ident":
+        ts.next()
+        try:
+            j = ring.var_index(tok.text)
+        except KeyError:
+            raise UnknownVariableError(tok.text, tok.line, tok.column) from None
+        exps = [0] * ring.nvars
+        exps[j] = 1
+        if ts.peek().kind == "^":
+            ts.next()
+            exps[j] = int(ts.expect("nat").text)
+        return Polynomial(ring, {tuple(exps): ring.field_spec.one()})
+    if tok.kind == "(":
+        if ts.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column)
+        ts.next()
+        ts.depth += 1
+        p = _reference_poly(ts, ring)
+        ts.expect(")")
+        ts.depth -= 1
+        return p
+    if tok.kind == "nat":
+        ts.next()
+        return ring.constant(int(tok.text))
+    raise ParseError(f"expected a factor, found {tok.text or 'end of input'!r}", tok.line, tok.column)
+
+
+def _reference_term(ts: _TokenStream, ring: RingContext) -> Polynomial:
+    tok = ts.peek()
+    if tok.kind == "nat":
+        ts.next()
+        p = ring.constant(int(tok.text))
+        if ts.peek().kind == "*":
+            ts.next()
+            p = p * _reference_factor(ts, ring)
+        elif ts.peek().kind in ("ident", "(", "nat"):
+            p = p * _reference_factor(ts, ring)
+        else:
+            return p
+    else:
+        p = _reference_factor(ts, ring)
+    while ts.peek().kind == "*":
+        ts.next()
+        p = p * _reference_factor(ts, ring)
+    return p
+
+
+def _reference_poly(ts: _TokenStream, ring: RingContext) -> Polynomial:
+    p = _reference_term(ts, ring)
+    while ts.peek().kind in "+-":
+        op = ts.next().kind
+        q = _reference_term(ts, ring)
+        p = p + q if op == "+" else p - q
+    return p
+
+
+def reference_parse_polynomial(text: str, ring: RingContext) -> Polynomial:
+    """``parse_polynomial`` factor by factor: every factor, a variable
+    power or a natural number included, becomes a ``Polynomial``, a term
+    is their ``Polynomial`` product and a sum adds whole ``Polynomial``s,
+    copying the sum so far at every term (quadratic in the terms)."""
+    ts = _TokenStream(tokenize(text))
+    p = _reference_poly(ts, ring)
+    tok = ts.peek()
+    if tok.kind != "end":
+        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
+    return p
 
 
 def box_standard_monomials(lts: list, nvars: int) -> list:

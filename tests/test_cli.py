@@ -486,3 +486,59 @@ def test_run_command_rejects_an_unknown_command():
     args.command = "bogus"
     with pytest.raises(UsageError, match="unknown command 'bogus'"):
         run_command(parse_session(SESSION), args)
+
+
+# --- session bytes ----------------------------------------------------------
+
+
+def _run_bytes(tmp_path, capsys, data: bytes, argv: list) -> tuple:
+    """(exit code, stdout, stderr) of ``main`` on a session file holding
+    ``data``; the timing line of a success is checked and dropped."""
+    path = tmp_path / "bytes.session"
+    path.write_bytes(data)
+    code = _main(argv[:1] + ["--session", str(path)] + argv[1:])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err.startswith("completed in ") and err.endswith(" ms\n") and err.count("\n") == 1
+        err = ""
+    return code, out, err
+
+
+def test_session_that_is_not_utf8_is_a_parse_error_at_the_bad_byte(tmp_path, capsys):
+    argv = ["certify", "--ideal", "a"]
+    cases = [
+        (b"field Q\nvars x y\nideal a: x^2 \xff+ y\n", "invalid UTF-8 byte 0xff (line 3, column 14)"),
+        # line ends of every kind, and a valid two-byte character before the bad one
+        ("field Q\r\nvars x y\rideal a: xé^2 ".encode() + b"\xc3(", "invalid UTF-8 byte 0xc3 (line 3, column 15)"),
+        (b"\x80field Q\n", "invalid UTF-8 byte 0x80 (line 1, column 1)"),
+        (b"field Q\nvars x\n\xed\xa0\x80\n", "invalid UTF-8 byte 0xed (line 3, column 1)"),  # a surrogate
+        (b"field Q\nvars x\nideal a: x\n\xf0\x9f", "invalid UTF-8 byte 0xf0 (line 4, column 1)"),  # cut short
+    ]
+    for data, message in cases:
+        assert _run_bytes(tmp_path, capsys, data, argv) == (2, "", f"parse error: {message}\n")
+
+
+GOOD_SESSION = "# a comment\nfield F 3\nvars x y\n\nideal a: x^2, y^2 - x*y  # trailing\nideal m: x^3\n"
+BAD_SESSION = "field Q\nvars x y\nideal a: x^2\nideal b: x + $\n"
+
+
+def test_session_line_ends_and_bom_behave_as_text_mode_reading(tmp_path, capsys):
+    """CRLF, a lone CR, or a mix of them, read as LF, and a UTF-8 byte
+    order mark is an unexpected character: the same stdout, stderr and
+    exit code as reading the file in text mode gave."""
+    argv = ["certify", "--ideal", "a", "--modulus", "m", "--max-level", "3"]
+    expected = _run_bytes(tmp_path, capsys, GOOD_SESSION.encode(), argv)
+    assert expected[0] == 0 and "certificate: " in expected[1]
+    bad = (2, "", "parse error: unexpected character '$' (line 4, column 14)\n")
+    assert _run_bytes(tmp_path, capsys, BAD_SESSION.encode(), argv) == bad
+    for text, want in ((GOOD_SESSION, expected), (BAD_SESSION, bad)):
+        lines = text.split("\n")
+        variants = [
+            text.replace("\n", "\r\n"),
+            text.replace("\n", "\r"),
+            "".join(line + ("\r\n", "\r", "\n")[k % 3] for k, line in enumerate(lines[:-1])),
+        ]
+        for variant in variants:
+            assert _run_bytes(tmp_path, capsys, variant.encode(), argv) == want
+    bom = (2, "", "parse error: unexpected character '\\ufeff' (line 1, column 1)\n")
+    assert _run_bytes(tmp_path, capsys, b"\xef\xbb\xbf" + GOOD_SESSION.encode(), argv) == bom

@@ -46,7 +46,12 @@ reference path in ``oracles``, and reduced Groebner bases are canonical.
 * the module closure kernel, one weight-0 echelon over the truncated
   basis of J', against a module Buchberger in the full jet ring, at
   levels 1 to 3;
-* print -> parse -> print is a fixed point.
+* print -> parse -> print is a fixed point;
+* the term parser against the factor-by-factor parser, term dicts and
+  errors alike, over Q, F_2, F_3, F_32003 and F_(2^31 - 1);
+* the leading terms that the read-off bases hand over (closures,
+  chains, certificates, Matlis colons, walkthrough stages) against a
+  search with ``MonomialOrder.key``.
 """
 
 import itertools
@@ -79,6 +84,7 @@ from oracles import (
     reference_module_standard_basis,
     reference_format_polynomial,
     reference_newton_membership,
+    reference_parse_polynomial,
     reference_socle_and_gorenstein,
 )
 
@@ -98,6 +104,7 @@ from jetclosure.errors import (
     DomainError,
     NotArtinianError,
     NotGorensteinError,
+    ParseError,
     PowersNotContainedError,
 )
 from jetclosure.groebner import (
@@ -1166,3 +1173,169 @@ def test_print_parse_print_is_a_fixed_point(case):
     R, p = case
     text = format_polynomial(p)
     assert format_polynomial(parse_polynomial(text, R)) == text
+
+
+# --- the term parser ---------------------------------------------------------
+
+PARSE_FIELDS = (
+    FieldSpec.rationals(), FieldSpec.prime_field(2), FieldSpec.prime_field(3),
+    FieldSpec.prime_field(32003), FieldSpec.prime_field(2**31 - 1),
+)
+PARSE_NATS = st.one_of(
+    st.integers(0, 9),
+    st.sampled_from((32003, 64006, 2**31 - 1, 2**31, 2**62, 10**40 + 1, 3**90)),
+)
+
+
+def _factor_text(draw, depth: int) -> str:
+    kind = draw(st.integers(0, 4 if depth else 3))
+    if kind == 0:
+        return str(draw(PARSE_NATS))
+    name = draw(st.sampled_from(("x", "y", "z")))
+    if kind == 1:
+        return name
+    if kind <= 3:
+        return f"{name}^{draw(st.integers(0, 3))}"
+    return "(" + _sum_text(draw, depth - 1) + ")"
+
+
+def _product_text(draw, depth: int) -> str:
+    factors = [_factor_text(draw, depth) for _ in range(draw(st.integers(1, 3)))]
+    text = draw(st.sampled_from(("*", " * "))).join(factors)
+    if draw(st.booleans()):  # a leading coefficient, juxtaposed or not: 2x, 2 x, 2(x), 2*x
+        text = str(draw(PARSE_NATS)) + draw(st.sampled_from(("", " ", "*"))) + text
+    return text
+
+
+def _sum_text(draw, depth: int) -> str:
+    terms = [_product_text(draw, depth) for _ in range(draw(st.integers(1, 3)))]
+    text = terms[0]
+    for term in terms[1:]:
+        text += draw(st.sampled_from((" + ", " - ", "+", "-"))) + term
+    if draw(st.booleans()):  # a term that cancels one before it
+        text += " - " + draw(st.sampled_from(terms))
+    return text
+
+
+@st.composite
+def expressions(draw):
+    """Session-grammar text in x, y, z: sums of products, parentheses
+    nested up to three deep, leading coefficients juxtaposed or not,
+    repeated variables, x^0, zero, coefficients around and above the
+    field sizes, and terms that cancel."""
+    return _sum_text(draw, 3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(PARSE_FIELDS), expressions())
+@example(FieldSpec.prime_field(2), "2x*y - 0 + 3(x + y)*(x - y) - 3x^2 + 3y^2 + x*x^0")
+@example(FieldSpec.prime_field(2**31 - 1), "2147483648*x - x + (2147483647 + 1)*y*y^2 - y^3")
+def test_term_parser_matches_the_factor_by_factor_parser(fld, text):
+    """The same terms, in the same insertion order, as parsing every
+    factor into a ``Polynomial`` and adding whole polynomials."""
+    R = RingContext(fld, ("x", "y", "z"))
+    new, old = parse_polynomial(text, R), reference_parse_polynomial(text, R)
+    assert list(new.terms.items()) == list(old.terms.items())
+
+
+def _parse_outcome(parse, text: str, R):
+    """The term list of ``parse(text, R)``, or its error: type, text,
+    line and column."""
+    try:
+        return list(parse(text, R).terms.items())
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+MUTATIONS = ("+", "-", "*", "^", "(", ")", ",", " ", "2", "w", "x@1", "$", "\n", "x^", "2(", ")(")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(PARSE_FIELDS), expressions(), st.data())
+@example(FieldSpec.rationals(), "(" * 101 + "x" + ")" * 101, None)
+@example(FieldSpec.rationals(), "2 x y", None)
+@example(FieldSpec.rationals(), "x^y", None)
+@example(FieldSpec.rationals(), "", None)
+def test_term_parser_errors_match_the_factor_by_factor_parser(fld, text, data):
+    """One edit, an insertion, a replacement, a deletion or a cut, of a
+    valid expression: the two parsers give the same terms, or raise the
+    same exception with the same message, line and column."""
+    if data is not None:
+        i = data.draw(st.integers(0, len(text)))
+        edit = data.draw(st.sampled_from(("insert", "replace", "delete", "cut")))
+        piece = data.draw(st.sampled_from(MUTATIONS))
+        if edit == "insert":
+            text = text[:i] + piece + text[i:]
+        elif edit == "replace":
+            text = text[:i] + piece + text[i + 1:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i]
+    R = RingContext(fld, ("x", "y", "z"))
+    assert _parse_outcome(parse_polynomial, text, R) == _parse_outcome(reference_parse_polynomial, text, R)
+
+
+# --- read-off bases ------------------------------------------------------------
+
+
+def _assert_read_off(ideal: Ideal) -> None:
+    """The basis data of ``ideal``'s cached degrevlex basis, built from
+    the leading exponents its builder handed over, against a search for
+    each leading term with ``MonomialOrder.key``; and the basis sorted by
+    increasing leading term."""
+    basis = ideal.groebner_basis()
+    expected = []
+    for g in basis:
+        lt = max(g.terms, key=DEGREVLEX.key)
+        expected.append((lt, [(v, c) for v, c in g.terms.items() if v != lt]))
+    assert basis._data == expected
+    leading = [lt for lt, _ in expected]
+    assert leading == sorted(leading, key=DEGREVLEX.key)
+    assert list(ideal.generators) == basis.elements
+    searched = Ideal.with_reduced_basis(ideal.ring, basis.elements).groebner_basis()
+    assert searched._data == basis._data
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(closure_inputs())
+def test_closures_and_chains_hand_over_their_leading_terms(inputs):
+    P, a, level = inputs
+    rep = jet_closure(P, a, level)
+    _assert_read_off(rep.replacement)
+    _assert_read_off(rep.closure)
+    for C in cumulative_closure_chain(P, a, level):
+        _assert_read_off(C)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(local_inputs())
+def test_certificates_hand_over_their_leading_terms(inputs):
+    P, a = inputs
+    for C in certify_arc_closed(P, a, 4).chain:
+        _assert_read_off(C)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(artinian_moduli(), st.integers(1, 5))
+def test_matlis_colons_hand_over_their_leading_terms(P, power):
+    try:
+        emb = matlis_embedding(P, power)
+    except DomainError:
+        return
+    _assert_read_off(emb.colon)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(artinian_moduli(low=2, top=3, corners=1), st.integers(0, 1))
+def test_walkthrough_stages_hand_over_their_leading_terms(P, max_level):
+    try:
+        walk = gorenstein_walkthrough(P, max_level)
+    except DomainError:
+        return
+    for stage in walk.stages[1:]:  # the first stage is the input modulus, basis by Buchberger
+        _assert_read_off(stage.modulus)
+    for stage in walk.stages:
+        for C in stage.certificate.chain:
+            _assert_read_off(C)
+    _assert_read_off(walk.embedding.colon)
